@@ -6,7 +6,7 @@ simulator as ground-truth generator and physics oracle.
 """
 
 from .geometry import PlanarPose, Plane3, Pose3, Shape2D
-from .factors import ContactForceState, NoiseModel
+from .factors import NoiseModel
 from .pushsim import GroundTruthTrajectory, PushParams, limit_surface_constants, simulate_push
 from .dataio import (
     MeasuredTrajectory,
@@ -37,7 +37,7 @@ from .graphcore import (
 
 __all__ = [
     "PlanarPose", "Plane3", "Pose3", "Shape2D",
-    "ContactForceState", "NoiseModel",
+    "NoiseModel",
     "GroundTruthTrajectory", "PushParams", "limit_surface_constants", "simulate_push",
     "MeasuredTrajectory", "Metrics", "NoiseSpec", "TrajectoryArrays",
     "apply_occlusion", "compute_metrics", "from_ground_truth", "inject_noise",

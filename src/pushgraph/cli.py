@@ -231,7 +231,7 @@ def run_benchmark(cfg: dict) -> tuple[list[dict], list[dict]]:
     rows.sort(key=lambda r: (r["trial"], r["model"]))
 
     aggregates = []
-    numeric = [k for k in rows[0] if k not in ("trial", "model", "seed", "error")]
+    numeric = [k for k in _columns(rows) if k not in ("trial", "model", "seed", "error")]
     for model in cfg["models"].split(","):
         sub = [r for r in rows if r["model"] == model and not r.get("failed")]
         for stat, fn in (("mean", np.nanmean), ("std", np.nanstd)):
@@ -247,12 +247,15 @@ def _trial_star(args):
     return run_benchmark_trial(*args)
 
 
+def _columns(rows) -> list[str]:
+    """Union of the rows' keys in first-seen order; a failed row has fewer keys."""
+    return list(dict.fromkeys(k for row in rows for k in row))
+
+
 def write_benchmark_csv(rows, aggregates, path, cfg):
     import io
 
-    columns = list(rows[0].keys())
-    if "error" in columns:
-        columns.remove("error")
+    columns = [c for c in _columns(rows) if c != "error"]
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(_echo(cfg), sort_keys=True) + "\n")
     buf.write("# aggregate rows: trial=-1 mean, trial=-2 std\n")

@@ -244,6 +244,18 @@ def _vec(x):
     return None if x is None else np.asarray(x, dtype=float)
 
 
+def _all_finite(obj) -> bool:
+    """False if a parsed JSON value holds NaN or +-inf anywhere.
+
+    Python's json module reads the non-standard NaN and Infinity literals.
+    """
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_all_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
 def trajectory_to_dict(traj: MeasuredTrajectory) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -322,7 +334,10 @@ def trajectory_from_dict(data: dict) -> MeasuredTrajectory:
         params = data.get("params")
         noise = data.get("noise")
         steps = []
-        for s in data["steps"]:
+        for i, s in enumerate(data["steps"]):
+            for channel in ("t", "y", "z", "w", "alpha", "truth"):
+                if not _all_finite(s.get(channel)):
+                    raise ParseError(f"step {i}: channel {channel!r} is not finite")
             truth = None
             if s.get("truth") is not None:
                 tr = s["truth"]

@@ -6,12 +6,16 @@ velocity smoothness (V), quasi-static pushing dynamics (D), and unary priors.
 
 Pose variables are (x, y, theta) arrays; contact/force variables are
 (px, py, fx, fy) arrays. Angle residuals always use the shortest arc.
+
+Every factor has exactly two entry points on those arrays: residual(*vals),
+used by cost sweeps, and residual_and_jacobians(*vals), used by
+linearization. Batch solves, marginal covariances and the fixed-lag
+smoother's marginalization all linearize through the latter.
+numeric_jacobian is the central-difference reference for the analytic
+Jacobians.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -28,30 +32,6 @@ from .geometry import (
     shapes_intersect,
     _deepest_ee_point,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class ContactForceState:
-    """Combined contact point (m) and applied force (N) at one timestep."""
-
-    p: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).reshape(2)
-        f = np.asarray(self.f, dtype=float).reshape(2)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(f))):
-            raise ValueError("contact/force components must be finite")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "f", f)
-
-    @classmethod
-    def from_array(cls, arr) -> "ContactForceState":
-        arr = np.asarray(arr, dtype=float)
-        return cls(arr[:2], arr[2:4])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.p, self.f])
 
 
 class NoiseModel:
@@ -98,79 +78,37 @@ class NoiseModel:
         return float(w @ w)
 
 
-# ---------------------------------------------------------------------------
-# residual functions (typed surface)
-# ---------------------------------------------------------------------------
-
-
-def measurement_residual(state, meas) -> np.ndarray:
-    """state - measurement; dim 3 for poses (wrapped theta), dim 4 for p-f."""
-    if isinstance(state, PlanarPose):
-        return np.array(
-            [state.x - meas.x, state.y - meas.y, angle_diff(state.theta, meas.theta)]
-        )
-    if isinstance(state, ContactForceState):
-        return state.as_array() - meas.as_array()
-    raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def prior_residual(state, anchor) -> np.ndarray:
-    """Unary anchor residual, state - anchor (same convention as M)."""
-    return measurement_residual(state, anchor)
-
-
-def contact_surface_residual(owner_shape: Shape2D, owner_pose: PlanarPose, p) -> np.ndarray:
-    """G(surface, p) - p: zero iff p lies on the owner's boundary."""
-    g, _, _ = closest_point_with_jacobians(owner_shape, owner_pose, p)
-    return g - np.asarray(p, dtype=float)
-
-
-def intersection_residual(obj_shape, obj_pose, ee_shape, ee_pose) -> np.ndarray:
-    """Penetration penalty: g_delta - delta when overlapping, else zero."""
-    if not shapes_intersect(obj_shape, obj_pose, ee_shape, ee_pose):
-        return np.zeros(2)
-    delta, _ = _deepest_ee_point(obj_shape, obj_pose, ee_shape, ee_pose)
-    g, _, _ = closest_point_with_jacobians(obj_shape, obj_pose, delta)
-    return g - delta
-
-
-def const_velocity_residual(a: PlanarPose, b: PlanarPose, c_: PlanarPose, dt1: float, dt2: float) -> np.ndarray:
-    """Finite-difference velocity mismatch between consecutive pose pairs."""
-    if dt1 <= 0.0 or dt2 <= 0.0:
-        raise NonPositiveTimestep(f"dt1={dt1}, dt2={dt2}")
-    d1 = np.array([b.x - a.x, b.y - a.y, angle_diff(b.theta, a.theta)]) / dt1
-    d2 = np.array([c_.x - b.x, c_.y - b.y, angle_diff(c_.theta, b.theta)]) / dt2
-    return d1 - d2
-
-
-def quasi_static_residual(x_prev: PlanarPose, x_cur: PlanarPose, pf: ContactForceState,
-                          c: float, dt: float) -> np.ndarray:
+def quasi_static_residual(xp, xc, pf, c: float, dt: float) -> np.ndarray:
     """Limit-surface motion constraint in cross-multiplied form.
 
-    r = v*tau - c^2*omega*f with v, omega finite-difference object twist and
-    tau the moment of f applied at the contact point about the object origin
-    (its center of mass). Smooth at omega = 0 and tau = 0, unlike the ratio
-    form, and zero exactly on quasi-static transitions.
+    xp, xc are the previous and current object poses (x, y, theta) and pf
+    the contact/force state (px, py, fx, fy). r = v*tau - c^2*omega*f with
+    v, omega the finite-difference object twist and tau the moment of f
+    applied at the contact point about the object origin (its center of
+    mass). Smooth at omega = 0 and tau = 0, unlike the ratio form, and zero
+    exactly on quasi-static transitions.
     """
-    v = (x_cur.translation - x_prev.translation) / dt
-    omega = angle_diff(x_cur.theta, x_prev.theta) / dt
-    r_arm = pf.p - x_cur.translation
-    tau = cross2(r_arm, pf.f)
-    return v * tau - c**2 * omega * pf.f
+    v = (xc[:2] - xp[:2]) / dt
+    omega = angle_diff(xc[2], xp[2]) / dt
+    f = pf[2:4]
+    tau = cross2(pf[:2] - xc[:2], f)
+    return v * tau - c**2 * omega * f
 
 
 # ---------------------------------------------------------------------------
-# factor objects (array surface used by the optimizer)
+# factor objects
 # ---------------------------------------------------------------------------
 
 
 class Factor:
     """Residual block over an ordered tuple of variables.
 
-    Subclasses implement residual(*vals) and jacobians(*vals) on raw arrays
-    (poses dim 3, contact/force dim 4). keys are opaque hashables owned by
-    the graph container. constant_jacobian marks factors whose Jacobian does
-    not depend on the linearization point (cacheable).
+    Subclasses implement two entry points on raw arrays (poses dim 3,
+    contact/force dim 4): residual(*vals), used by cost sweeps, and
+    residual_and_jacobians(*vals) -> (residual, [one Jacobian per key]),
+    used by linearization. keys are opaque hashables owned by the graph
+    container. constant_jacobian marks factors whose Jacobian does not
+    depend on the linearization point (cacheable).
     """
 
     kind = "base"
@@ -187,16 +125,16 @@ class Factor:
     def residual(self, *vals):
         raise NotImplementedError
 
-    def jacobians(self, *vals):
-        raise NotImplementedError
-
     def residual_and_jacobians(self, *vals):
-        """Fused evaluation; overridden where the two share geometry work."""
-        return self.residual(*vals), self.jacobians(*vals)
+        raise NotImplementedError
 
 
 class PriorFactor(Factor):
-    """Unary anchor; gauge fixing for the first timestep."""
+    """Unary anchor, residual v - anchor (theta wrapped when wrap_index is set).
+
+    Gauge fixing for the first timestep; the measurement factors are priors
+    on the measured values with their own kind.
+    """
 
     kind = "prior"
     constant_jacobian = True
@@ -212,8 +150,8 @@ class PriorFactor(Factor):
             r[self.wrap_index] = angle_diff(v[self.wrap_index], self.anchor[self.wrap_index])
         return r
 
-    def jacobians(self, v):
-        return [np.eye(len(self.anchor))]
+    def residual_and_jacobians(self, v):
+        return self.residual(v), [np.eye(len(self.anchor))]
 
 
 class PoseMeasurementFactor(PriorFactor):
@@ -223,30 +161,14 @@ class PoseMeasurementFactor(PriorFactor):
         super().__init__(key, meas, noise, wrap_index=2)
 
 
-class ContactForceMeasurementFactor(Factor):
-    """Measurement on the combined contact/force state.
+class ContactForceMeasurementFactor(PriorFactor):
+    """Measurement on the combined contact/force state (px, py, fx, fy).
 
-    indices selects which of the four components are measured, so partially
-    observed timesteps (point only, force only) stay well-posed.
+    A component that was not measured gets a zero anchor and a weak sigma,
+    so partially observed timesteps stay well-posed.
     """
 
     kind = "m_contactforce"
-    constant_jacobian = True
-
-    def __init__(self, key, meas, noise, indices=(0, 1, 2, 3)):
-        super().__init__((key,), noise)
-        self.meas = np.asarray(meas, dtype=float)
-        self.indices = np.asarray(indices, dtype=int)
-        if len(self.meas) != len(self.indices):
-            raise ValueError("measurement length must match selected indices")
-
-    def residual(self, v):
-        return v[self.indices] - self.meas
-
-    def jacobians(self, v):
-        jac = np.zeros((len(self.indices), 4))
-        jac[np.arange(len(self.indices)), self.indices] = 1.0
-        return [jac]
 
 
 class ContactSurfaceFactor(Factor):
@@ -266,9 +188,6 @@ class ContactSurfaceFactor(Factor):
         p = pf_arr[:2]
         g, _, _ = closest_point_with_jacobians(self.shape, pose, p)
         return g - p
-
-    def jacobians(self, pose_arr, pf_arr):
-        return self.residual_and_jacobians(pose_arr, pf_arr)[1]
 
     def residual_and_jacobians(self, pose_arr, pf_arr):
         pose = PlanarPose.from_array(pose_arr)
@@ -309,9 +228,6 @@ class SurfaceGapFactor(Factor):
         a, b = pair
         return a - b
 
-    def jacobians(self, x_arr, e_arr):
-        return self.residual_and_jacobians(x_arr, e_arr)[1]
-
     def residual_and_jacobians(self, x_arr, e_arr):
         qx = PlanarPose.from_array(x_arr)
         qe = PlanarPose.from_array(e_arr)
@@ -346,9 +262,14 @@ class IntersectionFactor(Factor):
         self.ee_shape = ee_shape
 
     def residual(self, x_arr, e_arr):
-        return intersection_residual(
-            self.obj_shape, PlanarPose.from_array(x_arr), self.ee_shape, PlanarPose.from_array(e_arr)
-        )
+        """Penetration penalty: g_delta - delta when overlapping, else zero."""
+        qx = PlanarPose.from_array(x_arr)
+        qe = PlanarPose.from_array(e_arr)
+        if not shapes_intersect(self.obj_shape, qx, self.ee_shape, qe):
+            return np.zeros(2)
+        delta, _ = _deepest_ee_point(self.obj_shape, qx, self.ee_shape, qe)
+        g, _, _ = closest_point_with_jacobians(self.obj_shape, qx, delta)
+        return g - delta
 
     def _delta_jacobians(self, qx, qe, branch):
         """d(delta)/d(object pose) and d(delta)/d(ee pose), both 2x3."""
@@ -386,9 +307,6 @@ class IntersectionFactor(Factor):
         d_dqx[:, 2] = r_e * Mu @ (SKEW @ (v_w - qx.translation))
         return d_dqx, d_dqe
 
-    def jacobians(self, x_arr, e_arr):
-        return self.residual_and_jacobians(x_arr, e_arr)[1]
-
     def residual_and_jacobians(self, x_arr, e_arr):
         qx = PlanarPose.from_array(x_arr)
         qe = PlanarPose.from_array(e_arr)
@@ -415,13 +333,16 @@ class ConstantVelocityFactor(Factor):
         self.dt2 = float(dt2)
 
     def residual(self, a, b, c):
-        return const_velocity_residual(
-            PlanarPose.from_array(a), PlanarPose.from_array(b), PlanarPose.from_array(c), self.dt1, self.dt2
-        )
+        d1 = b - a
+        d2 = c - b
+        d1[2] = angle_diff(b[2], a[2])
+        d2[2] = angle_diff(c[2], b[2])
+        return d1 / self.dt1 - d2 / self.dt2
 
-    def jacobians(self, a, b, c):
+    def residual_and_jacobians(self, a, b, c):
         eye = np.eye(3)
-        return [-eye / self.dt1, eye * (1.0 / self.dt1 + 1.0 / self.dt2), -eye / self.dt2]
+        jacs = [-eye / self.dt1, eye * (1.0 / self.dt1 + 1.0 / self.dt2), -eye / self.dt2]
+        return self.residual(a, b, c), jacs
 
 
 class QuasiStaticFactor(Factor):
@@ -435,15 +356,9 @@ class QuasiStaticFactor(Factor):
         self.dt = float(dt)
 
     def residual(self, xp, xc, pf):
-        return quasi_static_residual(
-            PlanarPose.from_array(xp),
-            PlanarPose.from_array(xc),
-            ContactForceState.from_array(pf),
-            self.c,
-            self.dt,
-        )
+        return quasi_static_residual(xp, xc, pf, self.c, self.dt)
 
-    def jacobians(self, xp, xc, pf):
+    def residual_and_jacobians(self, xp, xc, pf):
         dt, c2 = self.dt, self.c**2
         v = (xc[:2] - xp[:2]) / dt
         omega = angle_diff(xc[2], xp[2]) / dt
@@ -461,7 +376,7 @@ class QuasiStaticFactor(Factor):
         j_pf = np.zeros((2, 4))
         j_pf[:, :2] = np.outer(v, g)
         j_pf[:, 2:] = np.outer(v, s_arm) - c2 * omega * np.eye(2)
-        return [j_prev, j_cur, j_pf]
+        return v * tau - c2 * omega * f, [j_prev, j_cur, j_pf]
 
 
 def numeric_jacobian(factor: Factor, values, step: float = 1e-6) -> np.ndarray:
@@ -487,4 +402,4 @@ def numeric_jacobian(factor: Factor, values, step: float = 1e-6) -> np.ndarray:
 
 def analytic_jacobian(factor: Factor, values) -> np.ndarray:
     """Stacked analytic Jacobian in the same layout as numeric_jacobian."""
-    return np.hstack(factor.jacobians(*[np.asarray(v, dtype=float) for v in values]))
+    return np.hstack(factor.residual_and_jacobians(*[np.asarray(v, dtype=float) for v in values])[1])

@@ -102,14 +102,6 @@ class PlanarPose:
         return self.rotation().T @ (np.asarray(q, dtype=float) - self.translation)
 
 
-def se2_compose(a: PlanarPose, b: PlanarPose) -> PlanarPose:
-    return a.compose(b)
-
-
-def se2_inverse(a: PlanarPose) -> PlanarPose:
-    return a.inverse()
-
-
 # ---------------------------------------------------------------------------
 # 3-D poses and the pushing plane
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ state pf_t (dim 4). Three graph models are supported:
 Batch solves use sparse normal equations (timestep-ordered elimination via
 SuperLU); the incremental path is a fixed-lag smoother that marginalizes
 old timesteps into a dense boundary prior and re-optimizes the window.
+`linearize` is the one linearizer: the Gauss-Newton steps, the marginal
+covariances and the smoother's Schur complement all take their whitened
+normal equations from it.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ class LinearizedPriorFactor(Factor):
     """
 
     kind = "linearized_prior"
+    constant_jacobian = True
 
     def __init__(self, keys, anchors, offset, sqrt_info):
         super().__init__(keys, NoiseModel(np.eye(sqrt_info.shape[0])))
@@ -116,13 +120,13 @@ class LinearizedPriorFactor(Factor):
     def residual(self, *vals):
         return self.sqrt_info @ (self._delta([v.copy() for v in vals]) - self.offset)
 
-    def jacobians(self, *vals):
-        out = []
+    def residual_and_jacobians(self, *vals):
+        jacs = []
         off = 0
         for d in self._dims:
-            out.append(self.sqrt_info[:, off : off + d])
+            jacs.append(self.sqrt_info[:, off : off + d])
             off += d
-        return out
+        return self.residual(*vals), jacs
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +231,7 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
         const = None
         if f.constant_jacobian:
             vals = [np.zeros(index[k][1]) for k in f.keys]
-            const = [f.noise.whiten_jacobian(j) for j in f.jacobians(*vals)]
+            const = [f.noise.whiten_jacobian(j) for j in f.residual_and_jacobians(*vals)[1]]
         plan.append((f, row0, d, slices, const))
         row0 += d
     return _LinearizeCache(
@@ -428,7 +432,7 @@ class GraphConfig:
     sigma_intersection: float = 0.001  # intersection factor S
     sigma_vel: tuple = (0.01, 0.01, 0.05)  # constant-velocity prior, per sqrt(s)
     sigma_qs: float = 0.01  # quasi-static factor D, SI product units
-    sigma_weak: float = 1e3  # regularization for unmeasured components
+    sigma_weak: float = 1e3  # regularization for unmeasured contact/force components
 
     @classmethod
     def from_trajectory(cls, traj: MeasuredTrajectory, **overrides) -> "GraphConfig":
@@ -472,9 +476,9 @@ class GraphConfig:
             return NoiseModel.from_sigmas([self.sigma_x_trans, self.sigma_x_trans, self.sigma_x_rot])
         return NoiseModel.from_sigmas([self.sigma_e_trans, self.sigma_e_trans, self.sigma_e_rot])
 
-    def pf_noise(self, indices) -> NoiseModel:
-        sig = {0: self.sigma_contact, 1: self.sigma_contact, 2: self.sigma_force, 3: self.sigma_force}
-        return NoiseModel.from_sigmas([sig[i] for i in indices])
+    def pf_noise(self) -> NoiseModel:
+        return NoiseModel.from_sigmas([self.sigma_contact, self.sigma_contact,
+                                       self.sigma_force, self.sigma_force])
 
     def surface_noise(self) -> NoiseModel:
         return NoiseModel.isotropic(2, self.sigma_surface)
@@ -549,26 +553,16 @@ def _step_measurement_factors(traj: MeasuredTrajectory, t: int, step: Trajectory
         factors.append(PoseMeasurementFactor(obj_key(t), y, config.pose_noise(Role.OBJECT)))
     if z is not None:
         factors.append(PoseMeasurementFactor(ee_key(t), z, config.pose_noise(Role.EE)))
-    w = step.w
-    alpha = None if step.alpha is None else np.asarray(step.alpha, dtype=float)[:2]
-    if w is not None and alpha is not None:
-        meas = np.concatenate([w, alpha])
-        factors.append(ContactForceMeasurementFactor(pf_key(t), meas, config.pf_noise((0, 1, 2, 3))))
-    elif w is not None:
-        factors.append(ContactForceMeasurementFactor(pf_key(t), np.asarray(w, dtype=float),
-                                                     config.pf_noise((0, 1)), indices=(0, 1)))
-        factors.append(ContactForceMeasurementFactor(pf_key(t), np.zeros(2),
-                                                     NoiseModel.isotropic(2, config.sigma_weak),
-                                                     indices=(2, 3)))
-    elif alpha is not None:
-        factors.append(ContactForceMeasurementFactor(pf_key(t), alpha,
-                                                     config.pf_noise((2, 3)), indices=(2, 3)))
-        factors.append(ContactForceMeasurementFactor(pf_key(t), np.zeros(2),
-                                                     NoiseModel.isotropic(2, config.sigma_weak),
-                                                     indices=(0, 1)))
-    else:
-        factors.append(ContactForceMeasurementFactor(pf_key(t), np.zeros(4),
-                                                     NoiseModel.isotropic(4, config.sigma_weak)))
+    # unmeasured components: zero anchor, weak sigma
+    meas = np.zeros(4)
+    sigmas = np.full(4, config.sigma_weak)
+    if step.w is not None:
+        meas[:2] = step.w
+        sigmas[:2] = config.sigma_contact
+    if step.alpha is not None:
+        meas[2:] = np.asarray(step.alpha, dtype=float)[:2]
+        sigmas[2:] = config.sigma_force
+    factors.append(ContactForceMeasurementFactor(pf_key(t), meas, NoiseModel.from_sigmas(sigmas)))
     return factors
 
 
@@ -601,7 +595,7 @@ def _gauge_priors(init: dict, config: GraphConfig) -> list[Factor]:
     return [
         PriorFactor(obj_key(0), init[obj_key(0)], config.pose_noise(Role.OBJECT), wrap_index=2),
         PriorFactor(ee_key(0), init[ee_key(0)], config.pose_noise(Role.EE), wrap_index=2),
-        PriorFactor(pf_key(0), init[pf_key(0)], config.pf_noise((0, 1, 2, 3))),
+        PriorFactor(pf_key(0), init[pf_key(0)], config.pf_noise()),
     ]
 
 
@@ -705,7 +699,7 @@ class FixedLagSmoother:
         self.active_factors: list[Factor] = []
         self.first_active_t = 0
         self._pending_y = 0
-        self._reports: list[SolveReport] = []
+        self.reports: list[SolveReport] = []  # one per window optimization
 
     # -- construction helpers ------------------------------------------------
 
@@ -737,7 +731,7 @@ class FixedLagSmoother:
         self.active_factors.extend(_step_measurement_factors(self.template, t, step, self.config))
         dts = np.diff(np.asarray(self.timestamps))
         self.active_factors.extend(
-            _step_structure_factors(self.model, self._traj_proxy(), t, dts, self.config)
+            _step_structure_factors(self.model, self.template, t, dts, self.config)
         )
         if t == 0:
             self.active_factors.extend(_gauge_priors(self.estimates, self.config))
@@ -747,10 +741,6 @@ class FixedLagSmoother:
             self._optimize()
             self._pending_y = 0
         return {k: v.copy() for k, v in self.estimates.items()}
-
-    def _traj_proxy(self):
-        # shapes/params/plane carrier for the factor builders
-        return self.template
 
     def finalize(self, opts: GaussNewtonOptions | None = None) -> dict:
         """Flush a final window optimization and return all estimates."""
@@ -772,45 +762,28 @@ class FixedLagSmoother:
         for f in self.active_factors:
             graph.add_factor(f)
         values, report = gauss_newton(graph, None, opts or self.opts)
-        self._reports.append(report)
+        self.reports.append(report)
         self.estimates.update(values)
 
     def _marginalize_upto(self, new_start: int):
-        old_keys = {
-            key
-            for key in self.estimates
-            if key.t < new_start and key.t >= self.first_active_t
-        }
-        absorbed = [f for f in self.active_factors if any(k in old_keys for k in f.keys)]
-        absorbed_ids = set(map(id, absorbed))
-        kept = [f for f in self.active_factors if id(f) not in absorbed_ids]
-        boundary: list[VariableKey] = []
-        for f in absorbed:
+        # every active factor touching a timestep before new_start is absorbed;
+        # the variables it also touches at or after new_start form the boundary
+        absorbed = FactorGraph()
+        kept = []
+        for f in self.active_factors:
+            if all(k.t >= new_start for k in f.keys):
+                kept.append(f)
+                continue
             for k in f.keys:
-                if k not in old_keys and k not in boundary:
-                    boundary.append(k)
-        boundary.sort(key=_key_sort)
-        ordered = sorted(old_keys, key=_key_sort) + boundary
-
-        index = {}
-        off = 0
-        for key in ordered:
-            index[key] = (off, key_dim(key))
-            off += key_dim(key)
-        n = off
-        n_old = sum(key_dim(k) for k in old_keys)
-
-        H = np.zeros((n, n))
-        g = np.zeros(n)
-        for f in absorbed:
-            vals = [self.estimates[k] for k in f.keys]
-            r = f.noise.whiten(f.residual(*vals))
-            jacs = [f.noise.whiten_jacobian(j) for j in f.jacobians(*vals)]
-            slices = [slice(index[k][0], index[k][0] + index[k][1]) for k in f.keys]
-            for si, ji in zip(slices, jacs):
-                g[si] += ji.T @ r
-                for sj, jj in zip(slices, jacs):
-                    H[si, sj] += ji.T @ jj
+                if k not in absorbed.dims:
+                    absorbed.add_variable(k)
+            absorbed.add_factor(f)
+        # timestep-major ordering puts the old variables first
+        system = linearize(absorbed, self.estimates)
+        boundary = [k for k in system.index if k.t >= new_start]
+        n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
+        H = system.normal_matrix.toarray()
+        g = system.gradient
 
         H_oo = H[:n_old, :n_old]
         H_ob = H[:n_old, n_old:]
@@ -839,17 +812,8 @@ class FixedLagSmoother:
 
     # -- reporting ------------------------------------------------------------
 
-    @property
-    def reports(self) -> list[SolveReport]:
-        return self._reports
-
     def estimate_arrays(self) -> TrajectoryArrays:
         return values_to_arrays(self.estimates, len(self.timestamps), np.asarray(self.timestamps))
-
-
-def fixed_lag_update(smoother: FixedLagSmoother, step: TrajectoryStep) -> dict:
-    """Feed one timestep into the smoother; returns current estimates."""
-    return smoother.update(step)
 
 
 def solve_incremental(model, traj: MeasuredTrajectory, config: GraphConfig | None = None,

@@ -216,18 +216,14 @@ class GroundTruthTrajectory:
 
     def max_dynamics_residual(self) -> float:
         """Largest quasi-static factor residual over all transitions."""
-        from .factors import quasi_static_residual, ContactForceState
+        from .factors import quasi_static_residual
 
         worst = 0.0
         for t in range(1, len(self)):
             dt = self.timestamps[t] - self.timestamps[t - 1]
-            r = quasi_static_residual(
-                PlanarPose.from_array(self.object_poses[t - 1]),
-                PlanarPose.from_array(self.object_poses[t]),
-                ContactForceState(self.contact_points[t], self.forces[t]),
-                self.params.c,
-                dt,
-            )
+            pf = np.concatenate([self.contact_points[t], self.forces[t]])
+            r = quasi_static_residual(self.object_poses[t - 1], self.object_poses[t], pf,
+                                      self.params.c, dt)
             worst = max(worst, float(np.max(np.abs(r))))
         return worst
 

@@ -1,5 +1,7 @@
 """Random smooth-configuration generator for factor Jacobian checks."""
 
+import math
+
 import numpy as np
 
 from pushgraph.factors import (
@@ -13,7 +15,7 @@ from pushgraph.factors import (
     QuasiStaticFactor,
     SurfaceGapFactor,
 )
-from pushgraph.geometry import PlanarPose, Shape2D, shapes_intersect, signed_distance
+from pushgraph.geometry import PlanarPose, Shape2D, shapes_intersect, signed_distance, wrap_angle
 
 BOX = Shape2D.box(0.1, 0.1)
 PROBE = Shape2D.disc(0.01)
@@ -30,17 +32,32 @@ ALL_KINDS = ["prior", "m_pose", "m_contactforce", "c_object", "c_ee", "c_objee",
              "s", "s_poly_ee", "v", "d"]
 
 
-def random_smooth_pose(rng, scale=0.5):
-    # keep theta away from the wrap seam so finite differences stay smooth
-    return np.array([rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-1.2, 1.2)])
+def away_from_seam(rng):
+    """An angle well inside (-pi, pi]."""
+    return rng.uniform(-1.2, 1.2)
 
 
-def make_factor_sample(kind, rng):
-    """One (factor, values) pair at a smooth configuration of the given kind."""
+def near_seam(rng, width=1e-3):
+    """An angle within width of +-pi, on either side of the wrap seam."""
+    return wrap_angle(math.pi + rng.uniform(-width, width))
+
+
+def random_smooth_pose(rng, scale=0.5, theta=away_from_seam):
+    return np.array([rng.uniform(-scale, scale), rng.uniform(-scale, scale), theta(rng)])
+
+
+def make_factor_sample(kind, rng, theta=away_from_seam):
+    """One (factor, values) pair at a smooth configuration of the given kind.
+
+    theta draws every pose angle of the sample.
+    """
+    def pose(scale=0.5):
+        return random_smooth_pose(rng, scale, theta)
+
     if kind == "prior":
-        return PriorFactor("k", random_smooth_pose(rng), ISO3, wrap_index=2), [random_smooth_pose(rng)]
+        return PriorFactor("k", pose(), ISO3, wrap_index=2), [pose()]
     if kind == "m_pose":
-        return PoseMeasurementFactor("k", random_smooth_pose(rng), ISO3), [random_smooth_pose(rng)]
+        return PoseMeasurementFactor("k", pose(), ISO3), [pose()]
     if kind == "m_contactforce":
         return (
             ContactForceMeasurementFactor("k", rng.normal(size=4), ISO4),
@@ -48,14 +65,14 @@ def make_factor_sample(kind, rng):
         )
     if kind in ("c_object", "c_ee"):
         shape = [BOX, DISC, PENTAGON][rng.integers(3)]
-        pose = random_smooth_pose(rng, 0.05)
+        q = pose(0.05)
         pf = np.concatenate([rng.uniform(-0.12, 0.12, size=2), rng.normal(size=2)])
-        return ContactSurfaceFactor("a", "b", shape, ISO2, kind), [pose, pf]
+        return ContactSurfaceFactor("a", "b", shape, ISO2, kind), [q, pf]
     if kind == "c_objee":
         shape_x = [BOX, DISC][rng.integers(2)]
         while True:
-            qx = random_smooth_pose(rng, 0.05)
-            qe = np.array([rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25), rng.uniform(-1.2, 1.2)])
+            qx = pose(0.05)
+            qe = pose(0.25)
             px, pe = PlanarPose.from_array(qx), PlanarPose.from_array(qe)
             if not shapes_intersect(shape_x, px, PROBE, pe):
                 # stay clear of the contact boundary so differentiation is valid
@@ -65,8 +82,8 @@ def make_factor_sample(kind, rng):
         shape_x = [BOX, DISC][rng.integers(2)]
         probe = Shape2D.disc(0.02)
         while True:
-            qx = random_smooth_pose(rng, 0.02)
-            qe = np.array([rng.uniform(-0.08, 0.08), rng.uniform(-0.08, 0.08), rng.uniform(-1.2, 1.2)])
+            qx = pose(0.02)
+            qe = pose(0.08)
             px, pe = PlanarPose.from_array(qx), PlanarPose.from_array(qe)
             sd = signed_distance(shape_x, px, pe.translation)
             # interior penetration, away from both tangency and full immersion
@@ -75,8 +92,8 @@ def make_factor_sample(kind, rng):
     if kind == "s_poly_ee":
         tool = Shape2D.box(0.03, 0.02)
         while True:
-            qx = random_smooth_pose(rng, 0.02)
-            qe = np.array([rng.uniform(-0.08, 0.08), rng.uniform(-0.08, 0.08), rng.uniform(-1.2, 1.2)])
+            qx = pose(0.02)
+            qe = pose(0.08)
             px, pe = PlanarPose.from_array(qx), PlanarPose.from_array(qe)
             if not shapes_intersect(BOX, px, tool, pe):
                 continue
@@ -94,14 +111,14 @@ def make_factor_sample(kind, rng):
         dt1, dt2 = rng.uniform(0.05, 0.5, size=2)
         return (
             ConstantVelocityFactor("a", "b", "c", dt1, dt2, ISO3),
-            [random_smooth_pose(rng) for _ in range(3)],
+            [pose() for _ in range(3)],
         )
     if kind == "d":
         return (
             QuasiStaticFactor("a", "b", "c", rng.uniform(0.02, 0.1), rng.uniform(0.02, 0.2), ISO2),
             [
-                random_smooth_pose(rng, 0.3),
-                random_smooth_pose(rng, 0.3),
+                pose(0.3),
+                pose(0.3),
                 np.concatenate([rng.uniform(-0.2, 0.2, 2), rng.uniform(-4, 4, 2)]),
             ],
         )

@@ -123,6 +123,29 @@ class TestSchema:
         with pytest.raises(ParseError):
             trajectory_from_dict({"schema_version": 1, "steps": [{"bogus": 1}]})
 
+    @pytest.mark.parametrize("channel, path, value", [
+        ("t", (), math.nan),
+        ("y", ("theta",), math.nan),
+        ("z", ("x",), math.inf),
+        ("w", (1,), math.nan),
+        ("alpha", (0,), -math.inf),
+        ("truth", ("f", 0), math.nan),
+    ])
+    def test_non_finite_rejected_at_load(self, tmp_path, channel, path, value):
+        data = trajectory_to_dict(random_trajectory(np.random.default_rng(2), missing_prob=0.0))
+        step = data["steps"][3]
+        if path:
+            target = step[channel]
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            step[channel] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(data))  # json writes NaN / Infinity literals
+        with pytest.raises(ParseError, match=f"step 3: channel '{channel}'"):
+            load_trajectory(file)
+
     def test_from_ground_truth_has_measurements_and_truth(self):
         from pushgraph.pushsim import make_push_scene, simulate_push, straight_path
 

@@ -5,12 +5,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushgraph.errors import NonPositiveTimestep
 from pushgraph.factors import (
     ConstantVelocityFactor,
     ContactForceMeasurementFactor,
-    ContactForceState,
     ContactSurfaceFactor,
     IntersectionFactor,
     NoiseModel,
@@ -19,15 +20,12 @@ from pushgraph.factors import (
     QuasiStaticFactor,
     SurfaceGapFactor,
     analytic_jacobian,
-    const_velocity_residual,
-    contact_surface_residual,
-    intersection_residual,
-    measurement_residual,
     numeric_jacobian,
-    prior_residual,
     quasi_static_residual,
 )
 from pushgraph.geometry import PlanarPose, Shape2D, shapes_intersect, signed_distance
+
+from factor_samples import ALL_KINDS, ISO2, ISO3, ISO4, away_from_seam, make_factor_sample, near_seam
 
 SQUARE = Shape2D.box(2.0, 2.0)
 BOX = Shape2D.box(0.1, 0.1)
@@ -41,38 +39,58 @@ def rel_err(analytic, numeric):
     return np.max(np.abs(analytic - numeric)) / scale
 
 
+def m_pose_residual(state, meas):
+    return PoseMeasurementFactor("k", meas, ISO3).residual(np.asarray(state, dtype=float))
+
+
+def c_residual(shape, pose, p):
+    factor = ContactSurfaceFactor("x", "pf", shape, ISO2, "c_object")
+    return factor.residual(pose.as_array(), np.array([p[0], p[1], 0.0, 0.0]))
+
+
+def s_residual(obj_shape, obj_pose, ee_shape, ee_pose):
+    factor = IntersectionFactor("x", "e", obj_shape, ee_shape, ISO2)
+    return factor.residual(obj_pose.as_array(), ee_pose.as_array())
+
+
+def v_residual(a, b, c, dt1, dt2):
+    return ConstantVelocityFactor("a", "b", "c", dt1, dt2, ISO3).residual(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float))
+
+
 class TestMeasurementResidual:
     def test_zero_at_equality(self):
-        pose = PlanarPose(0.4, -0.2, 1.1)
-        np.testing.assert_allclose(measurement_residual(pose, pose), np.zeros(3))
-        pf = ContactForceState([1.0, 0.0], [0.0, 2.0])
-        np.testing.assert_allclose(measurement_residual(pf, pf), np.zeros(4))
+        pose = np.array([0.4, -0.2, 1.1])
+        np.testing.assert_allclose(m_pose_residual(pose, pose), np.zeros(3))
+        pf = np.array([1.0, 0.0, 0.0, 2.0])
+        factor = ContactForceMeasurementFactor("k", pf, ISO4)
+        np.testing.assert_allclose(factor.residual(pf), np.zeros(4))
 
     def test_theta_shortest_arc(self):
-        r = measurement_residual(PlanarPose(0, 0, 3.1), PlanarPose(0, 0, -3.1))
+        r = m_pose_residual([0, 0, 3.1], [0, 0, -3.1])
         assert r[2] == pytest.approx(6.2 - 2 * math.pi, abs=1e-12)
         assert abs(r[2]) < 0.1
 
     def test_contactforce_subtraction(self):
-        r = measurement_residual(
-            ContactForceState([1.0, 0.0], [0.0, 2.0]),
-            ContactForceState([1.1, 0.0], [0.0, 1.5]),
-        )
+        factor = ContactForceMeasurementFactor("k", np.array([1.1, 0.0, 0.0, 1.5]), ISO4)
+        r = factor.residual(np.array([1.0, 0.0, 0.0, 2.0]))
         np.testing.assert_allclose(r, [-0.1, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_prior_matches_measurement_convention(self):
-        state = PlanarPose(0.1, 0.0, 0.0)
-        anchor = PlanarPose(0.0, 0.0, 0.0)
-        np.testing.assert_allclose(prior_residual(state, anchor), [0.1, 0.0, 0.0])
+        state = np.array([0.1, 0.0, 3.1])
+        anchor = np.array([0.0, 0.0, -3.1])
+        prior = PriorFactor("k", anchor, ISO3, wrap_index=2)
+        np.testing.assert_allclose(prior.residual(state), m_pose_residual(state, anchor))
+        np.testing.assert_allclose(prior.residual(state)[:2], [0.1, 0.0])
 
 
 class TestContactSurfaceResidual:
     def test_on_boundary_zero(self):
-        r = contact_surface_residual(Shape2D.disc(1.0), PlanarPose.identity(), [0.0, 1.0])
+        r = c_residual(Shape2D.disc(1.0), PlanarPose.identity(), [0.0, 1.0])
         np.testing.assert_allclose(r, np.zeros(2), atol=1e-12)
 
     def test_disc_radial(self):
-        r = contact_surface_residual(Shape2D.disc(1.0), PlanarPose.identity(), [2.0, 0.0])
+        r = c_residual(Shape2D.disc(1.0), PlanarPose.identity(), [2.0, 0.0])
         np.testing.assert_allclose(r, [-1.0, 0.0], atol=1e-12)
 
     def test_square_interior_matches_closest_point(self):
@@ -82,22 +100,22 @@ class TestContactSurfaceResidual:
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.uniform(-1.5, 1.5, size=2)
-            r = contact_surface_residual(SQUARE, pose, p)
+            r = c_residual(SQUARE, pose, p)
             g = closest_surface_point(SQUARE, pose, p)
             np.testing.assert_allclose(r, g - p, atol=1e-12)
 
 
 class TestIntersectionResidual:
     def test_separated_zero(self):
-        r = intersection_residual(SQUARE, PlanarPose.identity(), Shape2D.disc(0.5), PlanarPose(2.0, 0.0, 0.0))
+        r = s_residual(SQUARE, PlanarPose.identity(), Shape2D.disc(0.5), PlanarPose(2.0, 0.0, 0.0))
         np.testing.assert_allclose(r, np.zeros(2))
 
     def test_disc_into_square(self):
-        r = intersection_residual(SQUARE, PlanarPose.identity(), Shape2D.disc(0.5), PlanarPose(1.25, 0.0, 0.0))
+        r = s_residual(SQUARE, PlanarPose.identity(), Shape2D.disc(0.5), PlanarPose(1.25, 0.0, 0.0))
         np.testing.assert_allclose(r, [0.25, 0.0], atol=1e-12)
 
     def test_tangency_zero(self):
-        r = intersection_residual(SQUARE, PlanarPose.identity(), Shape2D.disc(0.5), PlanarPose(1.5, 0.0, 0.0))
+        r = s_residual(SQUARE, PlanarPose.identity(), Shape2D.disc(0.5), PlanarPose(1.5, 0.0, 0.0))
         np.testing.assert_allclose(r, np.zeros(2))
 
     def test_zero_on_random_separated_configs(self):
@@ -108,21 +126,17 @@ class TestIntersectionResidual:
             qe = PlanarPose(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
             if shapes_intersect(SQUARE, qx, DISC, qe):
                 continue
-            np.testing.assert_allclose(intersection_residual(SQUARE, qx, DISC, qe), np.zeros(2))
+            np.testing.assert_allclose(s_residual(SQUARE, qx, DISC, qe), np.zeros(2))
             count += 1
 
 
 class TestConstVelocityResidual:
     def test_collinear_zero(self):
-        r = const_velocity_residual(
-            PlanarPose(0, 0, 0), PlanarPose(1, 0, 0), PlanarPose(2, 0, 0), 1.0, 1.0
-        )
+        r = v_residual([0, 0, 0], [1, 0, 0], [2, 0, 0], 1.0, 1.0)
         np.testing.assert_allclose(r, np.zeros(3), atol=1e-15)
 
     def test_stop_arithmetic(self):
-        r = const_velocity_residual(
-            PlanarPose(0, 0, 0), PlanarPose(1, 0, 0), PlanarPose(1, 0, 0), 1.0, 1.0
-        )
+        r = v_residual([0, 0, 0], [1, 0, 0], [1, 0, 0], 1.0, 1.0)
         np.testing.assert_allclose(r, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_interpolated_triple_vanishes(self):
@@ -133,23 +147,21 @@ class TestConstVelocityResidual:
             dt1, dt2 = rng.uniform(0.05, 0.5, size=2)
             b = a + vel * dt1
             c = b + vel * dt2
-            r = const_velocity_residual(
-                PlanarPose.from_array(a), PlanarPose.from_array(b), PlanarPose.from_array(c), dt1, dt2
-            )
+            r = v_residual(a, b, c, dt1, dt2)
             np.testing.assert_allclose(r, np.zeros(3), atol=1e-12)
 
     def test_nonpositive_timestep(self):
         with pytest.raises(NonPositiveTimestep):
-            const_velocity_residual(PlanarPose(0, 0, 0), PlanarPose(0, 0, 0), PlanarPose(0, 0, 0), 0.0, 1.0)
+            ConstantVelocityFactor("a", "b", "c", 0.0, 1.0, ISO3)
 
 
 class TestQuasiStaticResidual:
     def test_pure_translation_through_cm(self):
         # force through the center: tau = 0 and omega = 0, residual vanishes
         r = quasi_static_residual(
-            PlanarPose(0, 0, 0),
-            PlanarPose(0.01, 0, 0),
-            ContactForceState([0.06, 0.0], [2.0, 0.0]),
+            np.array([0.0, 0.0, 0.0]),
+            np.array([0.01, 0.0, 0.0]),
+            np.array([0.06, 0.0, 2.0, 0.0]),
             0.04,
             0.1,
         )
@@ -158,9 +170,9 @@ class TestQuasiStaticResidual:
     def test_arithmetic_example(self):
         # v=(1,0), omega=1, f=(0,1), tau=1, c=1 -> r = (1, -1)
         r = quasi_static_residual(
-            PlanarPose(-1.0, 0.0, -1.0),
-            PlanarPose(0.0, 0.0, 0.0),
-            ContactForceState([1.0, 0.0], [0.0, 1.0]),
+            np.array([-1.0, 0.0, -1.0]),
+            np.array([0.0, 0.0, 0.0]),
+            np.array([1.0, 0.0, 0.0, 1.0]),
             1.0,
             1.0,
         )
@@ -170,9 +182,9 @@ class TestQuasiStaticResidual:
         rng = np.random.default_rng(3)
         for _ in range(100):
             r = quasi_static_residual(
-                PlanarPose.from_array(rng.uniform(-1, 1, 3)),
-                PlanarPose.from_array(rng.uniform(-1, 1, 3)),
-                ContactForceState(rng.uniform(-1, 1, 2), rng.uniform(-5, 5, 2)),
+                rng.uniform(-1, 1, 3),
+                rng.uniform(-1, 1, 3),
+                np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-5, 5, 2)]),
                 rng.uniform(0.01, 0.5),
                 rng.uniform(0.01, 0.5),
             )
@@ -209,8 +221,6 @@ class TestNoiseModel:
 # Jacobian verification
 # ---------------------------------------------------------------------------
 
-from factor_samples import ALL_KINDS, ISO2, ISO3, make_factor_sample
-
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_analytic_jacobian_matches_numeric(kind):
@@ -222,6 +232,28 @@ def test_analytic_jacobian_matches_numeric(kind):
         ana = analytic_jacobian(factor, values)
         worst = max(worst, rel_err(ana, num))
     assert worst < 1e-5, f"{kind}: worst relative error {worst:.2e}"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_analytic_jacobian_matches_numeric_at_theta_seam(kind, seed):
+    # every pose angle within 1e-3 of +-pi, so bumps and differences cross the seam
+    factor, values = make_factor_sample(kind, np.random.default_rng(seed), theta=near_seam)
+    err = rel_err(analytic_jacobian(factor, values), numeric_jacobian(factor, values))
+    assert err < 1e-5, f"{kind}: relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_fused_residual_matches_residual(kind):
+    # cost sweeps use residual, linearization the fused entry point
+    rng = np.random.default_rng(abs(zlib.crc32(kind.encode())))
+    for theta in (away_from_seam, near_seam):
+        for _ in range(5):
+            factor, values = make_factor_sample(kind, rng, theta)
+            fused, jacs = factor.residual_and_jacobians(*values)
+            np.testing.assert_allclose(fused, factor.residual(*values), rtol=1e-12, atol=1e-15)
+            assert [j.shape for j in jacs] == [(factor.dim, len(v)) for v in values]
 
 
 def test_measurement_jacobian_is_identity():
@@ -238,8 +270,10 @@ def test_const_velocity_jacobian_pattern():
 
 
 def test_partial_contactforce_measurement():
-    fac = ContactForceMeasurementFactor("k", np.array([0.5, 0.6]), ISO2, indices=(0, 1))
+    # contact point measured, force not: zero anchor and weak sigma on the force
+    fac = ContactForceMeasurementFactor("k", np.array([0.5, 0.6, 0.0, 0.0]),
+                                        NoiseModel.from_sigmas([1.0, 1.0, 1e3, 1e3]))
     r = fac.residual(np.array([1.0, 1.0, 9.0, 9.0]))
-    np.testing.assert_allclose(r, [0.5, 0.4])
-    jac = fac.jacobians(np.zeros(4))[0]
-    np.testing.assert_allclose(jac, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    np.testing.assert_allclose(r, [0.5, 0.4, 9.0, 9.0])
+    np.testing.assert_allclose(fac.noise.whiten(r), [0.5, 0.4, 9e-3, 9e-3])
+    np.testing.assert_allclose(analytic_jacobian(fac, [np.zeros(4)]), np.eye(4))

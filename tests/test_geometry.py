@@ -16,8 +16,6 @@ from pushgraph.geometry import (
     deepest_penetration,
     embed_in_plane,
     project_to_plane,
-    se2_compose,
-    se2_inverse,
     shapes_intersect,
     signed_distance,
     wrap_angle,
@@ -63,18 +61,18 @@ class TestWrap:
 class TestSE2:
     def test_identity(self):
         p = PlanarPose(1.0, 2.0, 0.3)
-        out = se2_compose(PlanarPose.identity(), p)
+        out = PlanarPose.identity().compose(p)
         np.testing.assert_allclose(out.as_array(), p.as_array(), atol=1e-15)
 
     def test_quarter_turn(self):
-        out = se2_compose(PlanarPose(1.0, 0.0, math.pi / 2), PlanarPose(1.0, 0.0, 0.0))
+        out = PlanarPose(1.0, 0.0, math.pi / 2).compose(PlanarPose(1.0, 0.0, 0.0))
         np.testing.assert_allclose(out.as_array(), [1.0, 1.0, math.pi / 2], atol=1e-15)
 
     def test_inverse_axiom(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = random_pose(rng)
-            ident = se2_compose(a, se2_inverse(a))
+            ident = a.compose(a.inverse())
             np.testing.assert_allclose(ident.as_array(), [0, 0, 0], atol=1e-12)
 
     def test_point_roundtrip(self):

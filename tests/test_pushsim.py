@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pushgraph.errors import DegenerateShape
-from pushgraph.factors import ContactForceState, quasi_static_residual
+from pushgraph.factors import quasi_static_residual
 from pushgraph.geometry import PlanarPose, Shape2D, cross2, signed_distance
 from pushgraph.pushsim import (
     GroundTruthTrajectory,
@@ -223,9 +223,9 @@ class TestSimulatePush:
         assert DISC_PARAMS.c == pytest.approx(2 * DISC_OBJ.radius / 3)
         for t in range(1, len(traj)):
             r = quasi_static_residual(
-                PlanarPose.from_array(traj.object_poses[t - 1]),
-                PlanarPose.from_array(traj.object_poses[t]),
-                ContactForceState(traj.contact_points[t], traj.forces[t]),
+                traj.object_poses[t - 1],
+                traj.object_poses[t],
+                np.concatenate([traj.contact_points[t], traj.forces[t]]),
                 traj.params.c,
                 traj.timestamps[t] - traj.timestamps[t - 1],
             )
