@@ -23,6 +23,7 @@ from .geometry import PlanarPose, Shape2D
 from .graphcore import (
     GaussNewtonOptions,
     GraphConfig,
+    SolveReport,
     marginal_covariances,
     obj_key,
     pf_key,
@@ -102,7 +103,8 @@ def make_noise_spec(cfg: dict) -> dataio.NoiseSpec:
     kind = "bimodal_triangular" if cfg["kind"] == "bimodal" else cfg["kind"]
     channels = tuple(cfg["channels"].split(","))
     if kind == "bimodal_triangular":
-        channels = tuple(c for c in channels if c in ("w", "alpha")) or ("w", "alpha")
+        # bimodal corruption is for contact and force; pose channels drop out
+        channels = tuple(c for c in channels if c not in ("y", "z")) or ("w", "alpha")
     return dataio.NoiseSpec(
         kind=kind,
         sigma_x_trans=cfg["sigma_x_trans"],
@@ -134,6 +136,23 @@ def run_corrupt(cfg: dict, traj: dataio.MeasuredTrajectory) -> dataio.MeasuredTr
 # ---------------------------------------------------------------------------
 
 
+def combined_report(reports: list[SolveReport]) -> SolveReport:
+    """One report over every window of a fixed-lag run.
+
+    Iterations add up; the costs are the first window's initial and the
+    last window's final cost. The run converged only if every window did,
+    and the reason is the first unconverged window's, else the last one's.
+    """
+    unconverged = [r for r in reports if not r.converged]
+    return SolveReport(
+        iterations=sum(r.iterations for r in reports),
+        initial_cost=reports[0].initial_cost,
+        final_cost=reports[-1].final_cost,
+        converged=not unconverged,
+        reason=(unconverged[0] if unconverged else reports[-1]).reason,
+    )
+
+
 def run_estimate(cfg: dict, traj: dataio.MeasuredTrajectory):
     """Solve one trajectory; returns (arrays, covariances, report, metrics)."""
     model = cfg["model"]
@@ -145,7 +164,7 @@ def run_estimate(cfg: dict, traj: dataio.MeasuredTrajectory):
     else:
         values, smoother = solve_incremental(model, traj, gconf, lag=cfg["lag"],
                                              batch_every=cfg["batch_every"], opts=opts)
-        report = smoother.reports[-1]
+        report = combined_report(smoother.reports)
         graph = None
     arrays = values_to_arrays(values, T, traj.timestamps)
     covs = None

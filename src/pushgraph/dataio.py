@@ -38,6 +38,7 @@ from .geometry import PlanarPose, Plane3, Pose3, Shape2D, angle_diff, cross2, pr
 from .pushsim import GroundTruthTrajectory, PushParams
 
 SCHEMA_VERSION = 1
+CHANNELS = ("y", "z", "w", "alpha")  # object pose, ee pose, contact point, force
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,8 @@ class NoiseSpec:
     The bimodal kind draws the mode sign uniformly and samples a symmetric
     triangular distribution about +/- mode_offset (half-width half_width);
     it applies to the channels listed in `channels` (contact/force style
-    corruption). Everything is deterministic given `seed`.
+    corruption). A channel name outside CHANNELS raises ValueError.
+    Everything is deterministic given `seed`.
     """
 
     kind: str = "gaussian"
@@ -84,7 +86,7 @@ class NoiseSpec:
     contact_half_width: float = 0.002  # m
     force_mode_offset: float = 0.3  # N
     force_half_width: float = 0.2  # N
-    channels: tuple = ("y", "z", "w", "alpha")
+    channels: tuple = CHANNELS
     seed: int = 0
 
     def __post_init__(self):
@@ -96,7 +98,15 @@ class NoiseSpec:
             raise ValueError("triangular half-widths must be positive")
         if self.kind not in ("gaussian", "bimodal_triangular"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        self.channels = tuple(self.channels)
+        self.channels = _check_channels(self.channels)
+
+
+def _check_channels(channels) -> tuple:
+    channels = tuple(channels)
+    unknown = [c for c in channels if c not in CHANNELS]
+    if unknown:
+        raise ValueError(f"unknown channels {unknown} (choose from {', '.join(CHANNELS)})")
+    return channels
 
 
 @dataclass
@@ -491,51 +501,24 @@ def inject_noise(traj: MeasuredTrajectory, spec: NoiseSpec) -> MeasuredTrajector
                 alpha[:2] = alpha[:2] + sample_bimodal_triangular(
                     rng, spec.force_mode_offset, spec.force_half_width, 2
                 )
-        steps.append(TrajectoryStep(t=s.t, y=y, z=z, w=w, alpha=alpha, truth=s.truth))
-    return MeasuredTrajectory(
-        steps=steps,
-        plane=traj.plane,
-        object_shape=traj.object_shape,
-        ee_shape=traj.ee_shape,
-        params=traj.params,
-        noise=spec,
-        config=traj.config,
-    )
+        steps.append(replace(s, y=y, z=z, w=w, alpha=alpha))
+    return replace(traj, steps=steps, noise=spec)
 
 
 def apply_occlusion(traj: MeasuredTrajectory, window, channels=("y",)) -> MeasuredTrajectory:
     """Mark measurements missing inside a fractional trajectory window.
 
     window is (lo, hi) with 0 <= lo <= hi <= 1; step i is occluded when
-    lo <= i / T < hi. Only the listed channels are dropped.
+    lo <= i / T < hi. Only the listed channels are dropped; a name outside
+    CHANNELS raises ValueError.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError("occlusion window must satisfy 0 <= lo <= hi <= 1")
+    dropped = dict.fromkeys(_check_channels(channels))
     T = len(traj.steps)
-    steps = []
-    for i, s in enumerate(traj.steps):
-        frac = i / T
-        occluded = lo <= frac < hi
-        steps.append(
-            TrajectoryStep(
-                t=s.t,
-                y=None if (occluded and "y" in channels) else s.y,
-                z=None if (occluded and "z" in channels) else s.z,
-                w=None if (occluded and "w" in channels) else s.w,
-                alpha=None if (occluded and "alpha" in channels) else s.alpha,
-                truth=s.truth,
-            )
-        )
-    return MeasuredTrajectory(
-        steps=steps,
-        plane=traj.plane,
-        object_shape=traj.object_shape,
-        ee_shape=traj.ee_shape,
-        params=traj.params,
-        noise=traj.noise,
-        config=traj.config,
-    )
+    steps = [replace(s, **(dropped if lo <= i / T < hi else {})) for i, s in enumerate(traj.steps)]
+    return replace(traj, steps=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ Jacobians.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonPositiveTimestep
 from .geometry import (
@@ -35,46 +34,38 @@ from .geometry import (
 
 
 class NoiseModel:
-    """Gaussian factor noise with SPD covariance.
+    """Gaussian factor noise, independent per residual component.
 
-    Whitening uses the lower Cholesky factor L of the covariance, so the
-    whitened residual L^-1 r satisfies ||L^-1 r||^2 = r^T Sigma^-1 r.
+    Takes the standard deviation of each component. Whitening divides by
+    them, so ||whiten(r)||^2 = sum_i (r_i / sigma_i)^2 = r^T Sigma^-1 r with
+    Sigma = diag(sigma^2).
     """
 
-    def __init__(self, covariance):
-        cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-        if cov.shape[0] != cov.shape[1]:
-            raise ValueError("covariance must be square")
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
-            raise ValueError("covariance must be symmetric")
-        self.covariance = 0.5 * (cov + cov.T)
-        self._chol = scipy.linalg.cholesky(self.covariance, lower=True)
-        # precomputed inverse sqrt: whitening is a plain matmul in hot loops
-        self._sqrt_info = scipy.linalg.solve_triangular(
-            self._chol, np.eye(self.covariance.shape[0]), lower=True
-        )
+    def __init__(self, sigmas):
+        s = np.asarray(sigmas, dtype=float)
+        if s.ndim != 1:
+            raise ValueError(f"sigmas must be a 1-D vector, got shape {s.shape}")
+        if not np.all(np.isfinite(s) & (s > 0.0)):
+            raise ValueError(f"sigmas must be positive and finite, got {s}")
+        self.sigmas = s
+        self._inv_sigmas = 1.0 / s
 
     @classmethod
     def isotropic(cls, dim: int, sigma: float) -> "NoiseModel":
-        return cls(np.eye(dim) * sigma**2)
-
-    @classmethod
-    def from_sigmas(cls, sigmas) -> "NoiseModel":
-        s = np.asarray(sigmas, dtype=float)
-        return cls(np.diag(s**2))
+        return cls(np.full(dim, sigma, dtype=float))
 
     @property
     def dim(self) -> int:
-        return self.covariance.shape[0]
+        return len(self.sigmas)
 
     def whiten(self, r: np.ndarray) -> np.ndarray:
-        return self._sqrt_info @ r
+        return r * self._inv_sigmas
 
     def whiten_jacobian(self, jac: np.ndarray) -> np.ndarray:
-        return self._sqrt_info @ jac
+        return jac * self._inv_sigmas[:, None]
 
     def squared_norm(self, r: np.ndarray) -> float:
-        w = self._sqrt_info @ r
+        w = r * self._inv_sigmas
         return float(w @ w)
 
 

@@ -16,6 +16,7 @@ from pushgraph.factors import (
     SurfaceGapFactor,
 )
 from pushgraph.geometry import PlanarPose, Shape2D, shapes_intersect, signed_distance, wrap_angle
+from pushgraph.graphcore import LinearizedPriorFactor, obj_key, pf_key
 
 BOX = Shape2D.box(0.1, 0.1)
 PROBE = Shape2D.disc(0.01)
@@ -29,7 +30,7 @@ ISO3 = NoiseModel.isotropic(3, 1.0)
 ISO4 = NoiseModel.isotropic(4, 1.0)
 
 ALL_KINDS = ["prior", "m_pose", "m_contactforce", "c_object", "c_ee", "c_objee",
-             "s", "s_poly_ee", "v", "d"]
+             "s", "s_poly_ee", "v", "d", "linearized_prior"]
 
 
 def away_from_seam(rng):
@@ -122,4 +123,11 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
                 np.concatenate([rng.uniform(-0.2, 0.2, 2), rng.uniform(-4, 4, 2)]),
             ],
         )
+    if kind == "linearized_prior":
+        # fewer rows than columns, as when the absorbed factors leave the
+        # boundary only partly constrained
+        anchors = [pose(), rng.normal(size=4)]
+        factor = LinearizedPriorFactor([obj_key(3), pf_key(3)], anchors,
+                                       r0=rng.normal(size=5), sqrt_info=rng.normal(size=(5, 7)))
+        return factor, [pose(), rng.normal(size=4)]
     raise ValueError(kind)

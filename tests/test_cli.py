@@ -7,6 +7,7 @@ import pytest
 
 from pushgraph import cli, dataio
 from pushgraph.errors import NonFiniteCost
+from pushgraph.graphcore import GraphConfig, solve_incremental
 
 
 def run(*argv):
@@ -42,6 +43,23 @@ def test_simulate_corrupt_estimate_inspect_round_trip(noisy_file, tmp_path, caps
     printed = capsys.readouterr().out
     assert "steps: 10" in printed
     assert "corruption: gaussian seed=3" in printed
+
+
+def test_incremental_report_covers_every_window(noisy_file, capsys):
+    assert cli.main(["estimate", "--in", str(noisy_file), "--mode", "incremental",
+                     "--lag", "5", "--batch-every", "2"]) in (0, 1)
+    printed = capsys.readouterr().out
+    traj = dataio.load_trajectory(noisy_file)
+    _, smoother = solve_incremental("QS", traj, GraphConfig.from_trajectory(traj), lag=5, batch_every=2)
+    assert len(smoother.reports) > 1
+    assert f"iterations={sum(r.iterations for r in smoother.reports)} " in printed
+
+
+def test_unknown_occlusion_channel_exits_2(noisy_file, tmp_path):
+    out = tmp_path / "occ.json"
+    assert run("corrupt", "--in", noisy_file, "--occlude", "0.2:0.5", "--occlude-channels", "q",
+               "--out", out) == 2
+    assert not out.exists()
 
 
 def test_explicit_flag_beats_config_file(tmp_path):

@@ -259,6 +259,10 @@ class TestNoise:
             np.testing.assert_array_equal(sa.y.as_array(), sb.y.as_array())
             assert not np.allclose(sa.w, sb.w)
 
+    def test_unknown_channel_rejected(self):
+        with pytest.raises(ValueError, match="'q'"):
+            NoiseSpec(channels=("y", "q"))
+
 
 class TestOcclusion:
     def test_window_counts(self):
@@ -274,6 +278,11 @@ class TestOcclusion:
         traj = random_trajectory(rng)
         out = apply_occlusion(traj, (0.4, 0.4))
         assert_trajectories_equal(traj, out)
+
+    def test_unknown_channel_rejected(self):
+        traj = random_trajectory(np.random.default_rng(12))
+        with pytest.raises(ValueError, match="'q'"):
+            apply_occlusion(traj, (0.2, 0.5), channels=("y", "q"))
 
     def test_occluded_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -378,6 +387,6 @@ class TestExport:
         assert cols["x_2sigma_major"][0] == pytest.approx(2 * math.sqrt(4e-4))
         assert cols["x_2sigma_minor"][0] == pytest.approx(2 * math.sqrt(1e-4))
         assert cols["p_2sigma_major"][0] == pytest.approx(2 * math.sqrt(9e-4))
-        first = open(path).readline()
+        first = path.read_text().splitlines()[0]
         assert first.startswith("# config:")
         assert json.loads(first.split("# config:")[1])["model"] == "QS"

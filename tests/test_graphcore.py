@@ -20,6 +20,7 @@ from pushgraph.graphcore import (
     GaussNewtonOptions,
     GraphConfig,
     GraphModel,
+    LinearizedPriorFactor,
     VariableKey,
     build_graph,
     ee_key,
@@ -145,7 +146,7 @@ class TestLinearize:
         key = obj_key(0)
         cov = np.diag([0.04, 0.09, 0.25])
         graph.add_variable(key, np.zeros(3))
-        graph.add_factor(PriorFactor(key, np.zeros(3), NoiseModel(cov), wrap_index=2))
+        graph.add_factor(PriorFactor(key, np.zeros(3), NoiseModel([0.2, 0.3, 0.5]), wrap_index=2))
         system = linearize(graph, graph.initial)
         np.testing.assert_allclose(system.normal_matrix.toarray(), np.linalg.inv(cov), atol=1e-12)
 
@@ -283,7 +284,7 @@ class TestMarginals:
         key = obj_key(0)
         cov = np.diag([0.04, 0.09, 0.25])
         graph.add_variable(key, np.zeros(3))
-        graph.add_factor(PriorFactor(key, np.zeros(3), NoiseModel(cov), wrap_index=2))
+        graph.add_factor(PriorFactor(key, np.zeros(3), NoiseModel([0.2, 0.3, 0.5]), wrap_index=2))
         out = marginal_covariance(graph, graph.initial, key)
         np.testing.assert_allclose(out, cov, atol=1e-12)
 
@@ -293,8 +294,8 @@ class TestMarginals:
         c1 = np.diag([0.04, 0.09, 0.01, 0.01])
         c2 = np.diag([0.01, 0.04, 0.09, 0.04])
         graph.add_variable(key, np.zeros(4))
-        graph.add_factor(PriorFactor(key, np.zeros(4), NoiseModel(c1)))
-        graph.add_factor(PriorFactor(key, np.zeros(4), NoiseModel(c2)))
+        graph.add_factor(PriorFactor(key, np.zeros(4), NoiseModel([0.2, 0.3, 0.1, 0.1])))
+        graph.add_factor(PriorFactor(key, np.zeros(4), NoiseModel([0.1, 0.2, 0.3, 0.2])))
         expected = np.linalg.inv(np.linalg.inv(c1) + np.linalg.inv(c2))
         np.testing.assert_allclose(marginal_covariance(graph, graph.initial, key), expected, atol=1e-12)
 
@@ -331,7 +332,7 @@ class TestFixedLag:
         traj = self.make_noisy(duration=2.0)
         batch_values, _, _ = solve_batch("QS", traj, opts=TIGHT)
         inc_values, smoother = solve_incremental("QS", traj, lag=10_000, batch_every=5,
-                                                 final_opts=TIGHT)
+                                                 opts=TIGHT)
         for key, bv in batch_values.items():
             np.testing.assert_allclose(inc_values[key], bv, atol=1e-9)
 
@@ -349,6 +350,38 @@ class TestFixedLag:
             dpf = np.abs(inc_values[pf_key(t)] - batch_values[pf_key(t)])
             assert np.all(dpf[:2] < 0.05 * cfg.sigma_contact)
             assert np.all(dpf[2:] < 0.05 * cfg.sigma_force)
+
+    def test_boundary_prior_is_schur_complement(self):
+        # 12 steps at lag 5: the window marginalized once already, so the
+        # absorbed factors include an earlier boundary prior
+        traj = self.make_noisy(duration=2.0)
+        smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
+        for step in traj.steps[:12]:
+            smoother.update(step)
+        assert smoother.first_active_t == 5
+        new_start = 12 - 5
+        absorbed = FactorGraph()
+        for f in smoother.active_factors:
+            if any(k.t < new_start for k in f.keys):
+                for k in f.keys:
+                    if k not in absorbed.dims:
+                        absorbed.add_variable(k)
+                absorbed.add_factor(f)
+        system = linearize(absorbed, smoother.estimates)
+        n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
+        H, g = system.normal_matrix.toarray(), system.gradient
+        H_oo, H_bo = H[:n_old, :n_old], H[n_old:, :n_old]
+        schur = H[n_old:, n_old:] - H_bo @ np.linalg.solve(H_oo, H_bo.T)
+        schur_g = g[n_old:] - H_bo @ np.linalg.solve(H_oo, g[:n_old])
+
+        smoother._marginalize_upto(new_start)
+        prior = smoother.active_factors[-1]
+        assert isinstance(prior, LinearizedPriorFactor)
+        assert list(prior.keys) == [k for k in system.index if k.t >= new_start]
+        r, jacs = prior.residual_and_jacobians(*[smoother.estimates[k] for k in prior.keys])
+        J = np.hstack(jacs)
+        for got, want in ((J.T @ J, schur), (J.T @ r, schur_g)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_window_size_stays_bounded(self):
         traj = self.make_noisy(duration=4.0)
