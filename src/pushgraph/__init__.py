@@ -29,7 +29,7 @@ from .graphcore import (
     SolveReport,
     build_graph,
     gauss_newton,
-    marginal_covariance,
+    marginal_covariances,
     solve_batch,
     solve_incremental,
     values_to_arrays,
@@ -44,7 +44,7 @@ __all__ = [
     "load_trajectory", "save_trajectory",
     "FactorGraph", "FixedLagSmoother", "GaussNewtonOptions", "GraphConfig",
     "GraphModel", "SolveReport", "build_graph", "gauss_newton",
-    "marginal_covariance", "solve_batch", "solve_incremental", "values_to_arrays",
+    "marginal_covariances", "solve_batch", "solve_incremental", "values_to_arrays",
 ]
 
 __version__ = "0.1.0"

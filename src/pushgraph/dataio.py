@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -277,34 +277,10 @@ def trajectory_to_dict(traj: MeasuredTrajectory) -> dict:
         "shapes": None
         if traj.object_shape is None and traj.ee_shape is None
         else {"object": _shape_to_json(traj.object_shape), "ee": _shape_to_json(traj.ee_shape)},
-        "params": None
-        if traj.params is None
-        else {
-            "mu_s": traj.params.mu_s,
-            "mass": traj.params.mass,
-            "gravity": traj.params.gravity,
-            "f_max": traj.params.f_max,
-            "tau_max": traj.params.tau_max,
-            "c": traj.params.c,
-            "pressure_model": traj.params.pressure_model,
-        },
+        "params": None if traj.params is None else asdict(traj.params),
         "noise": None
         if traj.noise is None
-        else {
-            "kind": traj.noise.kind,
-            "sigma_x_trans": traj.noise.sigma_x_trans,
-            "sigma_x_rot": traj.noise.sigma_x_rot,
-            "sigma_e_trans": traj.noise.sigma_e_trans,
-            "sigma_e_rot": traj.noise.sigma_e_rot,
-            "sigma_contact": traj.noise.sigma_contact,
-            "sigma_force": traj.noise.sigma_force,
-            "contact_mode_offset": traj.noise.contact_mode_offset,
-            "contact_half_width": traj.noise.contact_half_width,
-            "force_mode_offset": traj.noise.force_mode_offset,
-            "force_half_width": traj.noise.force_half_width,
-            "channels": list(traj.noise.channels),
-            "seed": traj.noise.seed,
-        },
+        else {**asdict(traj.noise), "channels": list(traj.noise.channels)},
         "config": traj.config,
         "steps": [
             {

@@ -7,10 +7,10 @@ velocity smoothness (V), quasi-static pushing dynamics (D), and unary priors.
 Pose variables are (x, y, theta) arrays; contact/force variables are
 (px, py, fx, fy) arrays. Angle residuals always use the shortest arc.
 
-Every factor has exactly two entry points on those arrays: residual(*vals),
-used by cost sweeps, and residual_and_jacobians(*vals), used by
-linearization. Batch solves, marginal covariances and the fixed-lag
-smoother's marginalization all linearize through the latter.
+Every factor has one entry point on those arrays,
+residual_and_jacobians(*vals), and graphcore.linearize is its only caller:
+the Gauss-Newton steps and their cost, the marginal covariances and the
+fixed-lag smoother's marginalization all evaluate factors through it.
 numeric_jacobian is the central-difference reference for the analytic
 Jacobians.
 """
@@ -64,10 +64,6 @@ class NoiseModel:
     def whiten_jacobian(self, jac: np.ndarray) -> np.ndarray:
         return jac * self._inv_sigmas[:, None]
 
-    def squared_norm(self, r: np.ndarray) -> float:
-        w = r * self._inv_sigmas
-        return float(w @ w)
-
 
 def quasi_static_residual(xp, xc, pf, c: float, dt: float) -> np.ndarray:
     """Limit-surface motion constraint in cross-multiplied form.
@@ -94,10 +90,9 @@ def quasi_static_residual(xp, xc, pf, c: float, dt: float) -> np.ndarray:
 class Factor:
     """Residual block over an ordered tuple of variables.
 
-    Subclasses implement two entry points on raw arrays (poses dim 3,
-    contact/force dim 4): residual(*vals), used by cost sweeps, and
-    residual_and_jacobians(*vals) -> (residual, [one Jacobian per key]),
-    used by linearization. keys are opaque hashables owned by the graph
+    Subclasses implement one entry point on raw arrays (poses dim 3,
+    contact/force dim 4): residual_and_jacobians(*vals) -> (residual,
+    [one Jacobian per key]). keys are opaque hashables owned by the graph
     container. constant_jacobian marks factors whose Jacobian does not
     depend on the linearization point (cacheable).
     """
@@ -112,9 +107,6 @@ class Factor:
     @property
     def dim(self) -> int:
         return self.noise.dim
-
-    def residual(self, *vals):
-        raise NotImplementedError
 
     def residual_and_jacobians(self, *vals):
         raise NotImplementedError
@@ -135,14 +127,11 @@ class PriorFactor(Factor):
         self.anchor = np.asarray(anchor, dtype=float)
         self.wrap_index = wrap_index  # theta component for pose anchors
 
-    def residual(self, v):
+    def residual_and_jacobians(self, v):
         r = v - self.anchor
         if self.wrap_index is not None:
             r[self.wrap_index] = angle_diff(v[self.wrap_index], self.anchor[self.wrap_index])
-        return r
-
-    def residual_and_jacobians(self, v):
-        return self.residual(v), [np.eye(len(self.anchor))]
+        return r, [np.eye(len(self.anchor))]
 
 
 class PoseMeasurementFactor(PriorFactor):
@@ -174,12 +163,6 @@ class ContactSurfaceFactor(Factor):
         self.shape = shape
         self.kind = kind
 
-    def residual(self, pose_arr, pf_arr):
-        pose = PlanarPose.from_array(pose_arr)
-        p = pf_arr[:2]
-        g, _, _ = closest_point_with_jacobians(self.shape, pose, p)
-        return g - p
-
     def residual_and_jacobians(self, pose_arr, pf_arr):
         pose = PlanarPose.from_array(pose_arr)
         p = pf_arr[:2]
@@ -207,25 +190,12 @@ class SurfaceGapFactor(Factor):
         self.obj_shape = obj_shape
         self.ee_shape = ee_shape
 
-    def _pair(self, qx, qe):
-        if shapes_intersect(self.obj_shape, qx, self.ee_shape, qe):
-            return None
-        return closest_pair(self.obj_shape, qx, self.ee_shape, qe)
-
-    def residual(self, x_arr, e_arr):
-        pair = self._pair(PlanarPose.from_array(x_arr), PlanarPose.from_array(e_arr))
-        if pair is None:
-            return np.zeros(2)
-        a, b = pair
-        return a - b
-
     def residual_and_jacobians(self, x_arr, e_arr):
         qx = PlanarPose.from_array(x_arr)
         qe = PlanarPose.from_array(e_arr)
-        pair = self._pair(qx, qe)
-        if pair is None:
+        if shapes_intersect(self.obj_shape, qx, self.ee_shape, qe):
             return np.zeros(2), [np.zeros((2, 3)), np.zeros((2, 3))]
-        a, b = pair
+        a, b = closest_pair(self.obj_shape, qx, self.ee_shape, qe)
         # implicit differentiation of the fixed point a = G_x(b), b = G_e(a);
         # at exact tangency the system loses rank along the sliding direction,
         # so use a truncated least-squares solve (subgradient choice)
@@ -251,16 +221,6 @@ class IntersectionFactor(Factor):
         super().__init__((obj_key, ee_key), noise)
         self.obj_shape = obj_shape
         self.ee_shape = ee_shape
-
-    def residual(self, x_arr, e_arr):
-        """Penetration penalty: g_delta - delta when overlapping, else zero."""
-        qx = PlanarPose.from_array(x_arr)
-        qe = PlanarPose.from_array(e_arr)
-        if not shapes_intersect(self.obj_shape, qx, self.ee_shape, qe):
-            return np.zeros(2)
-        delta, _ = _deepest_ee_point(self.obj_shape, qx, self.ee_shape, qe)
-        g, _, _ = closest_point_with_jacobians(self.obj_shape, qx, delta)
-        return g - delta
 
     def _delta_jacobians(self, qx, qe, branch):
         """d(delta)/d(object pose) and d(delta)/d(ee pose), both 2x3."""
@@ -299,6 +259,7 @@ class IntersectionFactor(Factor):
         return d_dqx, d_dqe
 
     def residual_and_jacobians(self, x_arr, e_arr):
+        """Penetration penalty: g_delta - delta when overlapping, else zero."""
         qx = PlanarPose.from_array(x_arr)
         qe = PlanarPose.from_array(e_arr)
         if not shapes_intersect(self.obj_shape, qx, self.ee_shape, qe):
@@ -323,17 +284,14 @@ class ConstantVelocityFactor(Factor):
         self.dt1 = float(dt1)
         self.dt2 = float(dt2)
 
-    def residual(self, a, b, c):
+    def residual_and_jacobians(self, a, b, c):
         d1 = b - a
         d2 = c - b
         d1[2] = angle_diff(b[2], a[2])
         d2[2] = angle_diff(c[2], b[2])
-        return d1 / self.dt1 - d2 / self.dt2
-
-    def residual_and_jacobians(self, a, b, c):
         eye = np.eye(3)
         jacs = [-eye / self.dt1, eye * (1.0 / self.dt1 + 1.0 / self.dt2), -eye / self.dt2]
-        return self.residual(a, b, c), jacs
+        return d1 / self.dt1 - d2 / self.dt2, jacs
 
 
 class QuasiStaticFactor(Factor):
@@ -345,9 +303,6 @@ class QuasiStaticFactor(Factor):
         super().__init__((key_prev, key_cur, pf_key), noise)
         self.c = float(c)
         self.dt = float(dt)
-
-    def residual(self, xp, xc, pf):
-        return quasi_static_residual(xp, xc, pf, self.c, self.dt)
 
     def residual_and_jacobians(self, xp, xc, pf):
         dt, c2 = self.dt, self.c**2
@@ -377,7 +332,11 @@ def numeric_jacobian(factor: Factor, values, step: float = 1e-6) -> np.ndarray:
     per-variable blocks horizontally.
     """
     values = [np.asarray(v, dtype=float).copy() for v in values]
-    r0 = factor.residual(*values)
+
+    def residual(vals):
+        return factor.residual_and_jacobians(*vals)[0]
+
+    r0 = residual(values)
     blocks = []
     for vi, v in enumerate(values):
         jac = np.zeros((len(r0), len(v)))
@@ -386,7 +345,7 @@ def numeric_jacobian(factor: Factor, values, step: float = 1e-6) -> np.ndarray:
             bumped_lo = [u.copy() for u in values]
             bumped_hi[vi][k] += step
             bumped_lo[vi][k] -= step
-            jac[:, k] = (factor.residual(*bumped_hi) - factor.residual(*bumped_lo)) / (2.0 * step)
+            jac[:, k] = (residual(bumped_hi) - residual(bumped_lo)) / (2.0 * step)
         blocks.append(jac)
     return np.hstack(blocks)
 

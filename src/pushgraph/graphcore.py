@@ -12,9 +12,10 @@ Batch solves use sparse normal equations (timestep-ordered elimination via
 SuperLU); the incremental path is a fixed-lag smoother that marginalizes
 old timesteps into a square-root boundary prior (a QR factorization of the
 absorbed factors' whitened system) and re-optimizes the window.
-`linearize` is the one linearizer: the Gauss-Newton steps, the marginal
-covariances and the smoother's marginalization all take their whitened
-system from it.
+`linearize` is the one place factors are evaluated: it serves the
+Gauss-Newton candidates (their cost is the squared norm of the whitened
+residual it assembles), the marginal covariances and the smoother's
+marginalization.
 """
 
 from __future__ import annotations
@@ -110,17 +111,14 @@ class LinearizedPriorFactor(Factor):
         ends = np.cumsum([len(a) for a in self.anchors])
         self._jacs = np.split(self.sqrt_info, ends[:-1], axis=1)
 
-    def residual(self, *vals):
+    def residual_and_jacobians(self, *vals):
         parts = []
         for key, anchor, v in zip(self.keys, self.anchors, vals):
             d = v - anchor
             if key.role is not Role.CONTACT_FORCE:
                 d[2] = angle_diff(v[2], anchor[2])
             parts.append(d)
-        return self.r0 + self.sqrt_info @ np.concatenate(parts)
-
-    def residual_and_jacobians(self, *vals):
-        return self.residual(*vals), self._jacs
+        return self.r0 + self.sqrt_info @ np.concatenate(parts), self._jacs
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +166,7 @@ class FactorGraph:
         return sum(f.dim for f in self.factors)
 
     def cost(self, values: dict) -> float:
-        total = 0.0
-        for f in self.factors:
-            vals = [values[k] for k in f.keys]
-            total += f.noise.squared_norm(f.residual(*vals))
-        return total
+        return linearize(self, values).cost
 
     def counts_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -190,6 +184,11 @@ class LinearSystem:
     normal_matrix: scipy.sparse.csc_matrix  # J^T J
     gradient: np.ndarray  # J^T r
     index: dict[VariableKey, tuple[int, int]]
+
+    @property
+    def cost(self) -> float:
+        """Squared norm of the whitened residual: the graph's cost here."""
+        return float(self.residual @ self.residual)
 
 
 @dataclass
@@ -248,13 +247,9 @@ def linearize(graph: FactorGraph, values: dict) -> LinearSystem:
     res = np.zeros(cache.m)
     for f, row0, d, slices, const in cache.plan:
         vals = [values[k] for k in f.keys]
-        if const is not None:
-            res[row0 : row0 + d] = f.noise.whiten(f.residual(*vals))
-            wjacs = const
-        else:
-            r, jacs = f.residual_and_jacobians(*vals)
-            res[row0 : row0 + d] = f.noise.whiten(r)
-            wjacs = [f.noise.whiten_jacobian(j) for j in jacs]
+        r, jacs = f.residual_and_jacobians(*vals)
+        res[row0 : row0 + d] = f.noise.whiten(r)
+        wjacs = const if const is not None else [f.noise.whiten_jacobian(j) for j in jacs]
         for sl, jw in zip(slices, wjacs):
             data[sl] = jw.ravel()
     jac = scipy.sparse.coo_matrix(
@@ -313,13 +308,17 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
 
     A plain Gauss-Newton step is tried first; if it does not decrease the
     cost the Levenberg ladder is walked until a decreasing step is found.
+    Each candidate is scored by linearizing it, and an accepted candidate's
+    system is the next iteration's linearization, so every point is
+    evaluated once.
     """
     opts = opts or GaussNewtonOptions()
     values = {k: np.asarray(v, dtype=float).copy() for k, v in (init or graph.initial).items()}
     for key in graph.dims:
         if key not in values:
             raise KeyError(f"no initial value for {key}")
-    cost = graph.cost(values)
+    system = linearize(graph, values)
+    cost = system.cost
     if not math.isfinite(cost):
         raise NonFiniteCost(f"initial cost is {cost}")
     trace = [cost]
@@ -332,7 +331,6 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
             report.converged = True
             report.reason = "cost_floor"
             break
-        system = linearize(graph, values)
         if float(np.max(np.abs(system.gradient))) < opts.abs_grad_tol:
             report.converged = True
             report.reason = "gradient"
@@ -348,11 +346,12 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
                 continue
             singular_everywhere = False
             candidate = retract(values, delta, system.index)
-            c_new = graph.cost(candidate)
+            c_system = linearize(graph, candidate)
+            c_new = c_system.cost
             if not math.isfinite(c_new):
                 raise NonFiniteCost("cost became non-finite during optimization")
             if c_new <= cost:
-                accepted = (candidate, c_new)
+                accepted = (candidate, c_system, c_new)
                 warm = None if damping is None else ladder.index(damping)
                 break
         if accepted is None:
@@ -361,7 +360,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
             report.converged = True
             report.reason = "no_improving_step"
             break
-        values, new_cost = accepted
+        values, system, new_cost = accepted
         trace.append(new_cost)
         report.iterations = it + 1
         if abs(cost - new_cost) <= opts.rel_cost_tol * max(cost, 1e-300):
@@ -394,11 +393,6 @@ def marginal_covariances(graph: FactorGraph, values: dict, keys) -> dict:
             raise SingularSystem("marginal covariance is not finite")
         out[key] = 0.5 * (cov + cov.T)
     return out
-
-
-def marginal_covariance(graph: FactorGraph, values: dict, key: VariableKey) -> np.ndarray:
-    """Posterior covariance block of one variable: slice of (J^T J)^-1."""
-    return marginal_covariances(graph, values, [key])[key]
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +800,8 @@ def solve_incremental(model, traj: MeasuredTrajectory, config: GraphConfig | Non
                       lag: int = 20, batch_every: int = 5,
                       opts: GaussNewtonOptions | None = None):
     """Run the fixed-lag smoother over a whole trajectory file."""
+    if len(traj) < 2:
+        raise EmptyTrajectory("need at least two timesteps")
     smoother = FixedLagSmoother(model, traj, config, lag=lag, batch_every=batch_every, opts=opts)
     for step in traj.steps:
         smoother.update(step)

@@ -99,7 +99,7 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
             if not shapes_intersect(BOX, px, tool, pe):
                 continue
             fac = IntersectionFactor("a", "b", BOX, tool, ISO2)
-            if np.linalg.norm(fac.residual(qx, qe)) < 2e-3:
+            if np.linalg.norm(fac.residual_and_jacobians(qx, qe)[0]) < 2e-3:
                 continue
             # the sampled deepest point must win with margin, otherwise the
             # surrogate is at an argmin tie and not differentiable

@@ -62,6 +62,14 @@ def test_unknown_occlusion_channel_exits_2(noisy_file, tmp_path):
     assert not out.exists()
 
 
+def test_one_step_trajectory_exits_2_in_both_modes(tmp_path):
+    sim = tmp_path / "one.json"
+    assert run("simulate", "--dur", 0.1, "--dt", 0.1, "--out", sim) == 0
+    assert len(dataio.load_trajectory(sim)) == 1
+    for mode in ("batch", "incremental"):
+        assert run("estimate", "--in", sim, "--mode", mode) == 2
+
+
 def test_explicit_flag_beats_config_file(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"dur": 2.0, "dt": 0.1}))

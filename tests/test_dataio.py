@@ -82,13 +82,18 @@ def assert_trajectories_equal(a, b):
 class TestSchema:
     def test_roundtrip_identity(self, tmp_path):
         rng = np.random.default_rng(0)
-        for i in range(5):
+        specs = [None, NoiseSpec(seed=11, channels=("y", "w")), None,
+                 NoiseSpec(kind="bimodal_triangular", seed=12, force_half_width=0.4), NoiseSpec(seed=13)]
+        for i, spec in enumerate(specs):
             traj = random_trajectory(rng, with_truth=(i % 2 == 0))
+            if spec is not None:
+                traj = inject_noise(traj, spec)
             path = tmp_path / f"traj_{i}.json"
             save_trajectory(traj, path)
             back = load_trajectory(path)
             assert_trajectories_equal(traj, back)
-            assert back.params.c == traj.params.c
+            assert back.params == traj.params
+            assert back.noise == traj.noise
             assert back.object_shape.kind == traj.object_shape.kind
 
     def test_pose3_measurements_roundtrip(self, tmp_path):

@@ -24,6 +24,7 @@ from pushgraph.factors import (
     quasi_static_residual,
 )
 from pushgraph.geometry import PlanarPose, Shape2D, shapes_intersect, signed_distance
+from pushgraph.graphcore import FactorGraph, linearize, obj_key, pf_key
 
 from factor_samples import ALL_KINDS, ISO2, ISO3, ISO4, away_from_seam, make_factor_sample, near_seam
 
@@ -40,22 +41,23 @@ def rel_err(analytic, numeric):
 
 
 def m_pose_residual(state, meas):
-    return PoseMeasurementFactor("k", meas, ISO3).residual(np.asarray(state, dtype=float))
+    factor = PoseMeasurementFactor("k", meas, ISO3)
+    return factor.residual_and_jacobians(np.asarray(state, dtype=float))[0]
 
 
 def c_residual(shape, pose, p):
     factor = ContactSurfaceFactor("x", "pf", shape, ISO2, "c_object")
-    return factor.residual(pose.as_array(), np.array([p[0], p[1], 0.0, 0.0]))
+    return factor.residual_and_jacobians(pose.as_array(), np.array([p[0], p[1], 0.0, 0.0]))[0]
 
 
 def s_residual(obj_shape, obj_pose, ee_shape, ee_pose):
     factor = IntersectionFactor("x", "e", obj_shape, ee_shape, ISO2)
-    return factor.residual(obj_pose.as_array(), ee_pose.as_array())
+    return factor.residual_and_jacobians(obj_pose.as_array(), ee_pose.as_array())[0]
 
 
 def v_residual(a, b, c, dt1, dt2):
-    return ConstantVelocityFactor("a", "b", "c", dt1, dt2, ISO3).residual(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float))
+    return ConstantVelocityFactor("a", "b", "c", dt1, dt2, ISO3).residual_and_jacobians(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float))[0]
 
 
 class TestMeasurementResidual:
@@ -64,7 +66,7 @@ class TestMeasurementResidual:
         np.testing.assert_allclose(m_pose_residual(pose, pose), np.zeros(3))
         pf = np.array([1.0, 0.0, 0.0, 2.0])
         factor = ContactForceMeasurementFactor("k", pf, ISO4)
-        np.testing.assert_allclose(factor.residual(pf), np.zeros(4))
+        np.testing.assert_allclose(factor.residual_and_jacobians(pf)[0], np.zeros(4))
 
     def test_theta_shortest_arc(self):
         r = m_pose_residual([0, 0, 3.1], [0, 0, -3.1])
@@ -73,15 +75,16 @@ class TestMeasurementResidual:
 
     def test_contactforce_subtraction(self):
         factor = ContactForceMeasurementFactor("k", np.array([1.1, 0.0, 0.0, 1.5]), ISO4)
-        r = factor.residual(np.array([1.0, 0.0, 0.0, 2.0]))
+        r = factor.residual_and_jacobians(np.array([1.0, 0.0, 0.0, 2.0]))[0]
         np.testing.assert_allclose(r, [-0.1, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_prior_matches_measurement_convention(self):
         state = np.array([0.1, 0.0, 3.1])
         anchor = np.array([0.0, 0.0, -3.1])
         prior = PriorFactor("k", anchor, ISO3, wrap_index=2)
-        np.testing.assert_allclose(prior.residual(state), m_pose_residual(state, anchor))
-        np.testing.assert_allclose(prior.residual(state)[:2], [0.1, 0.0])
+        r = prior.residual_and_jacobians(state)[0]
+        np.testing.assert_allclose(r, m_pose_residual(state, anchor))
+        np.testing.assert_allclose(r[:2], [0.1, 0.0])
 
 
 class TestContactSurfaceResidual:
@@ -210,7 +213,8 @@ class TestNoiseModel:
         nm = NoiseModel(sigmas)
         r = rng.normal(size=3)
         cov = np.diag(sigmas**2)
-        assert nm.squared_norm(r) == pytest.approx(r @ np.linalg.solve(cov, r), rel=1e-10)
+        w = nm.whiten(r)
+        assert w @ w == pytest.approx(r @ np.linalg.solve(cov, r), rel=1e-10)
         np.testing.assert_allclose(nm.whiten_jacobian(np.outer(r, [1.0, -2.0])),
                                    np.outer(nm.whiten(r), [1.0, -2.0]))
 
@@ -218,8 +222,9 @@ class TestNoiseModel:
         # cost term r^T Sigma^-1 r: doubling every sigma scales the term by 1/4
         sigmas = np.sqrt([0.1, 0.2])
         r = np.array([0.3, -0.4])
-        c1 = NoiseModel(sigmas).squared_norm(r)
-        c4 = NoiseModel(2.0 * sigmas).squared_norm(r)
+        w1 = NoiseModel(sigmas).whiten(r)
+        w4 = NoiseModel(2.0 * sigmas).whiten(r)
+        c1, c4 = w1 @ w1, w4 @ w4
         assert c4 == pytest.approx(c1 / 4.0, rel=1e-12)
 
 
@@ -234,6 +239,8 @@ def test_analytic_jacobian_matches_numeric(kind):
     worst = 0.0
     for _ in range(100):
         factor, values = make_factor_sample(kind, rng)
+        jacs = factor.residual_and_jacobians(*values)[1]
+        assert [j.shape for j in jacs] == [(factor.dim, len(v)) for v in values]
         num = numeric_jacobian(factor, values)
         ana = analytic_jacobian(factor, values)
         worst = max(worst, rel_err(ana, num))
@@ -252,14 +259,26 @@ def test_analytic_jacobian_matches_numeric_at_theta_seam(kind, seed):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_fused_residual_matches_residual(kind):
-    # cost sweeps use residual, linearization the fused entry point
+    # linearize assembles the whitened residual (whose squared norm is the
+    # cost Gauss-Newton scores steps by) and the Jacobian from the one entry
+    # point, through its cache for constant Jacobians
     rng = np.random.default_rng(abs(zlib.crc32(kind.encode())))
     for theta in (away_from_seam, near_seam):
         for _ in range(5):
             factor, values = make_factor_sample(kind, rng, theta)
-            fused, jacs = factor.residual_and_jacobians(*values)
-            np.testing.assert_allclose(fused, factor.residual(*values), rtol=1e-12, atol=1e-15)
-            assert [j.shape for j in jacs] == [(factor.dim, len(v)) for v in values]
+            r, jacs = factor.residual_and_jacobians(*values)
+            # graph keys in sample order; the roles keep the pose/pf split
+            factor.keys = tuple(obj_key(t) if len(v) == 3 else pf_key(t) for t, v in enumerate(values))
+            graph = FactorGraph()
+            for key in factor.keys:
+                graph.add_variable(key)
+            graph.add_factor(factor)
+            system = linearize(graph, dict(zip(factor.keys, values)))
+            w = factor.noise.whiten(r)
+            np.testing.assert_array_equal(system.residual, w)
+            assert system.cost == w @ w
+            np.testing.assert_array_equal(
+                system.jacobian.toarray(), np.hstack([factor.noise.whiten_jacobian(j) for j in jacs]))
 
 
 def test_measurement_jacobian_is_identity():
@@ -279,7 +298,7 @@ def test_partial_contactforce_measurement():
     # contact point measured, force not: zero anchor and weak sigma on the force
     fac = ContactForceMeasurementFactor("k", np.array([0.5, 0.6, 0.0, 0.0]),
                                         NoiseModel([1.0, 1.0, 1e3, 1e3]))
-    r = fac.residual(np.array([1.0, 1.0, 9.0, 9.0]))
+    r = fac.residual_and_jacobians(np.array([1.0, 1.0, 9.0, 9.0]))[0]
     np.testing.assert_allclose(r, [0.5, 0.4, 9.0, 9.0])
     np.testing.assert_allclose(fac.noise.whiten(r), [0.5, 0.4, 9e-3, 9e-3])
     np.testing.assert_allclose(analytic_jacobian(fac, [np.zeros(4)]), np.eye(4))

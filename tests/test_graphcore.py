@@ -11,6 +11,7 @@ from pushgraph.dataio import (
     from_ground_truth,
     inject_noise,
 )
+from pushgraph import graphcore
 from pushgraph.errors import EmptyTrajectory, MissingShapeConfig, SingularSystem
 from pushgraph.factors import PriorFactor, NoiseModel
 from pushgraph.geometry import PlanarPose, Plane3, Shape2D
@@ -26,7 +27,7 @@ from pushgraph.graphcore import (
     ee_key,
     gauss_newton,
     linearize,
-    marginal_covariance,
+    marginal_covariances,
     obj_key,
     pf_key,
     solve_batch,
@@ -196,6 +197,34 @@ class TestGaussNewton:
         assert report.iterations <= 2
         assert report.converged
 
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # two priors that disagree: linear, with a nonzero optimal cost
+        graph = FactorGraph()
+        key = obj_key(0)
+        graph.add_variable(key, np.array([5.0, -3.0, 0.2]))
+        graph.add_factor(PriorFactor(key, np.array([1.0, 2.0, 0.0]),
+                                     NoiseModel.isotropic(3, 0.1), wrap_index=2))
+        graph.add_factor(PriorFactor(key, np.array([1.2, 1.9, 0.1]),
+                                     NoiseModel.isotropic(3, 0.2), wrap_index=2))
+        real_linearize = graphcore.linearize
+        calls = []
+
+        def counted(graph, values):
+            calls.append(1)
+            return real_linearize(graph, values)
+
+        def no_cost_sweeps(self, values):
+            raise AssertionError("gauss_newton ran a separate cost sweep")
+
+        monkeypatch.setattr(graphcore, "linearize", counted)
+        monkeypatch.setattr(FactorGraph, "cost", no_cost_sweeps)
+        values, report = gauss_newton(graph)
+        monkeypatch.undo()
+        assert report.converged
+        assert len(calls) == report.iterations + 1
+        assert report.final_cost == pytest.approx(graph.cost(values), rel=1e-12)
+        assert report.final_cost == pytest.approx(1.2, rel=1e-9)
+
     def test_noiseless_truth_init_converges_immediately(self):
         traj = center_push_trajectory(duration=3.0, offset=0.0)
         values, report, _ = solve_batch("QS", traj)
@@ -285,7 +314,7 @@ class TestMarginals:
         cov = np.diag([0.04, 0.09, 0.25])
         graph.add_variable(key, np.zeros(3))
         graph.add_factor(PriorFactor(key, np.zeros(3), NoiseModel([0.2, 0.3, 0.5]), wrap_index=2))
-        out = marginal_covariance(graph, graph.initial, key)
+        out = marginal_covariances(graph, graph.initial, [key])[key]
         np.testing.assert_allclose(out, cov, atol=1e-12)
 
     def test_two_priors_fuse(self):
@@ -297,7 +326,8 @@ class TestMarginals:
         graph.add_factor(PriorFactor(key, np.zeros(4), NoiseModel([0.2, 0.3, 0.1, 0.1])))
         graph.add_factor(PriorFactor(key, np.zeros(4), NoiseModel([0.1, 0.2, 0.3, 0.2])))
         expected = np.linalg.inv(np.linalg.inv(c1) + np.linalg.inv(c2))
-        np.testing.assert_allclose(marginal_covariance(graph, graph.initial, key), expected, atol=1e-12)
+        np.testing.assert_allclose(marginal_covariances(graph, graph.initial, [key])[key], expected,
+                                   atol=1e-12)
 
     def test_posterior_contracts_vs_measurement(self):
         traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
@@ -305,10 +335,10 @@ class TestMarginals:
         values, _, graph = solve_batch("QS", traj)
         t = len(traj) // 2
         cfg = GraphConfig.from_trajectory(traj)
-        pf_cov = marginal_covariance(graph, values, pf_key(t))
+        pf_cov = marginal_covariances(graph, values, [pf_key(t)])[pf_key(t)]
         meas_cov_p = np.eye(2) * cfg.sigma_contact**2
         assert np.trace(pf_cov[:2, :2]) < np.trace(meas_cov_p)
-        x_cov = marginal_covariance(graph, values, obj_key(t))
+        x_cov = marginal_covariances(graph, values, [obj_key(t)])[obj_key(t)]
         meas_cov_x = np.diag([cfg.sigma_x_trans**2, cfg.sigma_x_trans**2, cfg.sigma_x_rot**2])
         assert np.trace(x_cov) < np.trace(meas_cov_x)
         w = np.linalg.eigvalsh(pf_cov)
@@ -320,7 +350,7 @@ class TestMarginals:
         graph.add_variable(obj_key(1), np.zeros(3))  # unconstrained
         graph.add_factor(PriorFactor(obj_key(0), np.zeros(3), NoiseModel.isotropic(3, 1.0), wrap_index=2))
         with pytest.raises(SingularSystem):
-            marginal_covariance(graph, graph.initial, obj_key(1))
+            marginal_covariances(graph, graph.initial, [obj_key(1)])
 
 
 class TestFixedLag:
