@@ -7,12 +7,15 @@ velocity smoothness (V), quasi-static pushing dynamics (D), and unary priors.
 Pose variables are (x, y, theta) arrays; contact/force variables are
 (px, py, fx, fy) arrays. Angle residuals always use the shortest arc.
 
-Every factor has one entry point on those arrays,
-residual_and_jacobians(*vals), and graphcore.linearize is its only caller:
-the Gauss-Newton steps and their cost, the marginal covariances and the
-fixed-lag smoother's marginalization all evaluate factors through it.
-numeric_jacobian is the central-difference reference for the analytic
-Jacobians.
+Each factor class has one kernel that evaluates a block of N factors of
+that class at once, with numpy over the rows (see Factor).
+graphcore.linearize groups a graph's factors into such blocks and calls
+each kernel once per linearization; that serves the Gauss-Newton steps
+and their cost, the marginal covariances and the fixed-lag smoother's
+marginalization. A factor's own residual_and_jacobians(*vals) is the
+one-row call of the same kernel, so numeric_jacobian, the
+central-difference reference for the analytic Jacobians, checks the code
+that linearize runs.
 """
 
 from __future__ import annotations
@@ -21,16 +24,21 @@ import numpy as np
 
 from .errors import NonPositiveTimestep
 from .geometry import (
-    SKEW,
-    PlanarPose,
+    EYE2,
     Shape2D,
     angle_diff,
-    closest_pair,
-    closest_point_with_jacobians,
+    closest_pairs,
+    closest_points_with_jacobians,
     cross2,
-    shapes_intersect,
-    _deepest_ee_point,
+    deepest_ee_points,
+    shapes_intersect_many,
+    skew_many,
+    wrap_angles,
 )
+
+# perfbench/spans.py wraps these scalar queries under their names in this
+# module; the kernels use the row-wise ones above
+from .geometry import closest_pair, closest_point_with_jacobians, shapes_intersect  # noqa: F401
 
 
 class NoiseModel:
@@ -48,7 +56,7 @@ class NoiseModel:
         if not np.all(np.isfinite(s) & (s > 0.0)):
             raise ValueError(f"sigmas must be positive and finite, got {s}")
         self.sigmas = s
-        self._inv_sigmas = 1.0 / s
+        self.inv_sigmas = 1.0 / s
 
     @classmethod
     def isotropic(cls, dim: int, sigma: float) -> "NoiseModel":
@@ -59,10 +67,10 @@ class NoiseModel:
         return len(self.sigmas)
 
     def whiten(self, r: np.ndarray) -> np.ndarray:
-        return r * self._inv_sigmas
+        return r * self.inv_sigmas
 
     def whiten_jacobian(self, jac: np.ndarray) -> np.ndarray:
-        return jac * self._inv_sigmas[:, None]
+        return jac * self.inv_sigmas[:, None]
 
 
 def quasi_static_residual(xp, xc, pf, c: float, dt: float) -> np.ndarray:
@@ -90,11 +98,18 @@ def quasi_static_residual(xp, xc, pf, c: float, dt: float) -> np.ndarray:
 class Factor:
     """Residual block over an ordered tuple of variables.
 
-    Subclasses implement one entry point on raw arrays (poses dim 3,
-    contact/force dim 4): residual_and_jacobians(*vals) -> (residual,
-    [one Jacobian per key]). keys are opaque hashables owned by the graph
-    container. constant_jacobian marks factors whose Jacobian does not
-    depend on the linearization point (cacheable).
+    keys are opaque hashables owned by the graph container; values are raw
+    arrays (poses dim 3, contact/force dim 4). Each subclass has one kernel
+    that evaluates N factors of the same block at once:
+
+      stack(factors) -> consts, the factors' constants along a leading row axis
+      evaluate(consts, *vals) -> (residuals (N, d), [Jacobian (N, d, dim_k) per key])
+
+    with vals[k] the (N, dim_k) values of the k-th key. Factors can share a
+    block when their class, kind, dims and block_signature() agree. A
+    constant_jacobian class splits its kernel into residuals(consts, *vals)
+    and constant_jacobians(consts), which depend on the constants alone.
+    residual_and_jacobians(*vals) is the one-row call of the same kernel.
     """
 
     kind = "base"
@@ -108,8 +123,27 @@ class Factor:
     def dim(self) -> int:
         return self.noise.dim
 
+    def block_signature(self) -> tuple:
+        """What factors of one class must share to be evaluated together."""
+        return ()
+
+    @classmethod
+    def stack(cls, factors) -> tuple:
+        """The block's constants; by default the shared block signature."""
+        return factors[0].block_signature()
+
+    @classmethod
+    def evaluate(cls, consts, *vals):
+        return cls.residuals(consts, *vals), cls.constant_jacobians(consts)
+
     def residual_and_jacobians(self, *vals):
-        raise NotImplementedError
+        """This factor's residual and Jacobians at raw variable arrays."""
+        r, jacs = self.evaluate(self.stack([self]), *(np.asarray(v, dtype=float)[None] for v in vals))
+        return r[0], [j[0] for j in jacs]
+
+
+def _repeat(matrix: np.ndarray, n: int) -> np.ndarray:
+    return np.repeat(matrix[None], n, axis=0)
 
 
 class PriorFactor(Factor):
@@ -127,11 +161,25 @@ class PriorFactor(Factor):
         self.anchor = np.asarray(anchor, dtype=float)
         self.wrap_index = wrap_index  # theta component for pose anchors
 
-    def residual_and_jacobians(self, v):
-        r = v - self.anchor
-        if self.wrap_index is not None:
-            r[self.wrap_index] = angle_diff(v[self.wrap_index], self.anchor[self.wrap_index])
-        return r, [np.eye(len(self.anchor))]
+    @classmethod
+    def stack(cls, factors):
+        anchor = np.array([f.anchor for f in factors])
+        wrap = np.zeros(anchor.shape, dtype=bool)
+        for row, f in enumerate(factors):
+            if f.wrap_index is not None:
+                wrap[row, f.wrap_index] = True
+        return anchor, wrap if wrap.any() else None
+
+    @staticmethod
+    def residuals(consts, v):
+        anchor, wrap = consts
+        r = v - anchor
+        return r if wrap is None else np.where(wrap, wrap_angles(r), r)
+
+    @staticmethod
+    def constant_jacobians(consts):
+        anchor = consts[0]
+        return [_repeat(np.eye(anchor.shape[1]), len(anchor))]
 
 
 class PoseMeasurementFactor(PriorFactor):
@@ -163,18 +211,43 @@ class ContactSurfaceFactor(Factor):
         self.shape = shape
         self.kind = kind
 
-    def residual_and_jacobians(self, pose_arr, pf_arr):
-        pose = PlanarPose.from_array(pose_arr)
-        p = pf_arr[:2]
-        g, dg_dq, dg_dpose = closest_point_with_jacobians(self.shape, pose, p)
-        j_pf = np.zeros((2, 4))
-        j_pf[:, :2] = dg_dq
-        j_pf[0, 0] -= 1.0
-        j_pf[1, 1] -= 1.0
+    def block_signature(self):
+        return (self.shape,)
+
+    @staticmethod
+    def evaluate(consts, pose, pf):
+        (shape,) = consts
+        p = pf[:, :2]
+        g, dg_dq, dg_dpose = closest_points_with_jacobians(shape, pose, p)
+        j_pf = np.zeros((len(p), 2, 4))
+        j_pf[:, :, :2] = dg_dq - EYE2
         return g - p, [dg_dpose, j_pf]
 
 
-class SurfaceGapFactor(Factor):
+def _lstsq_rows(M: np.ndarray, rhs: np.ndarray, rcond: float) -> np.ndarray:
+    """np.linalg.lstsq(M[n], rhs[n], rcond) for every row n.
+
+    The minimum-norm least-squares solution; singular values at or below
+    rcond times the largest count as zero.
+    """
+    U, s, Vt = np.linalg.svd(M)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
+    return Vt.transpose(0, 2, 1) @ (inv[:, :, None] * (U.transpose(0, 2, 1) @ rhs))
+
+
+class _ShapePairFactor(Factor):
+    """A factor between the object pose and the end-effector pose."""
+
+    def __init__(self, obj_key, ee_key, obj_shape, ee_shape, noise):
+        super().__init__((obj_key, ee_key), noise)
+        self.obj_shape = obj_shape
+        self.ee_shape = ee_shape
+
+    def block_signature(self):
+        return (self.obj_shape, self.ee_shape)
+
+
+class SurfaceGapFactor(_ShapePairFactor):
     """C factor between the object and end-effector surfaces.
 
     Residual is the gap vector between the closest boundary points of the two
@@ -185,90 +258,57 @@ class SurfaceGapFactor(Factor):
 
     kind = "c_objee"
 
-    def __init__(self, obj_key, ee_key, obj_shape, ee_shape, noise):
-        super().__init__((obj_key, ee_key), noise)
-        self.obj_shape = obj_shape
-        self.ee_shape = ee_shape
+    @staticmethod
+    def evaluate(consts, x, e):
+        obj_shape, ee_shape = consts
+        r, jx, je = np.zeros((len(x), 2)), np.zeros((len(x), 2, 3)), np.zeros((len(x), 2, 3))
+        apart = ~shapes_intersect_many(obj_shape, x, ee_shape, e)
+        if apart.any():
+            x, e = x[apart], e[apart]
+            a, b = closest_pairs(obj_shape, x, ee_shape, e)
+            # implicit differentiation of the fixed point a = G_x(b), b = G_e(a);
+            # at exact tangency the system loses rank along the sliding
+            # direction, so use a truncated least-squares solve (subgradient choice)
+            _, A, Pa = closest_points_with_jacobians(obj_shape, x, b)
+            _, B, Pb = closest_points_with_jacobians(ee_shape, e, a)
+            M = _repeat(np.eye(4), len(a))
+            M[:, :2, 2:] = -A
+            M[:, 2:, :2] = -B
+            rhs = np.zeros((len(a), 4, 6))
+            rhs[:, :2, :3] = Pa
+            rhs[:, 2:, 3:] = Pb
+            dab = _lstsq_rows(M, rhs, rcond=1e-9)
+            dr = dab[:, :2] - dab[:, 2:]
+            r[apart] = a - b
+            jx[apart] = dr[:, :, :3]
+            je[apart] = dr[:, :, 3:]
+        return r, [jx, je]
 
-    def residual_and_jacobians(self, x_arr, e_arr):
-        qx = PlanarPose.from_array(x_arr)
-        qe = PlanarPose.from_array(e_arr)
-        if shapes_intersect(self.obj_shape, qx, self.ee_shape, qe):
-            return np.zeros(2), [np.zeros((2, 3)), np.zeros((2, 3))]
-        a, b = closest_pair(self.obj_shape, qx, self.ee_shape, qe)
-        # implicit differentiation of the fixed point a = G_x(b), b = G_e(a);
-        # at exact tangency the system loses rank along the sliding direction,
-        # so use a truncated least-squares solve (subgradient choice)
-        _, A, Pa = closest_point_with_jacobians(self.obj_shape, qx, b)
-        _, B, Pb = closest_point_with_jacobians(self.ee_shape, qe, a)
-        M = np.eye(4)
-        M[:2, 2:] = -A
-        M[2:, :2] = -B
-        rhs = np.zeros((4, 6))
-        rhs[:2, :3] = Pa
-        rhs[2:, 3:] = Pb
-        dab = np.linalg.lstsq(M, rhs, rcond=1e-9)[0]
-        dr = dab[:2] - dab[2:]
-        return a - b, [dr[:, :3], dr[:, 3:]]
 
+class IntersectionFactor(_ShapePairFactor):
+    """S factor penalizing object / end-effector overlap.
 
-class IntersectionFactor(Factor):
-    """S factor penalizing object / end-effector overlap."""
+    Penetration penalty: g_delta - delta when overlapping, else zero, with
+    delta the deepest end-effector boundary point and g_delta its
+    projection onto the object boundary.
+    """
 
     kind = "s"
 
-    def __init__(self, obj_key, ee_key, obj_shape, ee_shape, noise):
-        super().__init__((obj_key, ee_key), noise)
-        self.obj_shape = obj_shape
-        self.ee_shape = ee_shape
-
-    def _delta_jacobians(self, qx, qe, branch):
-        """d(delta)/d(object pose) and d(delta)/d(ee pose), both 2x3."""
-        d_dqx = np.zeros((2, 3))
-        d_dqe = np.zeros((2, 3))
-        r_e = self.ee_shape.radius
-        c = qe.translation
-        tag = branch[0]
-        if tag == "body":
-            delta = qe.transform_point(branch[1])
-            d_dqe[:, :2] = np.eye(2)
-            d_dqe[:, 2] = SKEW @ (delta - c)
-            return d_dqx, d_dqe
-        if tag == "disc_radial":
-            d = c - qx.translation
-            rho = float(np.linalg.norm(d))
-            n = d / rho
-            K = (np.eye(2) - np.outer(n, n)) / rho
-            d_dqe[:, :2] = np.eye(2) - r_e * K
-            d_dqx[:, :2] = r_e * K
-            return d_dqx, d_dqe
-        if tag == "poly_edge":
-            n_w = qx.rotation() @ branch[1]
-            d_dqe[:, :2] = np.eye(2)
-            d_dqx[:, 2] = -r_e * (SKEW @ n_w)
-            return d_dqx, d_dqe
-        # poly_vertex
-        v_w = qx.transform_point(branch[1])
-        dv = v_w - c
-        rho = float(np.linalg.norm(dv))
-        u = dv / rho
-        Mu = (np.eye(2) - np.outer(u, u)) / rho
-        d_dqe[:, :2] = np.eye(2) - r_e * Mu
-        d_dqx[:, :2] = r_e * Mu
-        d_dqx[:, 2] = r_e * Mu @ (SKEW @ (v_w - qx.translation))
-        return d_dqx, d_dqe
-
-    def residual_and_jacobians(self, x_arr, e_arr):
-        """Penetration penalty: g_delta - delta when overlapping, else zero."""
-        qx = PlanarPose.from_array(x_arr)
-        qe = PlanarPose.from_array(e_arr)
-        if not shapes_intersect(self.obj_shape, qx, self.ee_shape, qe):
-            return np.zeros(2), [np.zeros((2, 3)), np.zeros((2, 3))]
-        delta, branch = _deepest_ee_point(self.obj_shape, qx, self.ee_shape, qe)
-        g, dg_dq, dg_dpose = closest_point_with_jacobians(self.obj_shape, qx, delta)
-        dd_dqx, dd_dqe = self._delta_jacobians(qx, qe, branch)
-        gm = dg_dq - np.eye(2)
-        return g - delta, [dg_dpose + gm @ dd_dqx, gm @ dd_dqe]
+    @staticmethod
+    def evaluate(consts, x, e):
+        obj_shape, ee_shape = consts
+        r, jx, je = np.zeros((len(x), 2)), np.zeros((len(x), 2, 3)), np.zeros((len(x), 2, 3))
+        hit = shapes_intersect_many(obj_shape, x, ee_shape, e)
+        if hit.any():
+            x = x[hit]
+            delta, dd_dx, dd_de = deepest_ee_points(obj_shape, x, ee_shape, e[hit])
+            g, dg_dq, dg_dpose = closest_points_with_jacobians(obj_shape, x, delta)
+            gm = dg_dq - EYE2
+            r[hit] = g - delta
+            jx[hit] = dg_dpose + gm @ dd_dx
+            je[hit] = gm @ dd_de
+        return r, [jx, je]
 
 
 class ConstantVelocityFactor(Factor):
@@ -284,14 +324,24 @@ class ConstantVelocityFactor(Factor):
         self.dt1 = float(dt1)
         self.dt2 = float(dt2)
 
-    def residual_and_jacobians(self, a, b, c):
+    @classmethod
+    def stack(cls, factors):
+        return np.array([f.dt1 for f in factors]), np.array([f.dt2 for f in factors])
+
+    @staticmethod
+    def residuals(consts, a, b, c):
+        dt1, dt2 = consts
         d1 = b - a
         d2 = c - b
-        d1[2] = angle_diff(b[2], a[2])
-        d2[2] = angle_diff(c[2], b[2])
+        d1[:, 2] = wrap_angles(b[:, 2] - a[:, 2])
+        d2[:, 2] = wrap_angles(c[:, 2] - b[:, 2])
+        return d1 / dt1[:, None] - d2 / dt2[:, None]
+
+    @staticmethod
+    def constant_jacobians(consts):
+        dt1, dt2 = consts[0][:, None, None], consts[1][:, None, None]
         eye = np.eye(3)
-        jacs = [-eye / self.dt1, eye * (1.0 / self.dt1 + 1.0 / self.dt2), -eye / self.dt2]
-        return d1 / self.dt1 - d2 / self.dt2, jacs
+        return [-eye / dt1, eye * (1.0 / dt1 + 1.0 / dt2), -eye / dt2]
 
 
 class QuasiStaticFactor(Factor):
@@ -304,25 +354,34 @@ class QuasiStaticFactor(Factor):
         self.c = float(c)
         self.dt = float(dt)
 
-    def residual_and_jacobians(self, xp, xc, pf):
-        dt, c2 = self.dt, self.c**2
-        v = (xc[:2] - xp[:2]) / dt
-        omega = angle_diff(xc[2], xp[2]) / dt
-        p, f = pf[:2], pf[2:]
-        r_arm = p - xc[:2]
-        tau = cross2(r_arm, f)
-        g = np.array([f[1], -f[0]])  # d tau / d r_arm
-        s_arm = np.array([-r_arm[1], r_arm[0]])  # d tau / d f
-        j_prev = np.zeros((2, 3))
-        j_prev[:, :2] = -(tau / dt) * np.eye(2)
-        j_prev[:, 2] = c2 * f / dt
-        j_cur = np.zeros((2, 3))
-        j_cur[:, :2] = (tau / dt) * np.eye(2) - np.outer(v, g)
-        j_cur[:, 2] = -c2 * f / dt
-        j_pf = np.zeros((2, 4))
-        j_pf[:, :2] = np.outer(v, g)
-        j_pf[:, 2:] = np.outer(v, s_arm) - c2 * omega * np.eye(2)
-        return v * tau - c2 * omega * f, [j_prev, j_cur, j_pf]
+    @classmethod
+    def stack(cls, factors):
+        return np.array([f.c for f in factors]), np.array([f.dt for f in factors])
+
+    @staticmethod
+    def evaluate(consts, xp, xc, pf):
+        c, dt = consts
+        c2 = c**2
+        v = (xc[:, :2] - xp[:, :2]) / dt[:, None]
+        omega = wrap_angles(xc[:, 2] - xp[:, 2]) / dt
+        p, f = pf[:, :2], pf[:, 2:]
+        r_arm = p - xc[:, :2]
+        tau = r_arm[:, 0] * f[:, 1] - r_arm[:, 1] * f[:, 0]
+        g = -skew_many(f)  # d tau / d r_arm
+        s_arm = skew_many(r_arm)  # d tau / d f
+        v_g = v[:, :, None] * g[:, None, :]
+        tau_dt = (tau / dt)[:, None, None]
+        c2_f_dt = c2[:, None] * f / dt[:, None]
+        j_prev = np.zeros((len(v), 2, 3))
+        j_prev[:, :, :2] = -tau_dt * EYE2
+        j_prev[:, :, 2] = c2_f_dt
+        j_cur = np.zeros((len(v), 2, 3))
+        j_cur[:, :, :2] = tau_dt * EYE2 - v_g
+        j_cur[:, :, 2] = -c2_f_dt
+        j_pf = np.zeros((len(v), 2, 4))
+        j_pf[:, :, :2] = v_g
+        j_pf[:, :, 2:] = v[:, :, None] * s_arm[:, None, :] - (c2 * omega)[:, None, None] * EYE2
+        return v * tau[:, None] - (c2 * omega)[:, None] * f, [j_prev, j_cur, j_pf]
 
 
 def numeric_jacobian(factor: Factor, values, step: float = 1e-6) -> np.ndarray:

@@ -20,6 +20,8 @@ TWO_PI = 2.0 * math.pi
 
 # 2-D rotation generator: d/dtheta R(theta) = SKEW @ R(theta)
 SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
+EYE2 = np.eye(2)
+EYE2.setflags(write=False)
 
 
 def wrap_angle(theta: float) -> float:
@@ -35,9 +37,34 @@ def angle_diff(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle over an array, with the same bits per element."""
+    w = np.fmod(theta + math.pi, TWO_PI)
+    return np.where(w <= 0.0, w + TWO_PI, w) - math.pi
+
+
 def rot2(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def rot2_many(theta: np.ndarray) -> np.ndarray:
+    """Rotation matrices (N, 2, 2) for N angles."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.empty(np.shape(theta) + (2, 2))
+    R[..., 0, 0] = c
+    R[..., 0, 1] = -s
+    R[..., 1, 0] = s
+    R[..., 1, 1] = c
+    return R
+
+
+_SKEW_SIGNS = np.array([-1.0, 1.0])
+
+
+def skew_many(v: np.ndarray) -> np.ndarray:
+    """SKEW @ v for every row of v (..., 2): (-v1, v0)."""
+    return v[..., ::-1] * _SKEW_SIGNS
 
 
 def cross2(a, b) -> float:
@@ -325,6 +352,25 @@ class Shape2D:
             jac = np.zeros((2, 2))
         return cand[i].copy(), jac
 
+    def closest_points_body(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """closest_point_body of a polygon for an (N, 2) batch.
+
+        Returns points (N, 2) and Jacobians (N, 2, 2).
+        """
+        n_rows = len(q)
+        a = self._edge_start  # (E, 2)
+        d = self._edge_dir
+        t = (q @ d.T - np.einsum("ij,ij->i", a, d)) / self._edge_len2  # (N, E)
+        cand = a + np.clip(t, 0.0, 1.0)[:, :, None] * d  # (N, E, 2)
+        diff = q[:, None, :] - cand
+        i = np.argmin(np.einsum("nej,nej->ne", diff, diff), axis=1)
+        rows = np.arange(n_rows)
+        ti = t[rows, i]
+        dhat = d[i] / np.sqrt(self._edge_len2[i])[:, None]
+        interior = ((ti > 0.0) & (ti < 1.0))[:, None, None]
+        jac = np.where(interior, dhat[:, :, None] * dhat[:, None, :], 0.0)
+        return cand[rows, i], jac
+
     def contains_body(self, q) -> bool:
         """Point-in-shape test, boundary counts as inside."""
         q = np.asarray(q, dtype=float)
@@ -458,47 +504,6 @@ def shapes_intersect(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pos
     return True
 
 
-def _deepest_ee_point(obj_shape, obj_pose, ee_shape, ee_pose, subdivisions: int = 32):
-    """Point on the ee boundary with the most-negative object signed distance.
-
-    Returns (delta, branch) where branch carries what is needed for analytic
-    Jacobians: ("body", delta_body) for sampled polygon end-effectors, or for
-    disc end-effectors one of ("disc_radial",), ("poly_edge", normal_body),
-    ("poly_vertex", vertex_body).
-    """
-    if ee_shape.kind == "polygon":
-        samples = ee_shape.boundary_samples_body(subdivisions)
-        world = samples @ ee_pose.rotation().T + ee_pose.translation
-        sd = signed_distance_many(obj_shape, obj_pose, world)
-        i = int(np.argmin(sd))
-        return world[i].copy(), ("body", samples[i].copy())
-
-    c = ee_pose.translation
-    r_e = ee_shape.radius
-    if obj_shape.kind == "disc":
-        d = c - obj_pose.translation
-        rho = float(np.linalg.norm(d))
-        n = np.array([1.0, 0.0]) if rho < 1e-12 else d / rho
-        return c - r_e * n, ("disc_radial",)
-    # disc ee against polygon object: candidate per edge normal and vertex
-    R = obj_pose.rotation()
-    verts = obj_shape.vertices
-    n_edges = len(verts)
-    cand_e = c[None, :] - r_e * (obj_shape._edge_normals @ R.T)
-    vw = verts @ R.T + obj_pose.translation
-    dv = vw - c[None, :]
-    rho = np.linalg.norm(dv, axis=1)
-    safe = np.maximum(rho, 1e-12)
-    cand_v = c[None, :] + r_e * dv / safe[:, None]
-    cands = np.vstack([cand_e, cand_v])
-    sd = signed_distance_many(obj_shape, obj_pose, cands)
-    sd[n_edges:][rho < 1e-12] = math.inf  # vertex coincides with the center
-    i = int(np.argmin(sd))
-    if i < n_edges:
-        return cands[i].copy(), ("poly_edge", obj_shape._edge_normals[i].copy())
-    return cands[i].copy(), ("poly_vertex", verts[i - n_edges].copy())
-
-
 def deepest_penetration(obj_shape: Shape2D, obj_pose: PlanarPose, ee_shape: Shape2D, ee_pose: PlanarPose):
     """Deepest end-effector boundary point inside the object, if any.
 
@@ -508,7 +513,8 @@ def deepest_penetration(obj_shape: Shape2D, obj_pose: PlanarPose, ee_shape: Shap
     """
     if not shapes_intersect(obj_shape, obj_pose, ee_shape, ee_pose):
         return None
-    delta, _ = _deepest_ee_point(obj_shape, obj_pose, ee_shape, ee_pose)
+    delta = deepest_ee_points(obj_shape, obj_pose.as_array()[None], ee_shape,
+                              ee_pose.as_array()[None])[0][0]
     g_delta = closest_surface_point(obj_shape, obj_pose, delta)
     return delta, g_delta
 
@@ -541,3 +547,162 @@ def closest_pair(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b:
         if shift < tol:
             break
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# row-wise queries over pose arrays (the factor kernels)
+# ---------------------------------------------------------------------------
+# Row n of every argument belongs together: poses are (N, 3) arrays of
+# (x, y, theta), points (N, 2). The scalar queries above stay for the
+# simulator, where one call at a time is cheaper.
+
+
+def _to_body(poses: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """World points q (N, ..., 2) in the body frames of poses (N, 3)."""
+    shape = (len(poses),) + (1,) * (q.ndim - 2)
+    c = np.cos(poses[:, 2]).reshape(shape)
+    s = np.sin(poses[:, 2]).reshape(shape)
+    dx = q[..., 0] - poses[:, 0].reshape(shape)
+    dy = q[..., 1] - poses[:, 1].reshape(shape)
+    return np.stack([c * dx + s * dy, c * dy - s * dx], axis=-1)
+
+
+def _apply(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """R[n] @ v[n] for every row n."""
+    return (R @ v[:, :, None])[:, :, 0]
+
+
+def closest_points_with_jacobians(shape: Shape2D, poses: np.ndarray, q: np.ndarray):
+    """closest_point_with_jacobians row by row: G (N, 2), dG/dq (N, 2, 2), dG/dpose (N, 2, 3)."""
+    rq = q - poses[:, :2]
+    dg_dpose = np.empty((len(q), 2, 3))
+    if shape.kind == "disc":
+        # in the world frame: a disc's closest point does not turn with the
+        # disc, except at the center, where the body frame's +x is picked
+        rho = np.hypot(rq[:, 0], rq[:, 1])
+        center = rho < 1e-12
+        rho = np.where(center, 1.0, rho)
+        n = rq / rho[:, None]
+        dg_dq = (shape.radius / rho)[:, None, None] * (EYE2 - n[:, :, None] * n[:, None, :])
+        dg_dpose[:, :, 2] = 0.0
+        if center.any():
+            theta = poses[center, 2]
+            n[center] = np.column_stack([np.cos(theta), np.sin(theta)])
+            dg_dq[center] = 0.0
+            dg_dpose[center, :, 2] = shape.radius * skew_many(n[center])
+        rg = shape.radius * n
+    else:
+        R = rot2_many(poses[:, 2])
+        Rt = R.transpose(0, 2, 1)
+        gb, jac_b = shape.closest_points_body(_apply(Rt, rq))
+        rg = _apply(R, gb)
+        dg_dq = R @ jac_b @ Rt
+        # G - t turns with the pose and q - t turns against it
+        dg_dpose[:, :, 2] = skew_many(rg) - _apply(dg_dq, skew_many(rq))
+    dg_dpose[:, :, :2] = EYE2 - dg_dq
+    return rg + poses[:, :2], dg_dq, dg_dpose
+
+
+def signed_distances(shape: Shape2D, poses: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """signed_distance row by row; q is (N, 2) or (N, K, 2)."""
+    body = _to_body(poses, q)
+    return shape.signed_distance_many_body(body.reshape(-1, 2)).reshape(body.shape[:-1])
+
+
+def shapes_intersect_many(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2D,
+                          poses_b: np.ndarray) -> np.ndarray:
+    """shapes_intersect row by row, as a boolean (N,) array."""
+    if shape_a.kind == "disc" and shape_b.kind == "disc":
+        d = poses_a[:, :2] - poses_b[:, :2]
+        return np.hypot(d[:, 0], d[:, 1]) < shape_a.radius + shape_b.radius
+    if shape_a.kind == "disc":
+        return signed_distances(shape_b, poses_b, poses_a[:, :2]) < shape_a.radius
+    if shape_b.kind == "disc":
+        return signed_distances(shape_a, poses_a, poses_b[:, :2]) < shape_b.radius
+    return np.array([shapes_intersect(shape_a, PlanarPose.from_array(pa), shape_b, PlanarPose.from_array(pb))
+                     for pa, pb in zip(poses_a, poses_b)], dtype=bool)
+
+
+def closest_pairs(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2D, poses_b: np.ndarray):
+    """closest_pair row by row: boundary points a, b (N, 2) of separated shapes."""
+    if shape_b.kind == "disc":
+        # min over the disc is attained along the ray to its center
+        c = poses_b[:, :2]
+        a = closest_points_with_jacobians(shape_a, poses_a, c)[0]
+        d = a - c
+        rho = np.hypot(d[:, 0], d[:, 1])
+        center = rho < 1e-12
+        n = d / np.where(center, 1.0, rho)[:, None]
+        n[center] = (1.0, 0.0)
+        return a, c + shape_b.radius * n
+    if shape_a.kind == "disc":
+        b, a = closest_pairs(shape_b, poses_b, shape_a, poses_a)
+        return a, b
+    pairs = [closest_pair(shape_a, PlanarPose.from_array(pa), shape_b, PlanarPose.from_array(pb))
+             for pa, pb in zip(poses_a, poses_b)]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def deepest_ee_points(obj_shape: Shape2D, obj_poses: np.ndarray, ee_shape: Shape2D,
+                      ee_poses: np.ndarray, subdivisions: int = 32):
+    """Point on each ee boundary with the most-negative object signed distance.
+
+    Returns delta (N, 2) and its Jacobians (N, 2, 3) with respect to the
+    object pose and the ee pose. A polygon ee is sampled, `subdivisions`
+    points per edge; a disc ee is exact: the point on the line of centres
+    against a disc object, the best edge-normal or vertex direction
+    against a polygon. Where that direction is undefined (concentric
+    discs) it is +x and its Jacobian term is zero.
+    """
+    n_rows = len(obj_poses)
+    rows = np.arange(n_rows)
+    c = ee_poses[:, :2]
+    d_dx = np.zeros((n_rows, 2, 3))
+    d_de = np.zeros((n_rows, 2, 3))
+    d_de[:, :, :2] = EYE2
+    if ee_shape.kind == "polygon":
+        samples = ee_shape.boundary_samples_body(subdivisions)
+        arm = np.einsum("nij,sj->nsi", rot2_many(ee_poses[:, 2]), samples)  # (N, S, 2)
+        i = np.argmin(signed_distances(obj_shape, obj_poses, arm + c[:, None, :]), axis=1)
+        d_de[:, :, 2] = skew_many(arm[rows, i])
+        return arm[rows, i] + c, d_dx, d_de
+
+    r_e = ee_shape.radius
+    if obj_shape.kind == "disc":
+        d = c - obj_poses[:, :2]
+        rho = np.hypot(d[:, 0], d[:, 1])
+        center = rho < 1e-12
+        rho = np.where(center, 1.0, rho)
+        n = d / rho[:, None]
+        n[center] = (1.0, 0.0)
+        K = (EYE2 - n[:, :, None] * n[:, None, :]) / rho[:, None, None]
+        K[center] = 0.0
+        d_de[:, :, :2] -= r_e * K
+        d_dx[:, :, :2] = r_e * K
+        return c - r_e * n, d_dx, d_de
+
+    # disc ee against polygon object: candidate per edge normal and vertex
+    n_edges = len(obj_shape.vertices)
+    R = rot2_many(obj_poses[:, 2])
+    normals = np.einsum("nij,ej->nei", R, obj_shape._edge_normals)  # (N, E, 2)
+    arm = np.einsum("nij,ej->nei", R, obj_shape.vertices)  # vertices from the object origin
+    dv = arm + (obj_poses[:, None, :2] - c[:, None, :])  # vertices from the ee center
+    rho = np.sqrt(np.einsum("nej,nej->ne", dv, dv))
+    coincide = rho < 1e-12
+    rho = np.where(coincide, 1.0, rho)
+    u = dv / rho[:, :, None]
+    cands = np.concatenate([c[:, None, :] - r_e * normals, c[:, None, :] + r_e * u], axis=1)
+    sd = signed_distances(obj_shape, obj_poses, cands)
+    sd[:, n_edges:][coincide] = math.inf  # vertex coincides with the center
+    i = np.argmin(sd, axis=1)
+    edge = (i < n_edges)[:, None]
+    j = np.where(i < n_edges, i, i - n_edges)
+    # an edge point sits at -r_e n_w from the center, n_w turning with the
+    # object; a vertex point faces the vertex from the center
+    uj = u[rows, j]
+    Mu = (EYE2 - uj[:, :, None] * uj[:, None, :]) / rho[rows, j][:, None, None]
+    d_de[:, :, :2] -= np.where(edge[:, :, None], 0.0, r_e * Mu)
+    d_dx[:, :, :2] = np.where(edge[:, :, None], 0.0, r_e * Mu)
+    d_dx[:, :, 2] = np.where(edge, -r_e * skew_many(normals[rows, j]),
+                             r_e * np.einsum("nij,nj->ni", Mu, skew_many(arm[rows, j])))
+    return cands[rows, i], d_dx, d_de

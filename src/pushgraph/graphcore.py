@@ -15,7 +15,10 @@ absorbed factors' whitened system) and re-optimizes the window.
 `linearize` is the one place factors are evaluated: it serves the
 Gauss-Newton candidates (their cost is the squared norm of the whitened
 residual it assembles), the marginal covariances and the smoother's
-marginalization.
+marginalization. It groups a graph's factors into blocks of one class
+and signature and calls each class's kernel once per block, over all its
+timesteps; blocks with constant Jacobians are whitened once per graph
+and after that only their residuals are evaluated.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,10 +47,12 @@ from .factors import (
     QuasiStaticFactor,
     SurfaceGapFactor,
 )
-from .geometry import angle_diff, wrap_angle
+from .geometry import angle_diff, wrap_angle, wrap_angles
 
 
-class Role(enum.Enum):
+class Role(str, enum.Enum):
+    # the str mixin keeps hashing a VariableKey in C (Enum's own __hash__ is
+    # Python code), which the state-vector and retract dict lookups repeat
     OBJECT = "x"
     EE = "e"
     CONTACT_FORCE = "pf"
@@ -54,6 +60,9 @@ class Role(enum.Enum):
 
 _ROLE_ORDER = {Role.OBJECT: 0, Role.EE: 1, Role.CONTACT_FORCE: 2}
 _ROLE_DIM = {Role.OBJECT: 3, Role.EE: 3, Role.CONTACT_FORCE: 4}
+# which components of a variable are angles, wrapped on update
+_ANGLES = {role: np.arange(dim) == 2 if role is not Role.CONTACT_FORCE else np.zeros(dim, dtype=bool)
+           for role, dim in _ROLE_DIM.items()}
 
 
 class VariableKey(NamedTuple):
@@ -81,15 +90,17 @@ def _key_sort(key: VariableKey):
     return (key.t, _ROLE_ORDER[key.role])
 
 
+def _flatten(values: dict, index: dict) -> np.ndarray:
+    """The values of index's keys as one state vector, in index order."""
+    return np.concatenate([values[key] for key in index]) if index else np.zeros(0)
+
+
 def retract(values: dict, delta: np.ndarray, index: dict) -> dict:
     """Apply an additive update, wrapping pose angles."""
-    out = {}
-    for key, (off, dim) in index.items():
-        v = values[key] + delta[off : off + dim]
-        if key.role is not Role.CONTACT_FORCE:
-            v[2] = wrap_angle(v[2])
-        out[key] = v
-    return out
+    x = _flatten(values, index) + delta
+    theta = np.concatenate([_ANGLES[key.role] for key in index])
+    x[theta] = wrap_angles(x[theta])
+    return {key: x[off : off + dim] for key, (off, dim) in index.items()}
 
 
 class LinearizedPriorFactor(Factor):
@@ -108,17 +119,24 @@ class LinearizedPriorFactor(Factor):
         self.anchors = [np.asarray(a, dtype=float) for a in anchors]
         self.r0 = np.asarray(r0, dtype=float)
         self.sqrt_info = np.asarray(sqrt_info, dtype=float)
-        ends = np.cumsum([len(a) for a in self.anchors])
-        self._jacs = np.split(self.sqrt_info, ends[:-1], axis=1)
 
-    def residual_and_jacobians(self, *vals):
-        parts = []
-        for key, anchor, v in zip(self.keys, self.anchors, vals):
-            d = v - anchor
-            if key.role is not Role.CONTACT_FORCE:
-                d[2] = angle_diff(v[2], anchor[2])
-            parts.append(d)
-        return self.r0 + self.sqrt_info @ np.concatenate(parts), self._jacs
+    @classmethod
+    def stack(cls, factors):
+        anchors = np.array([np.concatenate(f.anchors) for f in factors])
+        wrap = np.array([np.concatenate([_ANGLES[k.role] for k in f.keys]) for f in factors])
+        ends = np.cumsum([len(a) for a in factors[0].anchors])[:-1]
+        return (anchors, wrap, np.array([f.r0 for f in factors]),
+                np.array([f.sqrt_info for f in factors]), ends)
+
+    @staticmethod
+    def residuals(consts, *vals):
+        anchors, wrap, r0, sqrt_info, _ = consts
+        d = np.concatenate(vals, axis=1) - anchors
+        return r0 + np.einsum("nij,nj->ni", sqrt_info, np.where(wrap, wrap_angles(d), d))
+
+    @staticmethod
+    def constant_jacobians(consts):
+        return np.split(consts[3], consts[4], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +195,10 @@ class FactorGraph:
 
 @dataclass
 class LinearSystem:
-    """Whitened linearization: J delta ~ -r with normal equations cached."""
+    """Whitened linearization: J delta ~ -r, normal equations formed on first use."""
 
     jacobian: scipy.sparse.csr_matrix
     residual: np.ndarray
-    normal_matrix: scipy.sparse.csc_matrix  # J^T J
-    gradient: np.ndarray  # J^T r
     index: dict[VariableKey, tuple[int, int]]
 
     @property
@@ -190,75 +206,103 @@ class LinearSystem:
         """Squared norm of the whitened residual: the graph's cost here."""
         return float(self.residual @ self.residual)
 
+    @cached_property
+    def normal_matrix(self) -> scipy.sparse.csc_matrix:
+        """J^T J."""
+        return (self.jacobian.T @ self.jacobian).tocsc()
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        """J^T r."""
+        return self.jacobian.T @ self.residual
+
+
+@dataclass
+class _Block:
+    """Factors of one class and signature, evaluated by one kernel call."""
+
+    kernel: type  # the factors' class
+    consts: tuple  # kernel.stack(factors)
+    gather: list  # per key, (N, dim) positions of its values in the state vector
+    inv_sigmas: np.ndarray  # (N, d) whitening
+    rows: slice  # its N * d residual rows, factor by factor
+    entries: slice  # its Jacobian entries in the CSR data, row by row
+
+
+def _jacobian_entries(jacs: list, inv_sigmas: np.ndarray) -> np.ndarray:
+    """Whitened (N, d, dim) Jacobians of a block's keys, laid out row by row."""
+    return (np.concatenate(jacs, axis=2) * inv_sigmas[:, :, None]).ravel()
+
 
 @dataclass
 class _LinearizeCache:
-    """Fixed sparsity pattern of a graph, reused across iterations."""
+    """Blocks and the fixed sparsity pattern of a graph, reused across iterations."""
 
     version: int
     index: dict
-    rows: np.ndarray
-    cols: np.ndarray
-    nnz: int
-    m: int
-    # per factor: (factor, row offset, residual dim, data slices per key,
-    #              cached whitened jacobians when constant, else None)
-    plan: list
+    shape: tuple[int, int]
+    indices: np.ndarray  # CSR column indices
+    indptr: np.ndarray
+    data: np.ndarray  # whitened entries of the constant Jacobians, zero elsewhere
+    blocks: list[_Block]  # with a constant Jacobian only the residual is evaluated
 
 
 def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
     index = graph.variable_index()
-    rows, cols = [], []
-    plan = []
-    row0 = 0
-    pos = 0
+    groups: dict = {}
     for f in graph.factors:
-        d = f.dim
-        slices = []
-        for key in f.keys:
-            off, dim = index[key]
-            rows.append(np.repeat(np.arange(row0, row0 + d), dim))
-            cols.append(np.tile(np.arange(off, off + dim), d))
-            slices.append(slice(pos, pos + d * dim))
-            pos += d * dim
-        const = None
-        if f.constant_jacobian:
-            vals = [np.zeros(index[k][1]) for k in f.keys]
-            const = [f.noise.whiten_jacobian(j) for j in f.residual_and_jacobians(*vals)[1]]
-        plan.append((f, row0, d, slices, const))
-        row0 += d
+        dims = tuple(graph.dims[k] for k in f.keys)
+        groups.setdefault((type(f), f.kind, f.dim, dims, f.block_signature()), []).append(f)
+    blocks, cols, row_widths = [], [], []
+    m = nnz = 0
+    for (cls, _, d, dims, _), factors in groups.items():
+        offsets = np.array([[index[k][0] for k in f.keys] for f in factors])
+        gather = [offsets[:, i, None] + np.arange(dim) for i, dim in enumerate(dims)]
+        n_rows, width = len(factors) * d, sum(dims)
+        cols.append(np.broadcast_to(np.concatenate(gather, axis=1)[:, None, :],
+                                    (len(factors), d, width)).ravel())
+        row_widths.append(np.full(n_rows, width))
+        inv_sigmas = np.array([f.noise.inv_sigmas for f in factors])
+        blocks.append(_Block(cls, cls.stack(factors), gather, inv_sigmas,
+                             slice(m, m + n_rows), slice(nnz, nnz + n_rows * width)))
+        m += n_rows
+        nnz += n_rows * width
+    data = np.zeros(nnz)
+    for b in blocks:
+        if b.kernel.constant_jacobian:
+            data[b.entries] = _jacobian_entries(b.kernel.constant_jacobians(b.consts), b.inv_sigmas)
     return _LinearizeCache(
         version=graph._version,
         index=index,
-        rows=np.concatenate(rows) if rows else np.zeros(0, dtype=int),
-        cols=np.concatenate(cols) if cols else np.zeros(0, dtype=int),
-        nnz=pos,
-        m=row0,
-        plan=plan,
+        shape=(m, graph.total_dim),
+        indices=np.concatenate(cols).astype(np.int32) if cols else np.zeros(0, dtype=np.int32),
+        indptr=np.concatenate([[0]] + row_widths).cumsum().astype(np.int32),
+        data=data,
+        blocks=blocks,
     )
 
 
 def linearize(graph: FactorGraph, values: dict) -> LinearSystem:
-    """Assemble the whitened sparse system at the given values."""
+    """Assemble the whitened sparse system at the given values.
+
+    Residual rows come block by block, each block's factor by factor.
+    """
     if graph._lin_cache is None or graph._lin_cache.version != graph._version:
         graph._lin_cache = _build_linearize_cache(graph)
     cache = graph._lin_cache
-    data = np.zeros(cache.nnz)
-    res = np.zeros(cache.m)
-    for f, row0, d, slices, const in cache.plan:
-        vals = [values[k] for k in f.keys]
-        r, jacs = f.residual_and_jacobians(*vals)
-        res[row0 : row0 + d] = f.noise.whiten(r)
-        wjacs = const if const is not None else [f.noise.whiten_jacobian(j) for j in jacs]
-        for sl, jw in zip(slices, wjacs):
-            data[sl] = jw.ravel()
-    jac = scipy.sparse.coo_matrix(
-        (data, (cache.rows, cache.cols)), shape=(cache.m, graph.total_dim)
-    ).tocsr()
-    normal = (jac.T @ jac).tocsc()
-    grad = jac.T @ res
-    return LinearSystem(jacobian=jac, residual=res, normal_matrix=normal, gradient=grad,
-                        index=cache.index)
+    x = _flatten(values, cache.index)
+    data = cache.data.copy()
+    res = np.empty(cache.shape[0])
+    for b in cache.blocks:
+        vals = [x[g] for g in b.gather]
+        if b.kernel.constant_jacobian:
+            r = b.kernel.residuals(b.consts, *vals)
+        else:
+            r, jacs = b.kernel.evaluate(b.consts, *vals)
+            data[b.entries] = _jacobian_entries(jacs, b.inv_sigmas)
+        res[b.rows] = (r * b.inv_sigmas).ravel()
+    jac = scipy.sparse.csr_matrix((data, cache.indices, cache.indptr), shape=cache.shape)
+    return LinearSystem(jacobian=jac, residual=res, index=cache.index)
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +419,39 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     return values, report
 
 
+# cap on the entries of one dense right-hand side in marginal_covariances
+# (16 MB), so the memory of a request stays linear in the graph size
+_MARGINAL_RHS_ENTRIES = 1 << 21
+
+
 def marginal_covariances(graph: FactorGraph, values: dict, keys) -> dict:
-    """Posterior covariance blocks for several variables from one factorization."""
+    """Posterior covariance blocks for several variables from one factorization.
+
+    One solve against the stacked unit columns of the requested keys, in
+    slices of at most _MARGINAL_RHS_ENTRIES right-hand-side entries.
+    """
     system = linearize(graph, values)
     try:
         lu = scipy.sparse.linalg.splu(system.normal_matrix)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
+    keys = list(keys)
+    n = graph.total_dim
+    per_solve = max(1, _MARGINAL_RHS_ENTRIES // (max(_ROLE_DIM.values()) * n))
     out = {}
-    for key in keys:
-        off, dim = system.index[key]
-        rhs = np.zeros((graph.total_dim, dim))
-        rhs[off : off + dim, :] = np.eye(dim)
+    for first in range(0, len(keys), per_solve):
+        chunk = keys[first : first + per_solve]
+        spans = [system.index[key] for key in chunk]
+        cols = np.cumsum([0] + [dim for _, dim in spans])
+        rhs = np.zeros((n, cols[-1]))
+        for (off, dim), col in zip(spans, cols):
+            rhs[off : off + dim, col : col + dim] = np.eye(dim)
         sol = lu.solve(rhs)
-        cov = sol[off : off + dim, :]
-        if not np.all(np.isfinite(cov)):
-            raise SingularSystem("marginal covariance is not finite")
-        out[key] = 0.5 * (cov + cov.T)
+        for key, (off, dim), col in zip(chunk, spans, cols):
+            cov = sol[off : off + dim, col : col + dim]
+            if not np.all(np.isfinite(cov)):
+                raise SingularSystem("marginal covariance is not finite")
+            out[key] = 0.5 * (cov + cov.T)
     return out
 
 
@@ -429,35 +489,38 @@ class GraphConfig:
         Channels the recorded noise spec did not touch are treated as exact
         (tight sigma) so that, e.g., ground-truth-pose protocols pin poses.
         Bimodal corruption maps to its matched-variance Gaussian sigma.
+        overrides name fields to set; an unknown name raises TypeError.
         """
-        cfg = cls()
+        sigmas = {}
         noise = traj.noise
         if noise is not None:
             tight = 1e-4
             tri_var = lambda mode, half: mode**2 + half**2 / 6.0
             if noise.kind == "gaussian":
-                cfg.sigma_x_trans = noise.sigma_x_trans if "y" in noise.channels else tight
-                cfg.sigma_x_rot = noise.sigma_x_rot if "y" in noise.channels else tight
-                cfg.sigma_e_trans = noise.sigma_e_trans if "z" in noise.channels else tight
-                cfg.sigma_e_rot = noise.sigma_e_rot if "z" in noise.channels else tight
-                cfg.sigma_contact = noise.sigma_contact if "w" in noise.channels else tight
-                cfg.sigma_force = noise.sigma_force if "alpha" in noise.channels else tight
+                sigmas = {
+                    "sigma_x_trans": noise.sigma_x_trans if "y" in noise.channels else tight,
+                    "sigma_x_rot": noise.sigma_x_rot if "y" in noise.channels else tight,
+                    "sigma_e_trans": noise.sigma_e_trans if "z" in noise.channels else tight,
+                    "sigma_e_rot": noise.sigma_e_rot if "z" in noise.channels else tight,
+                    "sigma_contact": noise.sigma_contact if "w" in noise.channels else tight,
+                    "sigma_force": noise.sigma_force if "alpha" in noise.channels else tight,
+                }
             else:
-                cfg.sigma_x_trans = cfg.sigma_x_rot = tight
-                cfg.sigma_e_trans = cfg.sigma_e_rot = tight
-                cfg.sigma_contact = (
-                    math.sqrt(tri_var(noise.contact_mode_offset, noise.contact_half_width))
-                    if "w" in noise.channels
-                    else tight
-                )
-                cfg.sigma_force = (
-                    math.sqrt(tri_var(noise.force_mode_offset, noise.force_half_width))
-                    if "alpha" in noise.channels
-                    else tight
-                )
-        for name, value in overrides.items():
-            setattr(cfg, name, value)
-        return cfg
+                sigmas = {
+                    "sigma_x_trans": tight, "sigma_x_rot": tight,
+                    "sigma_e_trans": tight, "sigma_e_rot": tight,
+                    "sigma_contact": (
+                        math.sqrt(tri_var(noise.contact_mode_offset, noise.contact_half_width))
+                        if "w" in noise.channels
+                        else tight
+                    ),
+                    "sigma_force": (
+                        math.sqrt(tri_var(noise.force_mode_offset, noise.force_half_width))
+                        if "alpha" in noise.channels
+                        else tight
+                    ),
+                }
+        return cls(**{**sigmas, **overrides})
 
     def pose_noise(self, role: Role) -> NoiseModel:
         if role is Role.OBJECT:

@@ -24,6 +24,9 @@ DISC = Shape2D.disc(0.05)
 PENTAGON = Shape2D.polygon(
     [[0.06, 0.0], [0.02, 0.055], [-0.05, 0.03], [-0.05, -0.03], [0.02, -0.055]]
 )
+# one object per shape, so samples of a kind can share a block in linearize
+S_PROBE = Shape2D.disc(0.02)
+TOOL = Shape2D.box(0.03, 0.02)
 
 ISO2 = NoiseModel.isotropic(2, 1.0)
 ISO3 = NoiseModel.isotropic(3, 1.0)
@@ -81,7 +84,7 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
                     return SurfaceGapFactor("a", "b", shape_x, PROBE, ISO2), [qx, qe]
     if kind == "s":
         shape_x = [BOX, DISC][rng.integers(2)]
-        probe = Shape2D.disc(0.02)
+        probe = S_PROBE
         while True:
             qx = pose(0.02)
             qe = pose(0.08)
@@ -91,7 +94,7 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
             if probe.radius * 0.15 < probe.radius - sd < probe.radius * 0.85:
                 return IntersectionFactor("a", "b", shape_x, probe, ISO2), [qx, qe]
     if kind == "s_poly_ee":
-        tool = Shape2D.box(0.03, 0.02)
+        tool = TOOL
         while True:
             qx = pose(0.02)
             qe = pose(0.08)

@@ -26,13 +26,23 @@ from pushgraph.factors import (
 from pushgraph.geometry import PlanarPose, Shape2D, shapes_intersect, signed_distance
 from pushgraph.graphcore import FactorGraph, linearize, obj_key, pf_key
 
-from factor_samples import ALL_KINDS, ISO2, ISO3, ISO4, away_from_seam, make_factor_sample, near_seam
+from factor_samples import (
+    ALL_KINDS,
+    BOX,
+    DISC,
+    PENTAGON,
+    PROBE,
+    ISO2,
+    ISO3,
+    ISO4,
+    S_PROBE,
+    TOOL,
+    away_from_seam,
+    make_factor_sample,
+    near_seam,
+)
 
 SQUARE = Shape2D.box(2.0, 2.0)
-BOX = Shape2D.box(0.1, 0.1)
-PROBE = Shape2D.disc(0.01)
-DISC = Shape2D.disc(0.05)
-PENTAGON = Shape2D.polygon([[0.06, 0.0], [0.02, 0.055], [-0.05, 0.03], [-0.05, -0.03], [0.02, -0.055]])
 
 
 def rel_err(analytic, numeric):
@@ -279,6 +289,96 @@ def test_fused_residual_matches_residual(kind):
             assert system.cost == w @ w
             np.testing.assert_array_equal(
                 system.jacobian.toarray(), np.hstack([factor.noise.whiten_jacobian(j) for j in jacs]))
+
+
+def _block_edge_samples(kind, rng):
+    """Samples the generator avoids, to sit in the same blocks as its own.
+
+    Overlapping pairs for the gap factor, separated ones for the
+    intersection factors, and contact queries at a disc's center.
+    """
+    pose = lambda: np.array([rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), near_seam(rng)])
+    out = []
+    for shape_x in (BOX, DISC):
+        for _ in range(3):
+            qx = pose()
+            if kind == "c_objee":
+                qe = qx + [0.01, -0.01, 0.5]
+                out.append((SurfaceGapFactor("a", "b", shape_x, PROBE, ISO2), [qx, qe]))
+            if kind == "s":
+                qe = qx + [0.5, 0.3, 0.2]
+                out.append((IntersectionFactor("a", "b", shape_x, S_PROBE, ISO2), [qx, qe]))
+    if kind == "s_poly_ee":
+        for _ in range(3):
+            qx = pose()
+            out.append((IntersectionFactor("a", "b", BOX, TOOL, ISO2), [qx, qx + [-0.4, 0.2, 1.0]]))
+    if kind in ("c_object", "c_ee"):
+        for _ in range(3):
+            q = pose()
+            pf = np.concatenate([q[:2], rng.normal(size=2)])
+            out.append((ContactSurfaceFactor("a", "b", DISC, ISO2, kind), [q, pf]))
+    return out
+
+
+def _rows_by_owner(residual, jac, owner):
+    """A system's rows grouped by the sample owning their nonzero columns (None: all zero)."""
+    rows = {}
+    for r, row in zip(residual, jac):
+        nz = np.flatnonzero(row)
+        key = owner[nz[0]] if len(nz) else None
+        assert np.all(owner[nz] == key), "a row couples two samples"
+        rows.setdefault(key, []).append(np.concatenate([[r], row]))
+    return {key: np.array(v) for key, v in rows.items()}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_block_rows_match_one_row_calls(kind):
+    # many samples of a kind linearized together: every row must equal the
+    # sample's own one-row evaluation, so a broadcasting or masking slip
+    # across the rows of a block shows
+    rng = np.random.default_rng(abs(zlib.crc32(kind.encode())) + 1)
+    samples = [make_factor_sample(kind, rng, theta) for theta in (away_from_seam, near_seam)
+               for _ in range(12)]
+    # spread the edge samples among the others, so that zero and nonzero
+    # rows alternate within a block
+    for k, sample in enumerate(_block_edge_samples(kind, rng)):
+        samples.insert(4 * k + 1, sample)
+    graph = FactorGraph()
+    values, expected = {}, []
+    t = 0
+    for factor, vals in samples:
+        r, jacs = factor.residual_and_jacobians(*vals)
+        factor.keys = tuple(obj_key(t + j) if len(v) == 3 else pf_key(t + j) for j, v in enumerate(vals))
+        t += len(vals)
+        for key, v in zip(factor.keys, vals):
+            graph.add_variable(key)
+            values[key] = v
+        graph.add_factor(factor)
+        expected.append((factor, factor.noise.whiten(r), [factor.noise.whiten_jacobian(j) for j in jacs]))
+    system = linearize(graph, values)
+    n = graph.total_dim
+    owner = np.empty(n, dtype=int)
+    want_r, want_J = [], []
+    for i, (factor, w, wjacs) in enumerate(expected):
+        J = np.zeros((len(w), n))
+        for key, wj in zip(factor.keys, wjacs):
+            off, dim = system.index[key]
+            owner[off : off + dim] = i
+            J[:, off : off + dim] = wj
+        want_r.append(w)
+        want_J.append(J)
+    got = _rows_by_owner(system.residual, system.jacobian.toarray(), owner)
+    want = _rows_by_owner(np.concatenate(want_r), np.vstack(want_J), owner)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12)
+    # the blocks are shared: fewer kernel calls than factors
+    assert len(graph._lin_cache.blocks) < len(samples) // 2
+    if kind in ("c_objee", "s", "s_poly_ee"):
+        assert None in want and len(want) > 1  # zero and nonzero rows in one block
+    if kind in ("c_object", "c_ee"):
+        shapes = {f.shape for f, _ in samples}
+        assert {BOX, DISC, PENTAGON} <= shapes
 
 
 def test_measurement_jacobian_is_identity():

@@ -12,13 +12,18 @@ from pushgraph.geometry import (
     Pose3,
     Shape2D,
     closest_pair,
+    closest_pairs,
+    closest_point_with_jacobians,
+    closest_points_with_jacobians,
     closest_surface_point,
     deepest_penetration,
     embed_in_plane,
     project_to_plane,
     shapes_intersect,
+    shapes_intersect_many,
     signed_distance,
     wrap_angle,
+    wrap_angles,
 )
 
 RNG = np.random.default_rng(17)
@@ -56,6 +61,11 @@ class TestWrap:
     def test_pi_maps_to_pi(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+
+    def test_array_version_is_bit_identical(self):
+        th = np.concatenate([RNG.uniform(-20.0, 20.0, 500),
+                             [math.pi, -math.pi, 3 * math.pi, 0.0, -0.0, np.nextafter(math.pi, 4.0)]])
+        np.testing.assert_array_equal(wrap_angles(th), [wrap_angle(x) for x in th])
 
 
 class TestSE2:
@@ -312,3 +322,42 @@ class TestClosestPair:
         cb = boundary_cloud(sb, pb, 2000)
         d_oracle = np.min(np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2))
         assert np.linalg.norm(a - b) == pytest.approx(d_oracle, abs=1e-3)
+
+
+class TestRowWiseQueries:
+    """The pose-array queries the factor kernels use agree with the scalar ones."""
+
+    SHAPES = [Shape2D.disc(0.3), Shape2D.box(0.8, 0.5),
+              Shape2D.polygon([[0.4, 0.0], [0.1, 0.35], [-0.3, 0.2], [-0.3, -0.2], [0.1, -0.35]])]
+
+    @staticmethod
+    def poses(rng, n, scale):
+        return np.column_stack([rng.uniform(-scale, scale, (n, 2)), rng.uniform(-4.0, 4.0, n)])
+
+    def test_closest_points_with_jacobians(self):
+        rng = np.random.default_rng(21)
+        for shape in self.SHAPES:
+            poses = self.poses(rng, 40, 1.0)
+            q = rng.uniform(-1.5, 1.5, (40, 2))
+            q[0] = poses[0, :2]  # the body origin: a disc's center
+            rows = closest_points_with_jacobians(shape, poses, q)
+            for n in range(40):
+                one = closest_point_with_jacobians(shape, PlanarPose.from_array(poses[n]), q[n])
+                for got, want in zip(rows, one):
+                    np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12)
+
+    def test_overlap_and_closest_pairs(self):
+        rng = np.random.default_rng(22)
+        for sa in self.SHAPES:
+            for sb in self.SHAPES:
+                pa, pb = self.poses(rng, 60, 0.6), self.poses(rng, 60, 0.6)
+                hit = shapes_intersect_many(sa, pa, sb, pb)
+                want = [shapes_intersect(sa, PlanarPose.from_array(x), sb, PlanarPose.from_array(y))
+                        for x, y in zip(pa, pb)]
+                np.testing.assert_array_equal(hit, want)
+                assert hit.any() and not hit.all()
+                a, b = closest_pairs(sa, pa[~hit], sb, pb[~hit])
+                for n, (x, y) in enumerate(zip(pa[~hit], pb[~hit])):
+                    wa, wb = closest_pair(sa, PlanarPose.from_array(x), sb, PlanarPose.from_array(y))
+                    np.testing.assert_allclose(a[n], wa, atol=1e-12)
+                    np.testing.assert_allclose(b[n], wb, atol=1e-12)

@@ -13,8 +13,9 @@ from pushgraph.dataio import (
 )
 from pushgraph import graphcore
 from pushgraph.errors import EmptyTrajectory, MissingShapeConfig, SingularSystem
+from pushgraph import factors
 from pushgraph.factors import PriorFactor, NoiseModel
-from pushgraph.geometry import PlanarPose, Plane3, Shape2D
+from pushgraph.geometry import PlanarPose, Plane3, Shape2D, wrap_angle
 from pushgraph.graphcore import (
     FactorGraph,
     FixedLagSmoother,
@@ -32,6 +33,7 @@ from pushgraph.graphcore import (
     pf_key,
     solve_batch,
     solve_incremental,
+    retract,
     values_to_arrays,
 )
 from pushgraph.geometry import PlanarPose as PP
@@ -135,6 +137,15 @@ class TestBuildGraph:
         for key, val in graph.initial.items():
             assert np.all(np.isfinite(val))
 
+    def test_config_overrides(self):
+        traj = inject_noise(center_push_trajectory(duration=1.0), NoiseSpec(seed=1, channels=("w",)))
+        cfg = GraphConfig.from_trajectory(traj, sigma_qs=1e-3, sigma_contact=0.02)
+        assert cfg.sigma_qs == 1e-3
+        assert cfg.sigma_contact == 0.02  # wins over the recorded noise
+        assert cfg.sigma_x_trans == 1e-4  # y was not corrupted: tight
+        with pytest.raises(TypeError):
+            GraphConfig.from_trajectory(traj, sigma_qss=1e-3)
+
     def test_well_posedness_residual_dim(self):
         traj = center_push_trajectory(duration=1.0)
         graph = build_graph("QS", traj)
@@ -185,6 +196,25 @@ class TestLinearize:
         assert H.nnz * 20 <= H.shape[0] * H.shape[1]
 
 
+class TestRetract:
+    def test_matches_per_key_update_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        graph = FactorGraph()
+        for t in range(6):
+            for key in (obj_key(t), ee_key(t), pf_key(t)):
+                graph.add_variable(key)
+        index = graph.variable_index()
+        values = {k: rng.uniform(-3.2, 3.2, dim) for k, (_, dim) in index.items()}
+        delta = rng.normal(scale=2.0, size=graph.total_dim)
+        delta[2] = np.pi - values[obj_key(0)][2]  # lands on the seam at +pi
+        out = retract(values, delta, index)
+        for key, (off, dim) in index.items():
+            want = values[key] + delta[off : off + dim]
+            if key.role is not graphcore.Role.CONTACT_FORCE:
+                want[2] = wrap_angle(want[2])
+            np.testing.assert_array_equal(out[key], want)
+
+
 class TestGaussNewton:
     def test_linear_graph_one_iteration(self):
         graph = FactorGraph()
@@ -224,6 +254,48 @@ class TestGaussNewton:
         assert len(calls) == report.iterations + 1
         assert report.final_cost == pytest.approx(graph.cost(values), rel=1e-12)
         assert report.final_cost == pytest.approx(1.2, rel=1e-9)
+
+    def test_rejected_candidates_never_form_normal_equations(self, monkeypatch):
+        traj = center_push_trajectory(duration=1.0)
+        graph = build_graph("QS", traj)
+        rng = np.random.default_rng(1)
+        init = {k: v + np.r_[rng.uniform(-0.05, 0.05, 2), rng.uniform(-1, 1, len(v) - 2)]
+                for k, v in graph.initial.items()}
+        real_linearize = graphcore.linearize
+        systems = []
+
+        def recorded(graph, values):
+            systems.append(real_linearize(graph, values))
+            return systems[-1]
+
+        monkeypatch.setattr(graphcore, "linearize", recorded)
+        _, report = gauss_newton(graph, init)
+        monkeypatch.undo()
+        accepted = set(report.cost_trace)
+        rejected = [s for s in systems if s.cost not in accepted]
+        assert len(rejected) >= 5
+        for system in rejected:
+            assert "normal_matrix" not in vars(system) and "gradient" not in vars(system)
+        assert "normal_matrix" in vars(systems[0])
+
+    def test_estimation_never_calls_a_factor_method(self, monkeypatch):
+        # linearize evaluates whole blocks; the per-factor entry point is
+        # for tests and numeric Jacobians only
+        def refuse(self, *vals):
+            raise AssertionError(f"{type(self).__name__}.residual_and_jacobians called")
+
+        for cls in (factors.Factor, PriorFactor, factors.PoseMeasurementFactor,
+                    factors.ContactForceMeasurementFactor, factors.ContactSurfaceFactor,
+                    factors.SurfaceGapFactor, factors.IntersectionFactor,
+                    factors.ConstantVelocityFactor, factors.QuasiStaticFactor,
+                    LinearizedPriorFactor):
+            monkeypatch.setattr(cls, "residual_and_jacobians", refuse)
+        traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
+                            NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
+        _, report = gauss_newton(build_graph("QS", traj))
+        assert report.converged
+        _, smoother = solve_incremental("QS", traj, lag=5, batch_every=5)
+        assert smoother.first_active_t > 0
 
     def test_noiseless_truth_init_converges_immediately(self):
         traj = center_push_trajectory(duration=3.0, offset=0.0)
@@ -343,6 +415,22 @@ class TestMarginals:
         assert np.trace(x_cov) < np.trace(meas_cov_x)
         w = np.linalg.eigvalsh(pf_cov)
         assert np.all(w > -1e-12)
+
+    def test_one_solve_matches_per_key_solves(self, monkeypatch):
+        traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
+                            NoiseSpec(seed=9, sigma_x_rot=0.05, sigma_e_rot=0.05))
+        values, _, graph = solve_batch("QS", traj)
+        keys = [obj_key(t) for t in range(len(traj))] + [pf_key(t) for t in range(len(traj))]
+        together = marginal_covariances(graph, values, iter(keys))
+        # a right-hand side capped at three keys' columns: several solves
+        monkeypatch.setattr(graphcore, "_MARGINAL_RHS_ENTRIES", 12 * graph.total_dim)
+        sliced = marginal_covariances(graph, values, keys)
+        monkeypatch.undo()
+        assert list(together) == keys and list(sliced) == keys
+        for key in keys:
+            alone = marginal_covariances(graph, values, [key])[key]
+            for got in (together[key], sliced[key]):
+                np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
 
     def test_singular_system_detected(self):
         graph = FactorGraph()
