@@ -385,7 +385,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add(est, "model", EST_DEFAULTS["model"], "graph model: CP | SDF | QS")
     _add(est, "mode", EST_DEFAULTS["mode"], "batch | incremental")
     _add(est, "lag", EST_DEFAULTS["lag"], "fixed-lag window (timesteps)")
-    _add(est, "batch_every", EST_DEFAULTS["batch_every"], "re-optimize after this many object-pose measurements")
+    _add(est, "batch_every", EST_DEFAULTS["batch_every"], "re-optimize after this many timesteps")
     _add(est, "max_iter", EST_DEFAULTS["max_iter"], "optimizer iteration cap")
     _add(est, "covariances", EST_DEFAULTS["covariances"], "report posterior marginal covariances")
     est.add_argument("--out", type=str, default=None, help="results CSV path")

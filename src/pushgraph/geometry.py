@@ -469,12 +469,6 @@ def signed_distance(shape: Shape2D, pose: PlanarPose, q) -> float:
     return shape.signed_distance_body(pose.inverse_transform_point(q))
 
 
-def signed_distance_many(shape: Shape2D, pose: PlanarPose, pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    body = (pts - pose.translation) @ pose.rotation()
-    return shape.signed_distance_many_body(body)
-
-
 def outward_normal(shape: Shape2D, pose: PlanarPose, q) -> np.ndarray:
     nb = shape.outward_normal_body(pose.inverse_transform_point(q))
     return pose.rotation() @ nb

@@ -1,4 +1,4 @@
-"""Factor-graph container, sparse Gauss-Newton, marginals, fixed-lag smoothing.
+"""Factor-graph container, banded Gauss-Newton, marginals, fixed-lag smoothing.
 
 Variables live on a per-timestep grid: object pose x_t and end-effector pose
 e_t (dim 3 each, theta wrapped on update) and the combined contact/force
@@ -8,10 +8,11 @@ state pf_t (dim 4). Three graph models are supported:
   SDF = CP + intersection (non-penetration) penalty
   QS  = SDF + quasi-static pushing dynamics
 
-Batch solves use sparse normal equations (timestep-ordered elimination via
-SuperLU); the incremental path is a fixed-lag smoother that marginalizes
-old timesteps into a square-root boundary prior (a QR factorization of the
-absorbed factors' whitened system) and re-optimizes the window.
+Batch solves and marginals use one banded Cholesky factorization (the
+state is timestep-major and factors span at most three timesteps); the
+incremental path is a fixed-lag smoother that marginalizes old timesteps
+into a square-root boundary prior (a QR factorization of the absorbed
+factors' whitened system) and re-optimizes the window.
 `linearize` is the one place factors are evaluated: it serves the
 Gauss-Newton candidates (their cost is the squared norm of the whitened
 residual it assembles), the marginal covariances and the smoother's
@@ -30,8 +31,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.linalg
 
 from .dataio import MeasuredTrajectory, TrajectoryArrays, TrajectoryStep
 from .errors import EmptyTrajectory, MissingShapeConfig, NonFiniteCost, SingularSystem
@@ -194,30 +194,6 @@ class FactorGraph:
 
 
 @dataclass
-class LinearSystem:
-    """Whitened linearization: J delta ~ -r, normal equations formed on first use."""
-
-    jacobian: scipy.sparse.csr_matrix
-    residual: np.ndarray
-    index: dict[VariableKey, tuple[int, int]]
-
-    @property
-    def cost(self) -> float:
-        """Squared norm of the whitened residual: the graph's cost here."""
-        return float(self.residual @ self.residual)
-
-    @cached_property
-    def normal_matrix(self) -> scipy.sparse.csc_matrix:
-        """J^T J."""
-        return (self.jacobian.T @ self.jacobian).tocsc()
-
-    @cached_property
-    def gradient(self) -> np.ndarray:
-        """J^T r."""
-        return self.jacobian.T @ self.residual
-
-
-@dataclass
 class _Block:
     """Factors of one class and signature, evaluated by one kernel call."""
 
@@ -226,64 +202,101 @@ class _Block:
     gather: list  # per key, (N, dim) positions of its values in the state vector
     inv_sigmas: np.ndarray  # (N, d) whitening
     rows: slice  # its N * d residual rows, factor by factor
-    entries: slice  # its Jacobian entries in the CSR data, row by row
-
-
-def _jacobian_entries(jacs: list, inv_sigmas: np.ndarray) -> np.ndarray:
-    """Whitened (N, d, dim) Jacobians of a block's keys, laid out row by row."""
-    return (np.concatenate(jacs, axis=2) * inv_sigmas[:, :, None]).ravel()
+    columns: np.ndarray  # (N, width) state columns of each factor's Jacobian
+    lower: np.ndarray  # (N, width, width) pairs of columns that fall on or below the diagonal
+    jacobian: np.ndarray | None  # whitened (N, d, width) Jacobian when it is constant
 
 
 @dataclass
 class _LinearizeCache:
-    """Blocks and the fixed sparsity pattern of a graph, reused across iterations."""
+    """Blocks and the band layout of a graph, reused across iterations."""
 
     version: int
     index: dict
     shape: tuple[int, int]
-    indices: np.ndarray  # CSR column indices
-    indptr: np.ndarray
-    data: np.ndarray  # whitened entries of the constant Jacobians, zero elsewhere
     blocks: list[_Block]  # with a constant Jacobian only the residual is evaluated
+    bandwidth: int  # largest column distance within one factor
+    band_positions: np.ndarray  # flat position in band storage of every lower pair, block by block
+    columns: np.ndarray  # every block's columns, raveled block by block
 
 
 def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
     index = graph.variable_index()
+    n = graph.total_dim
     groups: dict = {}
     for f in graph.factors:
         dims = tuple(graph.dims[k] for k in f.keys)
         groups.setdefault((type(f), f.kind, f.dim, dims, f.block_signature()), []).append(f)
-    blocks, cols, row_widths = [], [], []
-    m = nnz = 0
+    blocks = []
+    m = 0
     for (cls, _, d, dims, _), factors in groups.items():
         offsets = np.array([[index[k][0] for k in f.keys] for f in factors])
         gather = [offsets[:, i, None] + np.arange(dim) for i, dim in enumerate(dims)]
-        n_rows, width = len(factors) * d, sum(dims)
-        cols.append(np.broadcast_to(np.concatenate(gather, axis=1)[:, None, :],
-                                    (len(factors), d, width)).ravel())
-        row_widths.append(np.full(n_rows, width))
+        columns = np.concatenate(gather, axis=1)
         inv_sigmas = np.array([f.noise.inv_sigmas for f in factors])
-        blocks.append(_Block(cls, cls.stack(factors), gather, inv_sigmas,
-                             slice(m, m + n_rows), slice(nnz, nnz + n_rows * width)))
-        m += n_rows
-        nnz += n_rows * width
-    data = np.zeros(nnz)
+        blocks.append(_Block(cls, cls.stack(factors), gather, inv_sigmas, slice(m, m + len(factors) * d),
+                             columns, columns[:, :, None] >= columns[:, None, :], None))
+        m += len(factors) * d
     for b in blocks:
         if b.kernel.constant_jacobian:
-            data[b.entries] = _jacobian_entries(b.kernel.constant_jacobians(b.consts), b.inv_sigmas)
+            b.jacobian = np.concatenate(b.kernel.constant_jacobians(b.consts), axis=2) * b.inv_sigmas[:, :, None]
+    # H[i, j] with i >= j sits at [i - j, j] of the (bandwidth + 1, n) band
+    positions = [((b.columns[:, :, None] - b.columns[:, None, :]) * n + b.columns[:, None, :])[b.lower]
+                 for b in blocks]
     return _LinearizeCache(
         version=graph._version,
         index=index,
-        shape=(m, graph.total_dim),
-        indices=np.concatenate(cols).astype(np.int32) if cols else np.zeros(0, dtype=np.int32),
-        indptr=np.concatenate([[0]] + row_widths).cumsum().astype(np.int32),
-        data=data,
+        shape=(m, n),
         blocks=blocks,
+        bandwidth=max((int(np.ptp(b.columns, axis=1).max()) for b in blocks), default=0),
+        band_positions=np.concatenate(positions) if positions else np.zeros(0, dtype=int),
+        columns=np.concatenate([b.columns.ravel() for b in blocks]) if blocks else np.zeros(0, dtype=int),
     )
 
 
+@dataclass
+class LinearSystem:
+    """Whitened linearization J delta ~ -r, held as the blocks' row Jacobians.
+
+    J^T J (banded, see normal_matrix), J^T r and a dense J are formed on first use.
+    """
+
+    residual: np.ndarray
+    index: dict[VariableKey, tuple[int, int]]
+    jacobians: list[np.ndarray]  # per block of the layout, its whitened (N, d, width) Jacobian
+    layout: _LinearizeCache
+
+    @property
+    def cost(self) -> float:
+        """Squared norm of the whitened residual: the graph's cost here."""
+        return float(self.residual @ self.residual)
+
+    @cached_property
+    def normal_matrix(self) -> np.ndarray:
+        """J^T J in lower band storage: H[i, j] (i >= j) at [i - j, j], shape (bandwidth + 1, n)."""
+        bw, n = self.layout.bandwidth, self.layout.shape[1]
+        pairs = [np.einsum("ndi,ndj->nij", J, J)[b.lower] for b, J in zip(self.layout.blocks, self.jacobians)]
+        band = np.bincount(self.layout.band_positions, weights=np.concatenate(pairs), minlength=(bw + 1) * n)
+        return band.reshape(bw + 1, n)
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        """J^T r."""
+        products = [np.einsum("ndw,nd->nw", J, self.residual[b.rows].reshape(J.shape[:2])).ravel()
+                    for b, J in zip(self.layout.blocks, self.jacobians)]
+        return np.bincount(self.layout.columns, weights=np.concatenate(products), minlength=self.layout.shape[1])
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """The dense (m, n) J."""
+        out = np.zeros(self.layout.shape)
+        for b, J in zip(self.layout.blocks, self.jacobians):
+            np.put_along_axis(out[b.rows].reshape(*J.shape[:2], -1), b.columns[:, None, :], J, axis=2)
+        return out
+
+
 def linearize(graph: FactorGraph, values: dict) -> LinearSystem:
-    """Assemble the whitened sparse system at the given values.
+    """Whiten the residual and the blocks' Jacobians at the given values.
 
     Residual rows come block by block, each block's factor by factor.
     """
@@ -291,18 +304,18 @@ def linearize(graph: FactorGraph, values: dict) -> LinearSystem:
         graph._lin_cache = _build_linearize_cache(graph)
     cache = graph._lin_cache
     x = _flatten(values, cache.index)
-    data = cache.data.copy()
     res = np.empty(cache.shape[0])
+    jacobians = []
     for b in cache.blocks:
         vals = [x[g] for g in b.gather]
-        if b.kernel.constant_jacobian:
+        if b.jacobian is not None:
             r = b.kernel.residuals(b.consts, *vals)
+            jacobians.append(b.jacobian)
         else:
             r, jacs = b.kernel.evaluate(b.consts, *vals)
-            data[b.entries] = _jacobian_entries(jacs, b.inv_sigmas)
+            jacobians.append(np.concatenate(jacs, axis=2) * b.inv_sigmas[:, :, None])
         res[b.rows] = (r * b.inv_sigmas).ravel()
-    jac = scipy.sparse.csr_matrix((data, cache.indices, cache.indptr), shape=cache.shape)
-    return LinearSystem(jacobian=jac, residual=res, index=cache.index)
+    return LinearSystem(residual=res, index=cache.index, jacobians=jacobians, layout=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +346,13 @@ class SolveReport:
 def _solve_normal(system: LinearSystem, damping: float | None) -> np.ndarray | None:
     H = system.normal_matrix
     if damping is not None:
-        d = H.diagonal()
-        d = np.where(d > 0.0, d, 1.0)
-        H = (H + scipy.sparse.diags(damping * d)).tocsc()
+        H = H.copy()
+        H[0] += damping * np.where(H[0] > 0.0, H[0], 1.0)
     try:
-        lu = scipy.sparse.linalg.splu(H)
-        delta = lu.solve(-system.gradient)
-    except RuntimeError:
+        factor = scipy.linalg.cholesky_banded(H, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
         return None
+    delta = scipy.linalg.cho_solve_banded((factor, True), -system.gradient, check_finite=False)
     if not np.all(np.isfinite(delta)):
         return None
     return delta
@@ -432,8 +444,8 @@ def marginal_covariances(graph: FactorGraph, values: dict, keys) -> dict:
     """
     system = linearize(graph, values)
     try:
-        lu = scipy.sparse.linalg.splu(system.normal_matrix)
-    except RuntimeError as exc:
+        factor = scipy.linalg.cholesky_banded(system.normal_matrix, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     keys = list(keys)
     n = graph.total_dim
@@ -446,7 +458,7 @@ def marginal_covariances(graph: FactorGraph, values: dict, keys) -> dict:
         rhs = np.zeros((n, cols[-1]))
         for (off, dim), col in zip(spans, cols):
             rhs[off : off + dim, col : col + dim] = np.eye(dim)
-        sol = lu.solve(rhs)
+        sol = scipy.linalg.cho_solve_banded((factor, True), rhs, check_finite=False)
         for key, (off, dim), col in zip(chunk, spans, cols):
             cov = sol[off : off + dim, col : col + dim]
             if not np.all(np.isfinite(cov)):
@@ -734,15 +746,10 @@ class FixedLagSmoother:
     whitened system [J r] is QR-factored with the old variables first, and
     the rows of R below the old block become a LinearizedPriorFactor on the
     boundary variables (square-root information, as in iSAM2). The window
-    is re-optimized after every `batch_every` new object-pose measurements.
-    With lag >= trajectory length this replays exactly the batch graph.
-
-    Known limitation: only object-pose measurements trigger
-    re-optimization. A timestep that leaves the window during an occlusion
-    longer than the lag is therefore marginalized at its extrapolated
-    value without ever being optimized. On the fixedlag-occluded benchmark
-    (lag 5, a 6-step occlusion) this costs 1.7 cm x_trans RMSE against
-    0.27 cm unoccluded; see ROADMAP open item 4.
+    is re-optimized after every `batch_every` timesteps, measured or not;
+    `batch_every <= lag` makes every timestep part of an optimized window
+    before it is marginalized. With lag >= trajectory length this replays
+    exactly the batch graph.
     """
 
     def __init__(self, model, traj_template: MeasuredTrajectory, config: GraphConfig | None = None,
@@ -756,12 +763,13 @@ class FixedLagSmoother:
         self.opts = opts or GaussNewtonOptions()
         if self.lag < 3:
             raise ValueError("lag must cover at least 3 timesteps")
+        if not 1 <= self.batch_every <= self.lag:
+            raise ValueError(f"batch_every must be between 1 and the lag ({self.lag}), got {self.batch_every}")
 
         self.timestamps: list[float] = []
         self.estimates: dict[VariableKey, np.ndarray] = {}
         self.active_factors: list[Factor] = []
         self.first_active_t = 0
-        self._pending_y = 0
         self.reports: list[SolveReport] = []  # one per window optimization
 
     # -- construction helpers ------------------------------------------------
@@ -781,8 +789,8 @@ class FixedLagSmoother:
         self.estimates[ee_key(t)] = z
         self.estimates[pf_key(t)] = _initial_pf(self.estimates.get(pf_key(t - 1), np.zeros(4)), step)
 
-    def update(self, step: TrajectoryStep) -> dict:
-        """Ingest one timestep of measurements; returns current estimates."""
+    def update(self, step: TrajectoryStep):
+        """Ingest one timestep of measurements; `estimates` holds the result."""
         t = len(self.timestamps)
         self.timestamps.append(float(step.t))
         self._init_new_variables(t, step)
@@ -793,16 +801,14 @@ class FixedLagSmoother:
         )
         if t == 0:
             self.active_factors.extend(_gauge_priors(self.estimates, self.config))
-        if step.y is not None:
-            self._pending_y += 1
-        if self._pending_y >= self.batch_every and t >= 1:
+        if t >= 1 and (t + 1) % self.batch_every == 0:
             self._optimize()
-            self._pending_y = 0
-        return {k: v.copy() for k, v in self.estimates.items()}
 
     def finalize(self) -> dict:
-        """Flush a final window optimization and return all estimates."""
-        if len(self.timestamps) >= 2:
+        """Optimize the steps that arrived after the last window; return all estimates."""
+        T = len(self.timestamps)
+        # update ran a window at T >= 2 exactly when T is a multiple of batch_every
+        if T >= 2 and T % self.batch_every != 0:
             self._optimize()
         return {k: v.copy() for k, v in self.estimates.items()}
 
@@ -842,7 +848,7 @@ class FixedLagSmoother:
         boundary = [k for k in system.index if k.t >= new_start]
         n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
         n = absorbed.total_dim
-        R = np.linalg.qr(np.column_stack([system.jacobian.toarray(), system.residual]), mode="r")
+        R = np.linalg.qr(np.column_stack([system.jacobian, system.residual]), mode="r")
         diag = np.abs(np.diag(R[:n_old, :n_old]))
         if R.shape[0] < n_old or diag.min() <= 1e-12 * diag.max():
             raise SingularSystem("marginalized block is singular")

@@ -70,6 +70,11 @@ def test_one_step_trajectory_exits_2_in_both_modes(tmp_path):
         assert run("estimate", "--in", sim, "--mode", mode) == 2
 
 
+def test_batch_every_beyond_the_lag_exits_2(noisy_file):
+    assert run("estimate", "--in", noisy_file, "--mode", "incremental", "--lag", 20,
+               "--batch-every", 30) == 2
+
+
 def test_explicit_flag_beats_config_file(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"dur": 2.0, "dt": 0.1}))

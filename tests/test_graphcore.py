@@ -8,6 +8,7 @@ from pushgraph.dataio import (
     NoiseSpec,
     TrajectoryStep,
     apply_occlusion,
+    compute_metrics,
     from_ground_truth,
     inject_noise,
 )
@@ -38,6 +39,7 @@ from pushgraph.graphcore import (
 )
 from pushgraph.geometry import PlanarPose as PP
 from pushgraph.pushsim import (
+    benchmark_scenario,
     limit_surface_constants,
     make_push_scene,
     servo_push,
@@ -52,6 +54,13 @@ PARAMS = limit_surface_constants(BOX, 0.3, 1.0)
 
 # iterate until no float-level improvement remains; used for agreement tests
 TIGHT = GaussNewtonOptions(max_iter=200, rel_cost_tol=1e-16, abs_grad_tol=1e-12)
+
+
+def dense_normal_matrix(band):
+    """The symmetric matrix held in LAPACK lower band storage."""
+    n = band.shape[1]
+    H = sum(np.diag(row[: n - k], -k) for k, row in enumerate(band))
+    return H + np.tril(H, -1).T
 
 
 def center_push_trajectory(duration=3.0, dt=0.1, speed=0.05, offset=0.0, kind="straight", seed=0):
@@ -160,7 +169,7 @@ class TestLinearize:
         graph.add_variable(key, np.zeros(3))
         graph.add_factor(PriorFactor(key, np.zeros(3), NoiseModel([0.2, 0.3, 0.5]), wrap_index=2))
         system = linearize(graph, graph.initial)
-        np.testing.assert_allclose(system.normal_matrix.toarray(), np.linalg.inv(cov), atol=1e-12)
+        np.testing.assert_allclose(dense_normal_matrix(system.normal_matrix), np.linalg.inv(cov), atol=1e-12)
 
     def test_v_chain_block_tridiagonal(self):
         from pushgraph.factors import ConstantVelocityFactor
@@ -175,8 +184,10 @@ class TestLinearize:
                 ConstantVelocityFactor(obj_key(t - 1), obj_key(t), obj_key(t + 1), 0.1, 0.1,
                                        NoiseModel.isotropic(3, 1.0))
             )
-        H = linearize(graph, graph.initial).normal_matrix.toarray()
-        # couplings extend at most two block-steps away
+        band = linearize(graph, graph.initial).normal_matrix
+        # couplings extend at most two block-steps away: 8 columns, as a band
+        assert band.shape == (9, 3 * T)
+        H = dense_normal_matrix(band)
         for i in range(T):
             for j in range(T):
                 block = H[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
@@ -189,11 +200,30 @@ class TestLinearize:
         assert len(traj) == 100
         graph = build_graph("QS", traj)
         system = linearize(graph, graph.initial)
-        jac = system.jacobian
-        dense_entries = jac.shape[0] * jac.shape[1]
-        assert jac.nnz * 100 <= dense_entries
-        H = system.normal_matrix
-        assert H.nnz * 20 <= H.shape[0] * H.shape[1]
+        n = graph.total_dim
+        dense_entries = graph.residual_dim() * n
+        assert sum(J.size for J in system.jacobians) * 100 <= dense_entries
+        assert system.normal_matrix.size * 20 <= n * n
+
+    @pytest.mark.parametrize("chain", [True, False])
+    def test_band_matches_dense_normal_equations(self, chain):
+        graph = build_graph("QS", inject_noise(center_push_trajectory(duration=1.0),
+                                               NoiseSpec(seed=2, sigma_x_rot=0.05, sigma_e_rot=0.05)))
+        if not chain:
+            # one V factor over timesteps 0, 3 and 7 couples columns 72 apart
+            from pushgraph.factors import ConstantVelocityFactor
+
+            graph.add_factor(ConstantVelocityFactor(obj_key(0), obj_key(3), obj_key(7), 0.3, 0.4,
+                                                    NoiseModel.isotropic(3, 0.1)))
+        system = linearize(graph, graph.initial)
+        assert system.normal_matrix.shape[0] - 1 == (22 if chain else 72)
+        J, r = system.jacobian, system.residual
+        H, g = J.T @ J, J.T @ r
+        assert np.max(np.abs(dense_normal_matrix(system.normal_matrix) - H)) <= 1e-12 * np.max(np.abs(H))
+        assert np.max(np.abs(system.gradient - g)) <= 1e-12 * np.max(np.abs(g))
+        want = np.linalg.solve(H, -g)
+        step = graphcore._solve_normal(system, None)
+        assert np.max(np.abs(step - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestRetract:
@@ -297,6 +327,17 @@ class TestGaussNewton:
         _, smoother = solve_incremental("QS", traj, lag=5, batch_every=5)
         assert smoother.first_active_t > 0
 
+    def test_singular_step_is_rejected_and_damping_recovers(self):
+        graph = FactorGraph()
+        graph.add_variable(obj_key(0), np.array([5.0, -3.0, 0.2]))
+        graph.add_variable(obj_key(1), np.zeros(3))  # unconstrained
+        graph.add_factor(PriorFactor(obj_key(0), np.zeros(3), NoiseModel.isotropic(3, 1.0), wrap_index=2))
+        assert graphcore._solve_normal(linearize(graph, graph.initial), None) is None
+        values, report = gauss_newton(graph)
+        assert report.converged and report.iterations >= 1
+        np.testing.assert_allclose(values[obj_key(0)], np.zeros(3), atol=1e-6)
+        np.testing.assert_array_equal(values[obj_key(1)], np.zeros(3))
+
     def test_noiseless_truth_init_converges_immediately(self):
         traj = center_push_trajectory(duration=3.0, offset=0.0)
         values, report, _ = solve_batch("QS", traj)
@@ -313,14 +354,12 @@ class TestGaussNewton:
         assert report.converged
 
     def test_converged_point_is_stationary(self):
-        import scipy.sparse.linalg
-
         traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
                             NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
         values, report, graph = solve_batch("QS", traj, opts=TIGHT)
         system = linearize(graph, values)
         # Newton step from the converged point is negligible
-        step = scipy.sparse.linalg.splu(system.normal_matrix).solve(-system.gradient)
+        step = graphcore._solve_normal(system, None)
         assert float(np.max(np.abs(step))) < 1e-8
 
     def test_noiseless_perturbed_init_recovers_truth(self):
@@ -487,7 +526,7 @@ class TestFixedLag:
                 absorbed.add_factor(f)
         system = linearize(absorbed, smoother.estimates)
         n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
-        H, g = system.normal_matrix.toarray(), system.gradient
+        H, g = dense_normal_matrix(system.normal_matrix), system.gradient
         H_oo, H_bo = H[:n_old, :n_old], H[n_old:, :n_old]
         schur = H[n_old:, n_old:] - H_bo @ np.linalg.solve(H_oo, H_bo.T)
         schur_g = g[n_old:] - H_bo @ np.linalg.solve(H_oo, g[:n_old])
@@ -512,6 +551,33 @@ class TestFixedLag:
         smoother.finalize()
         assert smoother.first_active_t > 0  # marginalization actually happened
         assert max_active <= 10 + 5  # lag plus at most one trigger interval
+
+    def test_occlusion_longer_than_the_lag(self):
+        # the object is unseen for 12 steps at lag 10: timesteps still get
+        # optimized before they are marginalized
+        gt = benchmark_scenario(7, duration=4.0)
+        traj = apply_occlusion(inject_noise(from_ground_truth(gt), NoiseSpec(seed=7)), (0.3, 0.6),
+                               channels=("y",))
+        truth = traj.truth_arrays()
+        batch_values, _, _ = solve_batch("QS", traj)
+        batch = compute_metrics(values_to_arrays(batch_values, len(traj), traj.timestamps), truth)
+        _, smoother = solve_incremental("QS", traj, lag=10, batch_every=5)
+        incremental = compute_metrics(smoother.estimate_arrays(), truth)
+        assert incremental.rmse("x_trans") <= 1.5 * batch.rmse("x_trans")
+
+    def test_batch_every_beyond_the_lag_is_rejected(self):
+        traj = self.make_noisy(duration=1.0)
+        for batch_every in (0, 6):
+            with pytest.raises(ValueError):
+                FixedLagSmoother("QS", traj, lag=5, batch_every=batch_every)
+
+    def test_finalize_skips_a_window_just_optimized(self):
+        traj = self.make_noisy(duration=2.0)
+        assert len(traj) % 5 == 0
+        _, smoother = solve_incremental("QS", traj, lag=8, batch_every=5)
+        assert len(smoother.reports) == len(traj) // 5
+        _, smoother = solve_incremental("QS", traj, lag=8, batch_every=3)
+        assert len(smoother.reports) == len(traj) // 3 + 1
 
     def test_estimates_cover_all_timesteps(self):
         traj = self.make_noisy(duration=2.0)
