@@ -8,9 +8,12 @@ state pf_t (dim 4). Three graph models are supported:
   SDF = CP + intersection (non-penetration) penalty
   QS  = SDF + quasi-static pushing dynamics
 
-Batch solves and marginals use one banded Cholesky factorization (the
-state is timestep-major and factors span at most three timesteps); the
-incremental path is a fixed-lag smoother that marginalizes old timesteps
+Batch solves use a banded Cholesky factorization of J^T J (the state is
+timestep-major and factors span at most three timesteps), whose part from
+constant-Jacobian factors is formed once per graph. Marginals come from
+the same band factor by selected inversion, a backward recursion over its
+blocks that forms only the covariance blocks on and next to the diagonal.
+The incremental path is a fixed-lag smoother that marginalizes old timesteps
 into a square-root boundary prior (a QR factorization of the absorbed
 factors' whitened system) and re-optimizes the window.
 `linearize` is the one place factors are evaluated: it serves the
@@ -216,8 +219,33 @@ class _LinearizeCache:
     shape: tuple[int, int]
     blocks: list[_Block]  # with a constant Jacobian only the residual is evaluated
     bandwidth: int  # largest column distance within one factor
-    band_positions: np.ndarray  # flat position in band storage of every lower pair, block by block
+    band_positions: np.ndarray  # _band_positions of the blocks whose Jacobian is relinearized
     columns: np.ndarray  # every block's columns, raveled block by block
+
+    @cached_property
+    def constant_band(self) -> np.ndarray:
+        """J^T J of the constant-Jacobian blocks in lower band storage.
+
+        Formed on first use, since the smoother's absorbed graphs never need it.
+        """
+        constant = [b for b in self.blocks if b.jacobian is not None]
+        return _band(self, [(b, b.jacobian) for b in constant], _band_positions(constant, self.shape[1]))
+
+
+def _band_positions(blocks: list[_Block], n: int) -> np.ndarray:
+    """Flat position in band storage of every lower pair of the blocks, block by block."""
+    # H[i, j] with i >= j sits at [i - j, j] of the (bandwidth + 1, n) band
+    positions = [((b.columns[:, :, None] - b.columns[:, None, :]) * n + b.columns[:, None, :])[b.lower]
+                 for b in blocks]
+    return np.concatenate(positions) if positions else np.zeros(0, dtype=int)
+
+
+def _band(layout: _LinearizeCache, blocks: list[tuple[_Block, np.ndarray]], positions: np.ndarray) -> np.ndarray:
+    """J^T J of (block, whitened Jacobian) pairs in lower band storage, shape (bandwidth + 1, n)."""
+    bw, n = layout.bandwidth, layout.shape[1]
+    pairs = [np.einsum("ndi,ndj->nij", J, J)[b.lower] for b, J in blocks]
+    band = np.bincount(positions, weights=np.concatenate(pairs or [np.zeros(0)]), minlength=(bw + 1) * n)
+    return band.reshape(bw + 1, n)
 
 
 def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
@@ -240,16 +268,13 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
     for b in blocks:
         if b.kernel.constant_jacobian:
             b.jacobian = np.concatenate(b.kernel.constant_jacobians(b.consts), axis=2) * b.inv_sigmas[:, :, None]
-    # H[i, j] with i >= j sits at [i - j, j] of the (bandwidth + 1, n) band
-    positions = [((b.columns[:, :, None] - b.columns[:, None, :]) * n + b.columns[:, None, :])[b.lower]
-                 for b in blocks]
     return _LinearizeCache(
         version=graph._version,
         index=index,
         shape=(m, n),
         blocks=blocks,
         bandwidth=max((int(np.ptp(b.columns, axis=1).max()) for b in blocks), default=0),
-        band_positions=np.concatenate(positions) if positions else np.zeros(0, dtype=int),
+        band_positions=_band_positions([b for b in blocks if b.jacobian is None], n),
         columns=np.concatenate([b.columns.ravel() for b in blocks]) if blocks else np.zeros(0, dtype=int),
     )
 
@@ -273,11 +298,15 @@ class LinearSystem:
 
     @cached_property
     def normal_matrix(self) -> np.ndarray:
-        """J^T J in lower band storage: H[i, j] (i >= j) at [i - j, j], shape (bandwidth + 1, n)."""
-        bw, n = self.layout.bandwidth, self.layout.shape[1]
-        pairs = [np.einsum("ndi,ndj->nij", J, J)[b.lower] for b, J in zip(self.layout.blocks, self.jacobians)]
-        band = np.bincount(self.layout.band_positions, weights=np.concatenate(pairs), minlength=(bw + 1) * n)
-        return band.reshape(bw + 1, n)
+        """J^T J in lower band storage: H[i, j] (i >= j) at [i - j, j], shape (bandwidth + 1, n).
+
+        The constant-Jacobian blocks' part is the layout's constant_band,
+        formed once per graph; only the relinearized blocks' part is formed
+        here, and the sum is a new array.
+        """
+        layout = self.layout
+        relinearized = [(b, J) for b, J in zip(layout.blocks, self.jacobians) if b.jacobian is None]
+        return layout.constant_band + _band(layout, relinearized, layout.band_positions)
 
     @cached_property
     def gradient(self) -> np.ndarray:
@@ -366,7 +395,8 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     cost the Levenberg ladder is walked until a decreasing step is found.
     Each candidate is scored by linearizing it, and an accepted candidate's
     system is the next iteration's linearization, so every point is
-    evaluated once.
+    evaluated once. A solve that finds no improving step stops unconverged,
+    with reason "no_improving_step".
     """
     opts = opts or GaussNewtonOptions()
     values = {k: np.asarray(v, dtype=float).copy() for k, v in (init or graph.initial).items()}
@@ -413,7 +443,6 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
         if accepted is None:
             if singular_everywhere:
                 raise SingularSystem("normal equations rank-deficient after damping")
-            report.converged = True
             report.reason = "no_improving_step"
             break
         values, system, new_cost = accepted
@@ -431,39 +460,71 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     return values, report
 
 
-# cap on the entries of one dense right-hand side in marginal_covariances
-# (16 MB), so the memory of a request stays linear in the graph size
-_MARGINAL_RHS_ENTRIES = 1 << 21
+def _selected_inverse(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and subdiagonal s x s blocks of (L L^T)^-1, s = max(bandwidth, 1).
+
+    factor is L in lower band storage. Split into column blocks of s, L is
+    block lower-bidiagonal, and a backward recursion (Takahashi, Fagan &
+    Chen 1973) yields the blocks of Sigma on and below the diagonal:
+
+        Sigma[k+1, k] = -Sigma[k+1, k+1] L[k+1, k] L[k, k]^-1
+        Sigma[k, k]   = L[k, k]^-T (L[k, k]^-1 - L[k+1, k]^T Sigma[k+1, k])
+
+    Unit columns pad n up to a whole number of blocks; they are a separate
+    identity block of L and leave Sigma's first n columns unchanged.
+    Returns (diagonal blocks (K, s, s), subdiagonal blocks (K - 1, s, s)).
+    """
+    bw, n = factor.shape[0] - 1, factor.shape[1]
+    s = max(bw, 1)
+    K = -(-n // s)
+    padded = np.zeros((2 * s, K * s))  # diagonals 0..2s-1 of L; those beyond bw are zero
+    padded[: bw + 1, :n] = factor
+    padded[0, n:] = 1.0
+    within = np.arange(s)
+    lag = within[:, None] - within[None, :]  # row minus column inside a block
+    cols = np.arange(K)[:, None, None] * s + within  # (K, 1, s) state column of each block column
+    # L[ks + r, ks + c] sits at padded[r - c, ks + c] (r < c wraps to a zero
+    # row past bw) and L[(k+1)s + r, ks + c] at padded[s + r - c, ks + c]
+    diag_L = padded[lag % (2 * s), cols]
+    below_L = padded[s + lag, cols[:-1]]
+    inv_L = [scipy.linalg.lapack.dtrtri(L, lower=1)[0] for L in diag_L]
+    diag = np.empty((K, s, s))
+    below = np.empty((K - 1, s, s))
+    diag[-1] = inv_L[-1].T @ inv_L[-1]
+    for k in range(K - 2, -1, -1):
+        below[k] = -diag[k + 1] @ below_L[k] @ inv_L[k]
+        diag[k] = inv_L[k].T @ (inv_L[k] - below_L[k].T @ below[k])
+    return diag, below
 
 
 def marginal_covariances(graph: FactorGraph, values: dict, keys) -> dict:
     """Posterior covariance blocks for several variables from one factorization.
 
-    One solve against the stacked unit columns of the requested keys, in
-    slices of at most _MARGINAL_RHS_ENTRIES right-hand-side entries.
+    The band Cholesky factor of J^T J gives the blocks of the inverse on and
+    next to the diagonal by selected inversion (_selected_inverse; Kaess &
+    Dellaert 2009), in O(n bandwidth^2) time and O(n bandwidth) memory. A
+    key's block is read from its diagonal block, or from the pair of blocks
+    around the edge that it straddles.
     """
     system = linearize(graph, values)
     try:
         factor = scipy.linalg.cholesky_banded(system.normal_matrix, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    keys = list(keys)
-    n = graph.total_dim
-    per_solve = max(1, _MARGINAL_RHS_ENTRIES // (max(_ROLE_DIM.values()) * n))
+    diag, below = _selected_inverse(factor)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(below))):
+        raise SingularSystem("marginal covariance is not finite")
+    diag = 0.5 * (diag + diag.transpose(0, 2, 1))
+    s = diag.shape[1]
     out = {}
-    for first in range(0, len(keys), per_solve):
-        chunk = keys[first : first + per_solve]
-        spans = [system.index[key] for key in chunk]
-        cols = np.cumsum([0] + [dim for _, dim in spans])
-        rhs = np.zeros((n, cols[-1]))
-        for (off, dim), col in zip(spans, cols):
-            rhs[off : off + dim, col : col + dim] = np.eye(dim)
-        sol = scipy.linalg.cho_solve_banded((factor, True), rhs, check_finite=False)
-        for key, (off, dim), col in zip(chunk, spans, cols):
-            cov = sol[off : off + dim, col : col + dim]
-            if not np.all(np.isfinite(cov)):
-                raise SingularSystem("marginal covariance is not finite")
-            out[key] = 0.5 * (cov + cov.T)
+    for key in keys:
+        off, dim = system.index[key]
+        k, first = divmod(off, s)
+        if first + dim <= s:
+            out[key] = diag[k, first : first + dim, first : first + dim].copy()
+        else:
+            pair = np.block([[diag[k], below[k].T], [below[k], diag[k + 1]]])
+            out[key] = pair[first : first + dim, first : first + dim]
     return out
 
 

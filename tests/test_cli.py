@@ -7,7 +7,7 @@ import pytest
 
 from pushgraph import cli, dataio
 from pushgraph.errors import NonFiniteCost
-from pushgraph.graphcore import GraphConfig, solve_incremental
+from pushgraph.graphcore import GraphConfig, marginal_covariances, obj_key, pf_key, solve_batch, solve_incremental
 
 
 def run(*argv):
@@ -43,6 +43,30 @@ def test_simulate_corrupt_estimate_inspect_round_trip(noisy_file, tmp_path, caps
     printed = capsys.readouterr().out
     assert "steps: 10" in printed
     assert "corruption: gaussian seed=3" in printed
+
+
+def test_batch_csv_carries_marginal_ellipses(noisy_file, tmp_path):
+    traj = dataio.load_trajectory(noisy_file)
+    T = len(traj)
+    values, _, graph = solve_batch("QS", traj, GraphConfig.from_trajectory(traj))
+    blocks = marginal_covariances(graph, values, [obj_key(t) for t in range(T)] + [pf_key(t) for t in range(T)])
+    want = {}
+    for t in range(T):
+        x, pf = blocks[obj_key(t)], blocks[pf_key(t)]
+        for name, cov in (("x", x[:2, :2]), ("p", pf[:2, :2]), ("f", pf[2:, 2:])):
+            minor, major = 2.0 * np.sqrt(np.linalg.eigvalsh(cov))
+            want.setdefault(f"{name}_2sigma_major", []).append(major)
+            want.setdefault(f"{name}_2sigma_minor", []).append(minor)
+        want.setdefault("x_sigma_theta", []).append(np.sqrt(x[2, 2]))
+
+    batch, incremental = tmp_path / "batch.csv", tmp_path / "incremental.csv"
+    assert run("estimate", "--in", noisy_file, "--mode", "batch", "--out", batch) == 0
+    assert run("estimate", "--in", noisy_file, "--mode", "incremental", "--lag", 5, "--out", incremental) == 0
+    got, unset = dataio.read_results_csv(batch), dataio.read_results_csv(incremental)
+    for column, expected in want.items():
+        assert np.all(np.isfinite(got[column])) and np.all(got[column] > 0.0)
+        np.testing.assert_allclose(got[column], expected, rtol=1e-9, atol=0.0)
+        assert np.all(np.isnan(unset[column]))
 
 
 def test_incremental_report_covers_every_window(noisy_file, capsys):

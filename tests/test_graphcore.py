@@ -225,6 +225,28 @@ class TestLinearize:
         step = graphcore._solve_normal(system, None)
         assert np.max(np.abs(step - want)) <= 1e-9 * np.max(np.abs(want))
 
+    def test_cached_constant_band_is_not_aliased(self):
+        from pushgraph.factors import ConstantVelocityFactor
+
+        qs = build_graph("QS", inject_noise(center_push_trajectory(duration=1.0),
+                                            NoiseSpec(seed=2, sigma_x_rot=0.05, sigma_e_rot=0.05)))
+        chain = FactorGraph()  # a prior and V factors: constant Jacobians only
+        for t in range(6):
+            chain.add_variable(obj_key(t), np.array([0.1 * t, 0.02 * t**2, 0.1]))
+        chain.add_factor(PriorFactor(obj_key(0), np.zeros(3), NoiseModel.isotropic(3, 1.0), wrap_index=2))
+        for t in range(1, 5):
+            chain.add_factor(ConstantVelocityFactor(obj_key(t - 1), obj_key(t), obj_key(t + 1), 0.1, 0.1,
+                                                    NoiseModel.isotropic(3, 0.1)))
+        for graph in (qs, chain):
+            first = linearize(graph, graph.initial)
+            assert graphcore._solve_normal(first, 1e-3) is not None  # damps a copy of band row 0
+            second = linearize(graph, graph.initial)
+            J = second.jacobian
+            H = J.T @ J
+            assert np.max(np.abs(dense_normal_matrix(second.normal_matrix) - H)) <= 1e-12 * np.max(np.abs(H))
+            assert not np.shares_memory(first.normal_matrix, second.normal_matrix)
+            np.testing.assert_array_equal(first.normal_matrix, second.normal_matrix)
+
 
 class TestRetract:
     def test_matches_per_key_update_bit_for_bit(self):
@@ -337,6 +359,19 @@ class TestGaussNewton:
         assert report.converged and report.iterations >= 1
         np.testing.assert_allclose(values[obj_key(0)], np.zeros(3), atol=1e-6)
         np.testing.assert_array_equal(values[obj_key(1)], np.zeros(3))
+
+    def test_stalled_solve_is_not_converged(self, monkeypatch):
+        graph = FactorGraph()
+        key = obj_key(0)
+        graph.add_variable(key, np.array([5.0, -3.0, 0.2]))
+        graph.add_factor(PriorFactor(key, np.array([1.0, 2.0, 0.0]),
+                                     NoiseModel.isotropic(3, 0.1), wrap_index=2))
+        # every candidate goes uphill, so no step can be accepted
+        monkeypatch.setattr(graphcore, "_solve_normal", lambda system, damping: +system.gradient)
+        values, report = gauss_newton(graph)
+        assert report.reason == "no_improving_step"
+        assert report.converged is False
+        np.testing.assert_array_equal(values[key], graph.initial[key])
 
     def test_noiseless_truth_init_converges_immediately(self):
         traj = center_push_trajectory(duration=3.0, offset=0.0)
@@ -455,21 +490,88 @@ class TestMarginals:
         w = np.linalg.eigvalsh(pf_cov)
         assert np.all(w > -1e-12)
 
-    def test_one_solve_matches_per_key_solves(self, monkeypatch):
+    def test_one_solve_matches_per_key_solves(self):
         traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
                             NoiseSpec(seed=9, sigma_x_rot=0.05, sigma_e_rot=0.05))
         values, _, graph = solve_batch("QS", traj)
         keys = [obj_key(t) for t in range(len(traj))] + [pf_key(t) for t in range(len(traj))]
         together = marginal_covariances(graph, values, iter(keys))
-        # a right-hand side capped at three keys' columns: several solves
-        monkeypatch.setattr(graphcore, "_MARGINAL_RHS_ENTRIES", 12 * graph.total_dim)
-        sliced = marginal_covariances(graph, values, keys)
-        monkeypatch.undo()
-        assert list(together) == keys and list(sliced) == keys
+        assert list(together) == keys
+        system = linearize(graph, values)
+        dense = np.linalg.inv(dense_normal_matrix(system.normal_matrix))
         for key in keys:
             alone = marginal_covariances(graph, values, [key])[key]
-            for got in (together[key], sliced[key]):
-                np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
+            np.testing.assert_allclose(together[key], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
+            off, dim = system.index[key]
+            want = dense[off : off + dim, off : off + dim]
+            assert np.max(np.abs(together[key] - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", ["qs_chain", "qs_wide", "straddling", "one_pose", "one_pf"])
+    def test_selected_inverse_matches_dense_inverse(self, case):
+        from pushgraph.factors import ConstantVelocityFactor
+
+        rng = np.random.default_rng(4)
+        if case.startswith("qs"):
+            graph = build_graph("QS", inject_noise(center_push_trajectory(duration=1.0),
+                                                   NoiseSpec(seed=2, sigma_x_rot=0.05, sigma_e_rot=0.05)))
+            if case == "qs_wide":
+                graph.add_factor(ConstantVelocityFactor(obj_key(0), obj_key(3), obj_key(7), 0.3, 0.4,
+                                                        NoiseModel.isotropic(3, 0.1)))
+            bandwidth = 22 if case == "qs_chain" else 72
+        elif case == "straddling":
+            # 7 poses, 21 columns in blocks of 8: x_2 and x_5 cross block edges
+            graph = FactorGraph()
+            for t in range(7):
+                graph.add_variable(obj_key(t), rng.normal(size=3))
+            for t in (0, 6):
+                graph.add_factor(PriorFactor(obj_key(t), np.zeros(3), NoiseModel([0.1, 0.2, 0.3]), wrap_index=2))
+            for t in range(1, 6):
+                graph.add_factor(ConstantVelocityFactor(obj_key(t - 1), obj_key(t), obj_key(t + 1), 0.1, 0.2,
+                                                        NoiseModel([0.01, 0.02, 0.05])))
+            bandwidth = 8
+        else:
+            # one key under a full square-root prior: a band narrower than the key
+            key = obj_key(0) if case == "one_pose" else pf_key(0)
+            dim = graphcore.key_dim(key)
+            graph = FactorGraph()
+            graph.add_variable(key, rng.normal(size=dim))
+            sqrt_info = np.triu(rng.normal(size=(dim, dim))) + 3.0 * np.eye(dim)
+            graph.add_factor(LinearizedPriorFactor([key], [np.zeros(dim)], np.zeros(dim), sqrt_info))
+            bandwidth = dim - 1
+        system = linearize(graph, graph.initial)
+        n = graph.total_dim
+        assert system.normal_matrix.shape == (bandwidth + 1, n)
+        if case != "qs_wide":
+            assert n % bandwidth != 0
+            assert any(off // bandwidth != (off + dim - 1) // bandwidth for off, dim in system.index.values())
+        dense = np.linalg.inv(dense_normal_matrix(system.normal_matrix))
+        got = marginal_covariances(graph, graph.initial, reversed(list(system.index)))
+        assert list(got) == list(reversed(list(system.index)))
+        for key, (off, dim) in system.index.items():
+            want = dense[off : off + dim, off : off + dim]
+            assert np.max(np.abs(got[key] - want)) <= 1e-9 * np.max(np.abs(want))
+            np.testing.assert_array_equal(got[key], got[key].T)
+
+    def test_batch_covariances_are_calibrated(self):
+        # x/y NEES of six QS solves (240 steps) against the 2-dof chi-square
+        from pushgraph import cli
+
+        nees = []
+        for i in range(6):
+            seed = cli.trial_seed(0, i)
+            gt = benchmark_scenario(seed, duration=4.0, dt=0.1)
+            traj = inject_noise(from_ground_truth(gt), cli.make_noise_spec({**cli.CORRUPT_DEFAULTS, "seed": seed}))
+            values, _, graph = solve_batch("QS", traj)
+            keys = [obj_key(t) for t in range(len(traj))]
+            covs = marginal_covariances(graph, values, keys)
+            truth = traj.truth_arrays().x
+            for t, key in enumerate(keys):
+                err = values[key][:2] - truth[t, :2]
+                nees.append(err @ np.linalg.solve(covs[key][:2, :2], err))
+        nees = np.array(nees)
+        assert len(nees) == 240
+        assert 1.5 <= nees.mean() <= 2.5
+        assert np.mean(nees <= 5.991) >= 0.93
 
     def test_singular_system_detected(self):
         graph = FactorGraph()
