@@ -139,9 +139,10 @@ def run_corrupt(cfg: dict, traj: dataio.MeasuredTrajectory) -> dataio.MeasuredTr
 def combined_report(reports: list[SolveReport]) -> SolveReport:
     """One report over every window of a fixed-lag run.
 
-    Iterations add up; the costs are the first window's initial and the
-    last window's final cost. The run converged only if every window did,
-    and the reason is the first unconverged window's, else the last one's.
+    Iterations add up; the costs, and their per-kind chi^2, are the first
+    window's initial and the last window's final ones. The run converged
+    only if every window did, and the reason is the first unconverged
+    window's, else the last one's.
     """
     unconverged = [r for r in reports if not r.converged]
     return SolveReport(
@@ -150,6 +151,8 @@ def combined_report(reports: list[SolveReport]) -> SolveReport:
         final_cost=reports[-1].final_cost,
         converged=not unconverged,
         reason=(unconverged[0] if unconverged else reports[-1]).reason,
+        chi2_initial=reports[0].chi2_initial,
+        chi2_final=reports[-1].chi2_final,
     )
 
 

@@ -23,6 +23,11 @@ marginalization. It groups a graph's factors into blocks of one class
 and signature and calls each class's kernel once per block, over all its
 timesteps; blocks with constant Jacobians are whitened once per graph
 and after that only their residuals are evaluated.
+The state is one flat vector in variable_index order. `linearize` takes
+it, and `gauss_newton` iterates on it: a candidate is x + delta with the
+angle slots wrapped through a mask kept in the linearize cache, and a
+dict of values per key is flattened (FactorGraph.state_vector) or built
+only at the entry and the exit of a solve.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .geometry import angle_diff, wrap_angle, wrap_angles
 
 class Role(str, enum.Enum):
     # the str mixin keeps hashing a VariableKey in C (Enum's own __hash__ is
-    # Python code), which the state-vector and retract dict lookups repeat
+    # Python code), which the state-vector dict lookups repeat
     OBJECT = "x"
     EE = "e"
     CONTACT_FORCE = "pf"
@@ -93,17 +98,11 @@ def _key_sort(key: VariableKey):
     return (key.t, _ROLE_ORDER[key.role])
 
 
-def _flatten(values: dict, index: dict) -> np.ndarray:
-    """The values of index's keys as one state vector, in index order."""
-    return np.concatenate([values[key] for key in index]) if index else np.zeros(0)
-
-
-def retract(values: dict, delta: np.ndarray, index: dict) -> dict:
-    """Apply an additive update, wrapping pose angles."""
-    x = _flatten(values, index) + delta
-    theta = np.concatenate([_ANGLES[key.role] for key in index])
-    x[theta] = wrap_angles(x[theta])
-    return {key: x[off : off + dim] for key, (off, dim) in index.items()}
+def retract(x: np.ndarray, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Apply an additive update to a state vector, wrapping the slots theta marks."""
+    out = x + delta
+    out[theta] = wrap_angles(out[theta])
+    return out
 
 
 class LinearizedPriorFactor(Factor):
@@ -186,8 +185,16 @@ class FactorGraph:
     def residual_dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
+    def state_vector(self, values: dict) -> np.ndarray:
+        """The values of the graph's variables as one vector, in variable_index order.
+
+        values may hold keys of other graphs too; they are left out.
+        """
+        index = _layout(self).index
+        return np.concatenate([values[key] for key in index], dtype=float) if index else np.zeros(0)
+
     def cost(self, values: dict) -> float:
-        return linearize(self, values).cost
+        return linearize(self, self.state_vector(values)).cost
 
     def counts_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -201,6 +208,7 @@ class _Block:
     """Factors of one class and signature, evaluated by one kernel call."""
 
     kernel: type  # the factors' class
+    kind: str
     consts: tuple  # kernel.stack(factors)
     gather: list  # per key, (N, dim) positions of its values in the state vector
     inv_sigmas: np.ndarray  # (N, d) whitening
@@ -216,6 +224,7 @@ class _LinearizeCache:
 
     version: int
     index: dict
+    theta: np.ndarray  # marks the state vector's angle slots, wrapped on update
     shape: tuple[int, int]
     blocks: list[_Block]  # with a constant Jacobian only the residual is evaluated
     bandwidth: int  # largest column distance within one factor
@@ -257,12 +266,12 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
         groups.setdefault((type(f), f.kind, f.dim, dims, f.block_signature()), []).append(f)
     blocks = []
     m = 0
-    for (cls, _, d, dims, _), factors in groups.items():
+    for (cls, kind, d, dims, _), factors in groups.items():
         offsets = np.array([[index[k][0] for k in f.keys] for f in factors])
         gather = [offsets[:, i, None] + np.arange(dim) for i, dim in enumerate(dims)]
         columns = np.concatenate(gather, axis=1)
         inv_sigmas = np.array([f.noise.inv_sigmas for f in factors])
-        blocks.append(_Block(cls, cls.stack(factors), gather, inv_sigmas, slice(m, m + len(factors) * d),
+        blocks.append(_Block(cls, kind, cls.stack(factors), gather, inv_sigmas, slice(m, m + len(factors) * d),
                              columns, columns[:, :, None] >= columns[:, None, :], None))
         m += len(factors) * d
     for b in blocks:
@@ -271,6 +280,7 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
     return _LinearizeCache(
         version=graph._version,
         index=index,
+        theta=np.concatenate([_ANGLES[key.role] for key in index]) if index else np.zeros(0, dtype=bool),
         shape=(m, n),
         blocks=blocks,
         bandwidth=max((int(np.ptp(b.columns, axis=1).max()) for b in blocks), default=0),
@@ -295,6 +305,14 @@ class LinearSystem:
     def cost(self) -> float:
         """Squared norm of the whitened residual: the graph's cost here."""
         return float(self.residual @ self.residual)
+
+    def chi2_by_kind(self) -> dict[str, float]:
+        """The cost split by factor kind: each kind's squared whitened residual."""
+        out: dict[str, float] = {}
+        for b in self.layout.blocks:
+            r = self.residual[b.rows]
+            out[b.kind] = out.get(b.kind, 0.0) + float(r @ r)
+        return out
 
     @cached_property
     def normal_matrix(self) -> np.ndarray:
@@ -324,15 +342,22 @@ class LinearSystem:
         return out
 
 
-def linearize(graph: FactorGraph, values: dict) -> LinearSystem:
-    """Whiten the residual and the blocks' Jacobians at the given values.
-
-    Residual rows come block by block, each block's factor by factor.
-    """
+def _layout(graph: FactorGraph) -> _LinearizeCache:
+    """The graph's linearize cache, rebuilt after a variable or factor was added."""
     if graph._lin_cache is None or graph._lin_cache.version != graph._version:
         graph._lin_cache = _build_linearize_cache(graph)
-    cache = graph._lin_cache
-    x = _flatten(values, cache.index)
+    return graph._lin_cache
+
+
+def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
+    """Whiten the residual and the blocks' Jacobians at the state vector x.
+
+    x holds every variable in variable_index order (graph.state_vector
+    flattens a dict of values); each block gathers its factors' values from
+    it by index arrays of the cache. Residual rows come block by block, each
+    block's factor by factor.
+    """
+    cache = _layout(graph)
     res = np.empty(cache.shape[0])
     jacobians = []
     for b in cache.blocks:
@@ -370,6 +395,9 @@ class SolveReport:
     converged: bool
     reason: str
     cost_trace: list[float] = field(default_factory=list)
+    # {factor kind: chi^2} at the first and the last point; each sums to its cost
+    chi2_initial: dict[str, float] = field(default_factory=dict)
+    chi2_final: dict[str, float] = field(default_factory=dict)
 
 
 def _solve_normal(system: LinearSystem, damping: float | None) -> np.ndarray | None:
@@ -397,18 +425,26 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     system is the next iteration's linearization, so every point is
     evaluated once. A solve that finds no improving step stops unconverged,
     with reason "no_improving_step".
+
+    The solve iterates on one flat state vector: the initial values are
+    flattened once, a candidate is x + delta with the angle slots wrapped
+    (retract, through the cache's theta mask), and the values dict, whose
+    arrays are views into the final vector, is built once on return. The
+    report's per-kind chi^2 come from the first and the final system.
     """
     opts = opts or GaussNewtonOptions()
-    values = {k: np.asarray(v, dtype=float).copy() for k, v in (init or graph.initial).items()}
+    init = init or graph.initial
     for key in graph.dims:
-        if key not in values:
+        if key not in init:
             raise KeyError(f"no initial value for {key}")
-    system = linearize(graph, values)
+    x = graph.state_vector(init)
+    theta = _layout(graph).theta
+    system = linearize(graph, x)
     cost = system.cost
     if not math.isfinite(cost):
         raise NonFiniteCost(f"initial cost is {cost}")
     trace = [cost]
-    report = SolveReport(0, cost, cost, False, "max_iter", trace)
+    report = SolveReport(0, cost, cost, False, "max_iter", trace, chi2_initial=system.chi2_by_kind())
 
     ladder = list(opts.dampings)
     warm = None  # index of the last rung that produced an accepted step
@@ -431,7 +467,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
             if delta is None:
                 continue
             singular_everywhere = False
-            candidate = retract(values, delta, system.index)
+            candidate = retract(x, delta, theta)
             c_system = linearize(graph, candidate)
             c_new = c_system.cost
             if not math.isfinite(c_new):
@@ -445,7 +481,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
                 raise SingularSystem("normal equations rank-deficient after damping")
             report.reason = "no_improving_step"
             break
-        values, system, new_cost = accepted
+        x, system, new_cost = accepted
         trace.append(new_cost)
         report.iterations = it + 1
         if abs(cost - new_cost) <= opts.rel_cost_tol * max(cost, 1e-300):
@@ -457,7 +493,8 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
 
     report.final_cost = cost
     report.cost_trace = trace
-    return values, report
+    report.chi2_final = system.chi2_by_kind()
+    return {key: x[off : off + dim] for key, (off, dim) in system.index.items()}, report
 
 
 def _selected_inverse(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -506,7 +543,7 @@ def marginal_covariances(graph: FactorGraph, values: dict, keys) -> dict:
     key's block is read from its diagonal block, or from the pair of blocks
     around the edge that it straddles.
     """
-    system = linearize(graph, values)
+    system = linearize(graph, graph.state_vector(values))
     try:
         factor = scipy.linalg.cholesky_banded(system.normal_matrix, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -539,9 +576,13 @@ class GraphModel(enum.Enum):
     QS = "QS"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphConfig:
-    """Per-factor noise levels (SI units) used to build estimation graphs."""
+    """Per-factor noise levels (SI units) used to build estimation graphs.
+
+    The noise models that do not vary per step are built once per config,
+    on first use, and shared by every factor built from it.
+    """
 
     sigma_x_trans: float = 0.005
     sigma_x_rot: float = 0.5
@@ -595,25 +636,32 @@ class GraphConfig:
                 }
         return cls(**{**sigmas, **overrides})
 
-    def pose_noise(self, role: Role) -> NoiseModel:
-        if role is Role.OBJECT:
-            return NoiseModel([self.sigma_x_trans, self.sigma_x_trans, self.sigma_x_rot])
+    @cached_property
+    def object_pose_noise(self) -> NoiseModel:
+        return NoiseModel([self.sigma_x_trans, self.sigma_x_trans, self.sigma_x_rot])
+
+    @cached_property
+    def ee_pose_noise(self) -> NoiseModel:
         return NoiseModel([self.sigma_e_trans, self.sigma_e_trans, self.sigma_e_rot])
 
+    @cached_property
     def pf_noise(self) -> NoiseModel:
         return NoiseModel([self.sigma_contact, self.sigma_contact, self.sigma_force, self.sigma_force])
 
+    @cached_property
     def surface_noise(self) -> NoiseModel:
         return NoiseModel.isotropic(2, self.sigma_surface)
 
+    @cached_property
     def intersection_noise(self) -> NoiseModel:
         return NoiseModel.isotropic(2, self.sigma_intersection)
 
-    def vel_noise(self, dt1: float, dt2: float) -> NoiseModel:
-        return NoiseModel(np.asarray(self.sigma_vel) * math.sqrt(0.5 * (dt1 + dt2)))
-
+    @cached_property
     def qs_noise(self) -> NoiseModel:
         return NoiseModel.isotropic(2, self.sigma_qs)
+
+    def vel_noise(self, dt1: float, dt2: float) -> NoiseModel:
+        return NoiseModel(np.asarray(self.sigma_vel) * math.sqrt(0.5 * (dt1 + dt2)))
 
 
 def _as_model(model) -> GraphModel:
@@ -672,9 +720,9 @@ def _step_measurement_factors(traj: MeasuredTrajectory, t: int, step: Trajectory
     y = _planar_or_none(traj, step.y)
     z = _planar_or_none(traj, step.z)
     if y is not None:
-        factors.append(PoseMeasurementFactor(obj_key(t), y, config.pose_noise(Role.OBJECT)))
+        factors.append(PoseMeasurementFactor(obj_key(t), y, config.object_pose_noise))
     if z is not None:
-        factors.append(PoseMeasurementFactor(ee_key(t), z, config.pose_noise(Role.EE)))
+        factors.append(PoseMeasurementFactor(ee_key(t), z, config.ee_pose_noise))
     # unmeasured components: zero anchor, weak sigma
     meas = np.zeros(4)
     sigmas = np.full(4, config.sigma_weak)
@@ -693,16 +741,16 @@ def _step_structure_factors(model: GraphModel, traj: MeasuredTrajectory, t: int,
     """Geometry/dynamics/smoothness factors whose newest variable is at t."""
     obj_shape, ee_shape = traj.object_shape, traj.ee_shape
     factors: list[Factor] = [
-        ContactSurfaceFactor(obj_key(t), pf_key(t), obj_shape, config.surface_noise(), "c_object"),
-        ContactSurfaceFactor(ee_key(t), pf_key(t), ee_shape, config.surface_noise(), "c_ee"),
-        SurfaceGapFactor(obj_key(t), ee_key(t), obj_shape, ee_shape, config.surface_noise()),
+        ContactSurfaceFactor(obj_key(t), pf_key(t), obj_shape, config.surface_noise, "c_object"),
+        ContactSurfaceFactor(ee_key(t), pf_key(t), ee_shape, config.surface_noise, "c_ee"),
+        SurfaceGapFactor(obj_key(t), ee_key(t), obj_shape, ee_shape, config.surface_noise),
     ]
     if model in (GraphModel.SDF, GraphModel.QS):
         factors.append(IntersectionFactor(obj_key(t), ee_key(t), obj_shape, ee_shape,
-                                          config.intersection_noise()))
+                                          config.intersection_noise))
     if model is GraphModel.QS and t >= 1:
         factors.append(QuasiStaticFactor(obj_key(t - 1), obj_key(t), pf_key(t),
-                                         traj.params.c, dts[t - 1], config.qs_noise()))
+                                         traj.params.c, dts[t - 1], config.qs_noise))
     if t >= 2:
         noise = config.vel_noise(dts[t - 2], dts[t - 1])
         factors.append(ConstantVelocityFactor(obj_key(t - 2), obj_key(t - 1), obj_key(t),
@@ -714,9 +762,9 @@ def _step_structure_factors(model: GraphModel, traj: MeasuredTrajectory, t: int,
 
 def _gauge_priors(init: dict, config: GraphConfig) -> list[Factor]:
     return [
-        PriorFactor(obj_key(0), init[obj_key(0)], config.pose_noise(Role.OBJECT), wrap_index=2),
-        PriorFactor(ee_key(0), init[ee_key(0)], config.pose_noise(Role.EE), wrap_index=2),
-        PriorFactor(pf_key(0), init[pf_key(0)], config.pf_noise()),
+        PriorFactor(obj_key(0), init[obj_key(0)], config.object_pose_noise, wrap_index=2),
+        PriorFactor(ee_key(0), init[ee_key(0)], config.ee_pose_noise, wrap_index=2),
+        PriorFactor(pf_key(0), init[pf_key(0)], config.pf_noise),
     ]
 
 
@@ -905,7 +953,7 @@ class FixedLagSmoother:
             absorbed.add_factor(f)
         # timestep-major ordering puts the old variables first; the rows of
         # R below the old block are the boundary's square-root information
-        system = linearize(absorbed, self.estimates)
+        system = linearize(absorbed, absorbed.state_vector(self.estimates))
         boundary = [k for k in system.index if k.t >= new_start]
         n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
         n = absorbed.total_dim

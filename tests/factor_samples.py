@@ -15,7 +15,15 @@ from pushgraph.factors import (
     QuasiStaticFactor,
     SurfaceGapFactor,
 )
-from pushgraph.geometry import PlanarPose, Shape2D, shapes_intersect, signed_distance, wrap_angle
+from pushgraph.geometry import (
+    PlanarPose,
+    Shape2D,
+    closest_pair,
+    closest_surface_point,
+    shapes_intersect,
+    signed_distance,
+    wrap_angle,
+)
 from pushgraph.graphcore import LinearizedPriorFactor, obj_key, pf_key
 
 BOX = Shape2D.box(0.1, 0.1)
@@ -33,7 +41,7 @@ ISO3 = NoiseModel.isotropic(3, 1.0)
 ISO4 = NoiseModel.isotropic(4, 1.0)
 
 ALL_KINDS = ["prior", "m_pose", "m_contactforce", "c_object", "c_ee", "c_objee",
-             "s", "s_poly_ee", "v", "d", "linearized_prior"]
+             "c_objee_poly_ee", "s", "s_poly_ee", "v", "d", "linearized_prior"]
 
 
 def away_from_seam(rng):
@@ -48,6 +56,20 @@ def near_seam(rng, width=1e-3):
 
 def random_smooth_pose(rng, scale=0.5, theta=away_from_seam):
     return np.array([rng.uniform(-scale, scale), rng.uniform(-scale, scale), theta(rng)])
+
+
+def clear_of_feature_edges(shape, pose, q, margin=0.02):
+    """Whether q's closest boundary point stays on one edge or vertex nearby.
+
+    True for a disc; for a polygon, every edge that attains q's distance
+    must see q more than margin (in edge lengths) away from either end of
+    its Voronoi slab, so the feature does not switch under small moves.
+    """
+    if shape.kind == "disc":
+        return True
+    _, t, d2 = shape._project_edges(pose.inverse_transform_point(q))
+    closest = d2 <= d2.min() + 1e-18
+    return bool(np.all((np.abs(t[closest]) > margin) & (np.abs(t[closest] - 1.0) > margin)))
 
 
 def make_factor_sample(kind, rng, theta=away_from_seam):
@@ -82,6 +104,24 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
                 # stay clear of the contact boundary so differentiation is valid
                 if signed_distance(shape_x, px, pe.translation) > PROBE.radius + 1e-4:
                     return SurfaceGapFactor("a", "b", shape_x, PROBE, ISO2), [qx, qe]
+    if kind == "c_objee_poly_ee":
+        # the implicit-differentiation path: a polygon pusher
+        shape_x = [BOX, DISC][rng.integers(2)]
+        while True:
+            qx = pose(0.05)
+            qe = pose(0.15)
+            px, pe = PlanarPose.from_array(qx), PlanarPose.from_array(qe)
+            if shapes_intersect(shape_x, px, TOOL, pe):
+                continue
+            a, b = closest_pair(shape_x, px, TOOL, pe)
+            # a mutual closest pair (alternating projection stalls between
+            # near-parallel edges), clear of contact and of the feature
+            # switches where the pair jumps
+            converged = (np.linalg.norm(closest_surface_point(shape_x, px, b) - a) < 1e-12
+                         and np.linalg.norm(closest_surface_point(TOOL, pe, a) - b) < 1e-12)
+            if (converged and np.linalg.norm(a - b) > 1e-4 and clear_of_feature_edges(shape_x, px, b)
+                    and clear_of_feature_edges(TOOL, pe, a)):
+                return SurfaceGapFactor("a", "b", shape_x, TOOL, ISO2), [qx, qe]
     if kind == "s":
         shape_x = [BOX, DISC][rng.integers(2)]
         probe = S_PROBE

@@ -77,6 +77,9 @@ def test_incremental_report_covers_every_window(noisy_file, capsys):
     _, smoother = solve_incremental("QS", traj, GraphConfig.from_trajectory(traj), lag=5, batch_every=2)
     assert len(smoother.reports) > 1
     assert f"iterations={sum(r.iterations for r in smoother.reports)} " in printed
+    combined = cli.combined_report(smoother.reports)
+    assert sum(combined.chi2_initial.values()) == pytest.approx(combined.initial_cost, rel=1e-12)
+    assert sum(combined.chi2_final.values()) == pytest.approx(combined.final_cost, rel=1e-12)
 
 
 def test_unknown_occlusion_channel_exits_2(noisy_file, tmp_path):

@@ -23,7 +23,14 @@ from pushgraph.factors import (
     numeric_jacobian,
     quasi_static_residual,
 )
-from pushgraph.geometry import PlanarPose, Shape2D, shapes_intersect, signed_distance
+from pushgraph.geometry import (
+    PlanarPose,
+    Shape2D,
+    closest_pair,
+    closest_surface_point,
+    shapes_intersect,
+    signed_distance,
+)
 from pushgraph.graphcore import FactorGraph, linearize, obj_key, pf_key
 
 from factor_samples import (
@@ -283,7 +290,7 @@ def test_fused_residual_matches_residual(kind):
             for key in factor.keys:
                 graph.add_variable(key)
             graph.add_factor(factor)
-            system = linearize(graph, dict(zip(factor.keys, values)))
+            system = linearize(graph, graph.state_vector(dict(zip(factor.keys, values))))
             w = factor.noise.whiten(r)
             np.testing.assert_array_equal(system.residual, w)
             assert system.cost == w @ w
@@ -302,9 +309,10 @@ def _block_edge_samples(kind, rng):
     for shape_x in (BOX, DISC):
         for _ in range(3):
             qx = pose()
-            if kind == "c_objee":
+            if kind in ("c_objee", "c_objee_poly_ee"):
                 qe = qx + [0.01, -0.01, 0.5]
-                out.append((SurfaceGapFactor("a", "b", shape_x, PROBE, ISO2), [qx, qe]))
+                ee = PROBE if kind == "c_objee" else TOOL
+                out.append((SurfaceGapFactor("a", "b", shape_x, ee, ISO2), [qx, qe]))
             if kind == "s":
                 qe = qx + [0.5, 0.3, 0.2]
                 out.append((IntersectionFactor("a", "b", shape_x, S_PROBE, ISO2), [qx, qe]))
@@ -355,7 +363,7 @@ def test_block_rows_match_one_row_calls(kind):
             values[key] = v
         graph.add_factor(factor)
         expected.append((factor, factor.noise.whiten(r), [factor.noise.whiten_jacobian(j) for j in jacs]))
-    system = linearize(graph, values)
+    system = linearize(graph, graph.state_vector(values))
     n = graph.total_dim
     owner = np.empty(n, dtype=int)
     want_r, want_J = [], []
@@ -374,11 +382,80 @@ def test_block_rows_match_one_row_calls(kind):
         np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12)
     # the blocks are shared: fewer kernel calls than factors
     assert len(graph._lin_cache.blocks) < len(samples) // 2
-    if kind in ("c_objee", "s", "s_poly_ee"):
+    if kind in ("c_objee", "c_objee_poly_ee", "s", "s_poly_ee"):
         assert None in want and len(want) > 1  # zero and nonzero rows in one block
     if kind in ("c_object", "c_ee"):
         shapes = {f.shape for f, _ in samples}
         assert {BOX, DISC, PENTAGON} <= shapes
+
+
+def _disc_pusher_rows(shape, rng, gaps):
+    """Object and disc-pusher poses (N, 3) whose gaps are the given ones.
+
+    Half of the angles are within 1e-3 of +-pi. Each pusher centre sits
+    on the outward ray from the object's boundary point closest to a far
+    point, so that boundary point is the closest one to the centre too.
+    """
+    x, e = [], []
+    for k, gap in enumerate(gaps):
+        theta = near_seam if k % 2 else away_from_seam
+        qx = np.array([rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), theta(rng)])
+        phi = rng.uniform(-np.pi, np.pi)
+        far = qx[:2] + 0.3 * np.array([np.cos(phi), np.sin(phi)])
+        a = closest_surface_point(shape, PlanarPose.from_array(qx), far)
+        n = (far - a) / np.linalg.norm(far - a)
+        x.append(qx)
+        e.append(np.r_[a + (PROBE.radius + gap) * n, theta(rng)])
+    return np.array(x), np.array(e)
+
+
+def _row_rel_err(got, want):
+    """Largest difference of each row over that row's largest entry of want."""
+    axes = tuple(range(1, want.ndim))
+    return np.max(np.abs(got - want), axis=axes) / np.max(np.abs(want), axis=axes)
+
+
+@pytest.mark.parametrize("shape", [BOX, DISC, PENTAGON], ids=["box", "disc", "pentagon"])
+def test_disc_pusher_closed_form_matches_implicit_path(shape):
+    rng = np.random.default_rng(11)
+    gaps = 10.0 ** rng.uniform(-6, np.log10(0.05), size=40)
+    x, e = _disc_pusher_rows(shape, rng, gaps)
+    r, jx, je = SurfaceGapFactor.disc_pusher_gap(shape, PROBE, x, e)
+    r_ref, jx_ref, je_ref = SurfaceGapFactor.implicit_gap(shape, PROBE, x, e)
+    np.testing.assert_allclose(np.linalg.norm(r, axis=1), gaps, rtol=1e-6)
+    assert np.all(je[:, :, 2] == 0.0)  # a disc's angle does not move the gap
+    assert np.max(_row_rel_err(r, r_ref)) <= 1e-9
+    assert np.max(_row_rel_err(np.concatenate([jx, je], axis=2),
+                               np.concatenate([jx_ref, je_ref], axis=2))) <= 1e-9
+    # the kernel takes the closed form for a disc pusher
+    got_r, got_jacs = SurfaceGapFactor.evaluate((shape, PROBE), x, e)
+    np.testing.assert_array_equal(got_r, r)
+    np.testing.assert_array_equal(got_jacs[0], jx)
+
+
+@pytest.mark.parametrize("kind", ["c_objee", "c_objee_poly_ee"])
+def test_gap_residual_joins_the_closest_pair(kind):
+    rng = np.random.default_rng(13)
+    for theta in (away_from_seam, near_seam):
+        for _ in range(10):
+            factor, (qx, qe) = make_factor_sample(kind, rng, theta)
+            a, b = closest_pair(factor.obj_shape, PlanarPose.from_array(qx), factor.ee_shape,
+                                PlanarPose.from_array(qe))
+            np.testing.assert_allclose(factor.residual_and_jacobians(qx, qe)[0], a - b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [BOX, DISC, PENTAGON], ids=["box", "disc", "pentagon"])
+def test_disc_pusher_jacobian_near_contact(shape):
+    # gaps of 1e-6 to 1e-4 m, closer than the samples of make_factor_sample
+    rng = np.random.default_rng(12)
+    gaps = 10.0 ** rng.uniform(-6, -4, size=20)
+    x, e = _disc_pusher_rows(shape, rng, gaps)
+    factor = SurfaceGapFactor("a", "b", shape, PROBE, ISO2)
+    for qx, qe, gap in zip(x, e, gaps):
+        # central differences that stay on the separated side
+        num = numeric_jacobian(factor, [qx, qe], step=gap / 10.0)
+        err = rel_err(analytic_jacobian(factor, [qx, qe]), num)
+        assert err < 1e-5, f"gap {gap:.2e}: relative error {err:.2e}"
 
 
 def test_measurement_jacobian_is_identity():

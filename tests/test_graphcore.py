@@ -1,5 +1,7 @@
 """Graph construction, optimizer behavior, marginals, fixed-lag smoothing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,27 @@ class TestBuildGraph:
         with pytest.raises(TypeError):
             GraphConfig.from_trajectory(traj, sigma_qss=1e-3)
 
+    def test_config_is_frozen_and_shares_its_noise_models(self):
+        traj = center_push_trajectory(duration=1.0)
+        cfg = GraphConfig.from_trajectory(traj)
+        graph = build_graph("QS", traj, cfg)
+        noises: dict = {}
+        for f in graph.factors:
+            noises.setdefault((f.kind, f.keys[0].role), []).append(f.noise)
+        shared = {("c_object", graphcore.Role.OBJECT): cfg.surface_noise,
+                  ("c_ee", graphcore.Role.EE): cfg.surface_noise,
+                  ("c_objee", graphcore.Role.OBJECT): cfg.surface_noise,
+                  ("s", graphcore.Role.OBJECT): cfg.intersection_noise,
+                  ("d", graphcore.Role.OBJECT): cfg.qs_noise,
+                  ("m_pose", graphcore.Role.OBJECT): cfg.object_pose_noise,
+                  ("m_pose", graphcore.Role.EE): cfg.ee_pose_noise}
+        for group, noise in shared.items():
+            assert len(noises[group]) > 1
+            assert all(n is noise for n in noises[group]), group
+        assert build_graph("CP", traj, cfg).factors[0].noise is cfg.object_pose_noise
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sigma_qs = 1e-3
+
     def test_well_posedness_residual_dim(self):
         traj = center_push_trajectory(duration=1.0)
         graph = build_graph("QS", traj)
@@ -168,7 +191,7 @@ class TestLinearize:
         cov = np.diag([0.04, 0.09, 0.25])
         graph.add_variable(key, np.zeros(3))
         graph.add_factor(PriorFactor(key, np.zeros(3), NoiseModel([0.2, 0.3, 0.5]), wrap_index=2))
-        system = linearize(graph, graph.initial)
+        system = linearize(graph, graph.state_vector(graph.initial))
         np.testing.assert_allclose(dense_normal_matrix(system.normal_matrix), np.linalg.inv(cov), atol=1e-12)
 
     def test_v_chain_block_tridiagonal(self):
@@ -184,7 +207,7 @@ class TestLinearize:
                 ConstantVelocityFactor(obj_key(t - 1), obj_key(t), obj_key(t + 1), 0.1, 0.1,
                                        NoiseModel.isotropic(3, 1.0))
             )
-        band = linearize(graph, graph.initial).normal_matrix
+        band = linearize(graph, graph.state_vector(graph.initial)).normal_matrix
         # couplings extend at most two block-steps away: 8 columns, as a band
         assert band.shape == (9, 3 * T)
         H = dense_normal_matrix(band)
@@ -199,7 +222,7 @@ class TestLinearize:
         traj = center_push_trajectory(duration=10.0, dt=0.1)
         assert len(traj) == 100
         graph = build_graph("QS", traj)
-        system = linearize(graph, graph.initial)
+        system = linearize(graph, graph.state_vector(graph.initial))
         n = graph.total_dim
         dense_entries = graph.residual_dim() * n
         assert sum(J.size for J in system.jacobians) * 100 <= dense_entries
@@ -215,7 +238,7 @@ class TestLinearize:
 
             graph.add_factor(ConstantVelocityFactor(obj_key(0), obj_key(3), obj_key(7), 0.3, 0.4,
                                                     NoiseModel.isotropic(3, 0.1)))
-        system = linearize(graph, graph.initial)
+        system = linearize(graph, graph.state_vector(graph.initial))
         assert system.normal_matrix.shape[0] - 1 == (22 if chain else 72)
         J, r = system.jacobian, system.residual
         H, g = J.T @ J, J.T @ r
@@ -238,9 +261,9 @@ class TestLinearize:
             chain.add_factor(ConstantVelocityFactor(obj_key(t - 1), obj_key(t), obj_key(t + 1), 0.1, 0.1,
                                                     NoiseModel.isotropic(3, 0.1)))
         for graph in (qs, chain):
-            first = linearize(graph, graph.initial)
+            first = linearize(graph, graph.state_vector(graph.initial))
             assert graphcore._solve_normal(first, 1e-3) is not None  # damps a copy of band row 0
-            second = linearize(graph, graph.initial)
+            second = linearize(graph, graph.state_vector(graph.initial))
             J = second.jacobian
             H = J.T @ J
             assert np.max(np.abs(dense_normal_matrix(second.normal_matrix) - H)) <= 1e-12 * np.max(np.abs(H))
@@ -259,12 +282,14 @@ class TestRetract:
         values = {k: rng.uniform(-3.2, 3.2, dim) for k, (_, dim) in index.items()}
         delta = rng.normal(scale=2.0, size=graph.total_dim)
         delta[2] = np.pi - values[obj_key(0)][2]  # lands on the seam at +pi
-        out = retract(values, delta, index)
+        x = graph.state_vector(values)
+        out = retract(x, delta, graph._lin_cache.theta)
+        np.testing.assert_array_equal(x, graph.state_vector(values))  # x is not updated in place
         for key, (off, dim) in index.items():
             want = values[key] + delta[off : off + dim]
             if key.role is not graphcore.Role.CONTACT_FORCE:
                 want[2] = wrap_angle(want[2])
-            np.testing.assert_array_equal(out[key], want)
+            np.testing.assert_array_equal(out[off : off + dim], want)
 
 
 class TestGaussNewton:
@@ -291,9 +316,9 @@ class TestGaussNewton:
         real_linearize = graphcore.linearize
         calls = []
 
-        def counted(graph, values):
+        def counted(graph, x):
             calls.append(1)
-            return real_linearize(graph, values)
+            return real_linearize(graph, x)
 
         def no_cost_sweeps(self, values):
             raise AssertionError("gauss_newton ran a separate cost sweep")
@@ -316,8 +341,8 @@ class TestGaussNewton:
         real_linearize = graphcore.linearize
         systems = []
 
-        def recorded(graph, values):
-            systems.append(real_linearize(graph, values))
+        def recorded(graph, x):
+            systems.append(real_linearize(graph, x))
             return systems[-1]
 
         monkeypatch.setattr(graphcore, "linearize", recorded)
@@ -354,7 +379,7 @@ class TestGaussNewton:
         graph.add_variable(obj_key(0), np.array([5.0, -3.0, 0.2]))
         graph.add_variable(obj_key(1), np.zeros(3))  # unconstrained
         graph.add_factor(PriorFactor(obj_key(0), np.zeros(3), NoiseModel.isotropic(3, 1.0), wrap_index=2))
-        assert graphcore._solve_normal(linearize(graph, graph.initial), None) is None
+        assert graphcore._solve_normal(linearize(graph, graph.state_vector(graph.initial)), None) is None
         values, report = gauss_newton(graph)
         assert report.converged and report.iterations >= 1
         np.testing.assert_allclose(values[obj_key(0)], np.zeros(3), atol=1e-6)
@@ -372,6 +397,17 @@ class TestGaussNewton:
         assert report.reason == "no_improving_step"
         assert report.converged is False
         np.testing.assert_array_equal(values[key], graph.initial[key])
+
+    def test_report_splits_chi2_by_factor_kind(self):
+        traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
+                            NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
+        graph = build_graph("QS", traj)
+        _, report = gauss_newton(graph)
+        assert report.final_cost < report.initial_cost
+        for chi2, cost in ((report.chi2_initial, report.initial_cost), (report.chi2_final, report.final_cost)):
+            assert chi2.keys() == graph.counts_by_kind().keys()
+            assert all(v >= 0.0 for v in chi2.values())
+            assert sum(chi2.values()) == pytest.approx(cost, rel=1e-12)
 
     def test_noiseless_truth_init_converges_immediately(self):
         traj = center_push_trajectory(duration=3.0, offset=0.0)
@@ -392,7 +428,7 @@ class TestGaussNewton:
         traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
                             NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
         values, report, graph = solve_batch("QS", traj, opts=TIGHT)
-        system = linearize(graph, values)
+        system = linearize(graph, graph.state_vector(values))
         # Newton step from the converged point is negligible
         step = graphcore._solve_normal(system, None)
         assert float(np.max(np.abs(step))) < 1e-8
@@ -497,7 +533,7 @@ class TestMarginals:
         keys = [obj_key(t) for t in range(len(traj))] + [pf_key(t) for t in range(len(traj))]
         together = marginal_covariances(graph, values, iter(keys))
         assert list(together) == keys
-        system = linearize(graph, values)
+        system = linearize(graph, graph.state_vector(values))
         dense = np.linalg.inv(dense_normal_matrix(system.normal_matrix))
         for key in keys:
             alone = marginal_covariances(graph, values, [key])[key]
@@ -538,7 +574,7 @@ class TestMarginals:
             sqrt_info = np.triu(rng.normal(size=(dim, dim))) + 3.0 * np.eye(dim)
             graph.add_factor(LinearizedPriorFactor([key], [np.zeros(dim)], np.zeros(dim), sqrt_info))
             bandwidth = dim - 1
-        system = linearize(graph, graph.initial)
+        system = linearize(graph, graph.state_vector(graph.initial))
         n = graph.total_dim
         assert system.normal_matrix.shape == (bandwidth + 1, n)
         if case != "qs_wide":
@@ -626,7 +662,7 @@ class TestFixedLag:
                     if k not in absorbed.dims:
                         absorbed.add_variable(k)
                 absorbed.add_factor(f)
-        system = linearize(absorbed, smoother.estimates)
+        system = linearize(absorbed, absorbed.state_vector(smoother.estimates))
         n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
         H, g = dense_normal_matrix(system.normal_matrix), system.gradient
         H_oo, H_bo = H[:n_old, :n_old], H[n_old:, :n_old]
