@@ -149,7 +149,6 @@ def combined_report(reports: list[SolveReport]) -> SolveReport:
         iterations=sum(r.iterations for r in reports),
         initial_cost=reports[0].initial_cost,
         final_cost=reports[-1].final_cost,
-        converged=not unconverged,
         reason=(unconverged[0] if unconverged else reports[-1]).reason,
         chi2_initial=reports[0].chi2_initial,
         chi2_final=reports[-1].chi2_final,

@@ -39,6 +39,9 @@ from .pushsim import GroundTruthTrajectory, PushParams
 
 SCHEMA_VERSION = 1
 CHANNELS = ("y", "z", "w", "alpha")  # object pose, ee pose, contact point, force
+# the channel each noise sigma corrupts
+_SIGMA_CHANNELS = {"sigma_x_trans": "y", "sigma_x_rot": "y", "sigma_e_trans": "z", "sigma_e_rot": "z",
+                   "sigma_contact": "w", "sigma_force": "alpha"}
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +93,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sigma_x_trans", "sigma_x_rot", "sigma_e_trans", "sigma_e_rot",
-                     "sigma_contact", "sigma_force"):
+        for name in _SIGMA_CHANNELS:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if self.contact_half_width <= 0.0 or self.force_half_width <= 0.0:
@@ -99,6 +101,22 @@ class NoiseSpec:
         if self.kind not in ("gaussian", "bimodal_triangular"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         self.channels = _check_channels(self.channels)
+
+    def sigmas(self) -> dict[str, float]:
+        """The standard deviation this spec adds to each measured quantity.
+
+        Keys are the sigma field names; a quantity the spec leaves unchanged
+        has 0. Bimodal corruption leaves the poses unchanged and gives the
+        contact and the force its matched-variance sigma,
+        sqrt(mode^2 + half^2 / 6).
+        """
+        if self.kind == "gaussian":
+            added = {name: getattr(self, name) for name in _SIGMA_CHANNELS}
+        else:
+            added = dict.fromkeys(_SIGMA_CHANNELS, 0.0)
+            added["sigma_contact"] = math.sqrt(self.contact_mode_offset**2 + self.contact_half_width**2 / 6.0)
+            added["sigma_force"] = math.sqrt(self.force_mode_offset**2 + self.force_half_width**2 / 6.0)
+        return {name: sigma if _SIGMA_CHANNELS[name] in self.channels else 0.0 for name, sigma in added.items()}
 
 
 def _check_channels(channels) -> tuple:

@@ -513,12 +513,13 @@ def deepest_penetration(obj_shape: Shape2D, obj_pose: PlanarPose, ee_shape: Shap
     return delta, g_delta
 
 
-def closest_pair(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b: PlanarPose,
-                 max_iter: int = 200, tol: float = 1e-14):
+def closest_pair(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b: PlanarPose):
     """Closest boundary points (a, b) between two separated convex shapes.
 
-    Closed form whenever a disc is involved; alternating boundary projection
-    for polygon pairs. Callers must handle the overlapping case themselves.
+    Closed form whenever a disc is involved. Two separated convex polygons
+    are nearest at a vertex of one of them, so for a polygon pair it is the
+    nearest of each vertex against the other shape's boundary. Callers must
+    handle the overlapping case themselves.
     """
     if shape_b.kind == "disc":
         # min over the disc is attained along the ray to its center
@@ -531,16 +532,12 @@ def closest_pair(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b:
     if shape_a.kind == "disc":
         b, a = closest_pair(shape_b, pose_b, shape_a, pose_a)
         return a, b
-    a = closest_surface_point(shape_a, pose_a, pose_b.translation)
-    b = closest_surface_point(shape_b, pose_b, a)
-    for _ in range(max_iter):
-        a_new = closest_surface_point(shape_a, pose_a, b)
-        b_new = closest_surface_point(shape_b, pose_b, a_new)
-        shift = np.linalg.norm(a_new - a) + np.linalg.norm(b_new - b)
-        a, b = a_new, b_new
-        if shift < tol:
-            break
-    return a, b
+    va = shape_a.vertices @ pose_a.rotation().T + pose_a.translation
+    vb = shape_b.vertices @ pose_b.rotation().T + pose_b.translation
+    a = np.concatenate([va, [closest_surface_point(shape_a, pose_a, v) for v in vb]])
+    b = np.concatenate([[closest_surface_point(shape_b, pose_b, v) for v in va], vb])
+    i = int(np.argmin(np.einsum("ij,ij->i", a - b, a - b)))
+    return a[i], b[i]
 
 
 # ---------------------------------------------------------------------------

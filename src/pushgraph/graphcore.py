@@ -16,6 +16,12 @@ blocks that forms only the covariance blocks on and next to the diagonal.
 The incremental path is a fixed-lag smoother that marginalizes old timesteps
 into a square-root boundary prior (a QR factorization of the absorbed
 factors' whitened system) and re-optimizes the window.
+Both paths assemble a timestep the same way: `_step_factors` gives every
+factor whose newest variable is at t (the gauge priors at t = 0, then the
+measurements, then C, S, D and V), and `_window_graph` turns a values dict
+and a factor list into a graph over a run of timesteps. `build_graph`
+calls them over the whole trajectory, the smoother once per update and
+once per window, so only the initial values differ between the two.
 `linearize` is the one place factors are evaluated: it serves the
 Gauss-Newton candidates (their cost is the squared norm of the whitened
 residual it assembles), the marginal covariances and the smoother's
@@ -392,12 +398,20 @@ class SolveReport:
     iterations: int
     initial_cost: float
     final_cost: float
-    converged: bool
     reason: str
     cost_trace: list[float] = field(default_factory=list)
     # {factor kind: chi^2} at the first and the last point; each sums to its cost
     chi2_initial: dict[str, float] = field(default_factory=dict)
     chi2_final: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the stopping reason is a converged one.
+
+        "cost", "gradient" and "cost_floor" are; "no_improving_step" (a
+        stall) and "max_iter" (the cap) are not.
+        """
+        return self.reason in ("cost", "gradient", "cost_floor")
 
 
 def _solve_normal(system: LinearSystem, damping: float | None) -> np.ndarray | None:
@@ -444,17 +458,15 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     if not math.isfinite(cost):
         raise NonFiniteCost(f"initial cost is {cost}")
     trace = [cost]
-    report = SolveReport(0, cost, cost, False, "max_iter", trace, chi2_initial=system.chi2_by_kind())
+    report = SolveReport(0, cost, cost, "max_iter", trace, chi2_initial=system.chi2_by_kind())
 
     ladder = list(opts.dampings)
     warm = None  # index of the last rung that produced an accepted step
     for it in range(opts.max_iter):
         if cost <= opts.abs_cost_tol:
-            report.converged = True
             report.reason = "cost_floor"
             break
         if float(np.max(np.abs(system.gradient))) < opts.abs_grad_tol:
-            report.converged = True
             report.reason = "gradient"
             break
         # plain Gauss-Newton first; on cost increase walk the Levenberg
@@ -486,7 +498,6 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
         report.iterations = it + 1
         if abs(cost - new_cost) <= opts.rel_cost_tol * max(cost, 1e-300):
             cost = new_cost
-            report.converged = True
             report.reason = "cost"
             break
         cost = new_cost
@@ -600,40 +611,15 @@ class GraphConfig:
     def from_trajectory(cls, traj: MeasuredTrajectory, **overrides) -> "GraphConfig":
         """Measurement sigmas from the file's corruption provenance.
 
-        Channels the recorded noise spec did not touch are treated as exact
-        (tight sigma) so that, e.g., ground-truth-pose protocols pin poses.
-        Bimodal corruption maps to its matched-variance Gaussian sigma.
-        overrides name fields to set; an unknown name raises TypeError.
+        Each sigma is the recorded noise spec's (NoiseSpec.sigmas). A
+        channel the spec did not touch, or touched with a zero sigma, is
+        treated as exact (tight sigma), so that, e.g., ground-truth-pose
+        protocols pin poses. overrides name fields to set; an unknown name
+        raises TypeError.
         """
-        sigmas = {}
-        noise = traj.noise
-        if noise is not None:
-            tight = 1e-4
-            tri_var = lambda mode, half: mode**2 + half**2 / 6.0
-            if noise.kind == "gaussian":
-                sigmas = {
-                    "sigma_x_trans": noise.sigma_x_trans if "y" in noise.channels else tight,
-                    "sigma_x_rot": noise.sigma_x_rot if "y" in noise.channels else tight,
-                    "sigma_e_trans": noise.sigma_e_trans if "z" in noise.channels else tight,
-                    "sigma_e_rot": noise.sigma_e_rot if "z" in noise.channels else tight,
-                    "sigma_contact": noise.sigma_contact if "w" in noise.channels else tight,
-                    "sigma_force": noise.sigma_force if "alpha" in noise.channels else tight,
-                }
-            else:
-                sigmas = {
-                    "sigma_x_trans": tight, "sigma_x_rot": tight,
-                    "sigma_e_trans": tight, "sigma_e_rot": tight,
-                    "sigma_contact": (
-                        math.sqrt(tri_var(noise.contact_mode_offset, noise.contact_half_width))
-                        if "w" in noise.channels
-                        else tight
-                    ),
-                    "sigma_force": (
-                        math.sqrt(tri_var(noise.force_mode_offset, noise.force_half_width))
-                        if "alpha" in noise.channels
-                        else tight
-                    ),
-                }
+        tight = 1e-4
+        sigmas = {} if traj.noise is None else traj.noise.sigmas()
+        sigmas = {name: sigma if sigma > 0.0 else tight for name, sigma in sigmas.items()}
         return cls(**{**sigmas, **overrides})
 
     @cached_property
@@ -714,9 +700,21 @@ def _initial_pose_track(measured: list) -> list[np.ndarray]:
     return filled
 
 
-def _step_measurement_factors(traj: MeasuredTrajectory, t: int, step: TrajectoryStep,
-                              config: GraphConfig) -> list[Factor]:
+def _step_factors(model: GraphModel, traj: MeasuredTrajectory, config: GraphConfig, t: int,
+                  step: TrajectoryStep, times, init: dict) -> list[Factor]:
+    """Every factor whose newest variable is at t, in the one order both builders use.
+
+    The gauge priors (at t = 0 only, anchored at init) come first, then the
+    measurement factors, then C, S, D and V; dt is times[t] - times[t-1].
+    """
+    obj_shape, ee_shape = traj.object_shape, traj.ee_shape
     factors: list[Factor] = []
+    if t == 0:
+        factors += [
+            PriorFactor(obj_key(0), init[obj_key(0)], config.object_pose_noise, wrap_index=2),
+            PriorFactor(ee_key(0), init[ee_key(0)], config.ee_pose_noise, wrap_index=2),
+            PriorFactor(pf_key(0), init[pf_key(0)], config.pf_noise),
+        ]
     y = _planar_or_none(traj, step.y)
     z = _planar_or_none(traj, step.z)
     if y is not None:
@@ -732,15 +730,8 @@ def _step_measurement_factors(traj: MeasuredTrajectory, t: int, step: Trajectory
     if step.alpha is not None:
         meas[2:] = np.asarray(step.alpha, dtype=float)[:2]
         sigmas[2:] = config.sigma_force
-    factors.append(ContactForceMeasurementFactor(pf_key(t), meas, NoiseModel(sigmas)))
-    return factors
-
-
-def _step_structure_factors(model: GraphModel, traj: MeasuredTrajectory, t: int,
-                            dts: np.ndarray, config: GraphConfig) -> list[Factor]:
-    """Geometry/dynamics/smoothness factors whose newest variable is at t."""
-    obj_shape, ee_shape = traj.object_shape, traj.ee_shape
-    factors: list[Factor] = [
+    factors += [
+        ContactForceMeasurementFactor(pf_key(t), meas, NoiseModel(sigmas)),
         ContactSurfaceFactor(obj_key(t), pf_key(t), obj_shape, config.surface_noise, "c_object"),
         ContactSurfaceFactor(ee_key(t), pf_key(t), ee_shape, config.surface_noise, "c_ee"),
         SurfaceGapFactor(obj_key(t), ee_key(t), obj_shape, ee_shape, config.surface_noise),
@@ -749,23 +740,25 @@ def _step_structure_factors(model: GraphModel, traj: MeasuredTrajectory, t: int,
         factors.append(IntersectionFactor(obj_key(t), ee_key(t), obj_shape, ee_shape,
                                           config.intersection_noise))
     if model is GraphModel.QS and t >= 1:
-        factors.append(QuasiStaticFactor(obj_key(t - 1), obj_key(t), pf_key(t),
-                                         traj.params.c, dts[t - 1], config.qs_noise))
+        factors.append(QuasiStaticFactor(obj_key(t - 1), obj_key(t), pf_key(t), traj.params.c,
+                                         times[t] - times[t - 1], config.qs_noise))
     if t >= 2:
-        noise = config.vel_noise(dts[t - 2], dts[t - 1])
-        factors.append(ConstantVelocityFactor(obj_key(t - 2), obj_key(t - 1), obj_key(t),
-                                              dts[t - 2], dts[t - 1], noise))
-        factors.append(ConstantVelocityFactor(ee_key(t - 2), ee_key(t - 1), ee_key(t),
-                                              dts[t - 2], dts[t - 1], noise))
+        dt1, dt2 = times[t - 1] - times[t - 2], times[t] - times[t - 1]
+        noise = config.vel_noise(dt1, dt2)
+        factors.append(ConstantVelocityFactor(obj_key(t - 2), obj_key(t - 1), obj_key(t), dt1, dt2, noise))
+        factors.append(ConstantVelocityFactor(ee_key(t - 2), ee_key(t - 1), ee_key(t), dt1, dt2, noise))
     return factors
 
 
-def _gauge_priors(init: dict, config: GraphConfig) -> list[Factor]:
-    return [
-        PriorFactor(obj_key(0), init[obj_key(0)], config.object_pose_noise, wrap_index=2),
-        PriorFactor(ee_key(0), init[ee_key(0)], config.ee_pose_noise, wrap_index=2),
-        PriorFactor(pf_key(0), init[pf_key(0)], config.pf_noise),
-    ]
+def _window_graph(values: dict, factors: list[Factor], t0: int, T: int) -> FactorGraph:
+    """The graph over timesteps t0..T-1 with the given factors, initialized from values."""
+    graph = FactorGraph()
+    for t in range(t0, T):
+        for key in (obj_key(t), ee_key(t), pf_key(t)):
+            graph.add_variable(key, values[key])
+    for f in factors:
+        graph.add_factor(f)
+    return graph
 
 
 def _check_metadata(model: GraphModel, traj: MeasuredTrajectory):
@@ -807,22 +800,11 @@ def build_graph(model, traj: MeasuredTrajectory, config: GraphConfig | None = No
         raise EmptyTrajectory("need at least two timesteps")
     _check_metadata(model, traj)
     config = config or GraphConfig.from_trajectory(traj)
-    dts = np.diff(traj.timestamps)
-
-    graph = FactorGraph()
+    times = traj.timestamps
     init = initial_values(traj)
-    for t in range(len(traj)):
-        graph.add_variable(obj_key(t), init[obj_key(t)])
-        graph.add_variable(ee_key(t), init[ee_key(t)])
-        graph.add_variable(pf_key(t), init[pf_key(t)])
-    for f in _gauge_priors(init, config):
-        graph.add_factor(f)
-    for t, step in enumerate(traj.steps):
-        for f in _step_measurement_factors(traj, t, step, config):
-            graph.add_factor(f)
-        for f in _step_structure_factors(model, traj, t, dts, config):
-            graph.add_factor(f)
-    return graph
+    factors = [f for t, step in enumerate(traj.steps)
+               for f in _step_factors(model, traj, config, t, step, times, init)]
+    return _window_graph(init, factors, 0, len(traj))
 
 
 def values_to_arrays(values: dict, T: int, timestamps) -> TrajectoryArrays:
@@ -857,8 +839,15 @@ class FixedLagSmoother:
     boundary variables (square-root information, as in iSAM2). The window
     is re-optimized after every `batch_every` timesteps, measured or not;
     `batch_every <= lag` makes every timestep part of an optimized window
-    before it is marginalized. With lag >= trajectory length this replays
-    exactly the batch graph.
+    before it is marginalized.
+
+    Each update appends the factors of _step_factors, as build_graph does,
+    so with lag >= T and batch_every = T the one window is the batch graph,
+    factor for factor in the same order. On a fully measured trajectory its
+    initial values are the batch's too, and the answer equals the batch
+    answer bit for bit. Under occlusion the initial values differ: the batch
+    sees the whole trajectory and interpolates across a gap, while the
+    smoother is causal and extrapolates from its own estimates.
     """
 
     def __init__(self, model, traj_template: MeasuredTrajectory, config: GraphConfig | None = None,
@@ -903,13 +892,8 @@ class FixedLagSmoother:
         t = len(self.timestamps)
         self.timestamps.append(float(step.t))
         self._init_new_variables(t, step)
-        self.active_factors.extend(_step_measurement_factors(self.template, t, step, self.config))
-        dts = np.diff(np.asarray(self.timestamps))
-        self.active_factors.extend(
-            _step_structure_factors(self.model, self.template, t, dts, self.config)
-        )
-        if t == 0:
-            self.active_factors.extend(_gauge_priors(self.estimates, self.config))
+        self.active_factors += _step_factors(self.model, self.template, self.config, t, step, self.timestamps,
+                                             self.estimates)
         if t >= 1 and (t + 1) % self.batch_every == 0:
             self._optimize()
 
@@ -928,12 +912,7 @@ class FixedLagSmoother:
         window_start = max(self.first_active_t, T - self.lag)
         if window_start > self.first_active_t:
             self._marginalize_upto(window_start)
-        graph = FactorGraph()
-        for t in range(self.first_active_t, T):
-            for key in (obj_key(t), ee_key(t), pf_key(t)):
-                graph.add_variable(key, self.estimates[key])
-        for f in self.active_factors:
-            graph.add_factor(f)
+        graph = _window_graph(self.estimates, self.active_factors, self.first_active_t, T)
         values, report = gauss_newton(graph, None, self.opts)
         self.reports.append(report)
         self.estimates.update(values)

@@ -114,9 +114,9 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
             if shapes_intersect(shape_x, px, TOOL, pe):
                 continue
             a, b = closest_pair(shape_x, px, TOOL, pe)
-            # a mutual closest pair (alternating projection stalls between
-            # near-parallel edges), clear of contact and of the feature
-            # switches where the pair jumps
+            # implicit_gap differentiates the fixed point a = G_x(b),
+            # b = G_e(a): keep pairs that are one to 1e-12, clear of
+            # contact and of the feature switches where the pair jumps
             converged = (np.linalg.norm(closest_surface_point(shape_x, px, b) - a) < 1e-12
                          and np.linalg.norm(closest_surface_point(TOOL, pe, a) - b) < 1e-12)
             if (converged and np.linalg.norm(a - b) > 1e-4 and clear_of_feature_edges(shape_x, px, b)

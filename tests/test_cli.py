@@ -7,7 +7,15 @@ import pytest
 
 from pushgraph import cli, dataio
 from pushgraph.errors import NonFiniteCost
-from pushgraph.graphcore import GraphConfig, marginal_covariances, obj_key, pf_key, solve_batch, solve_incremental
+from pushgraph.graphcore import (
+    GraphConfig,
+    SolveReport,
+    marginal_covariances,
+    obj_key,
+    pf_key,
+    solve_batch,
+    solve_incremental,
+)
 
 
 def run(*argv):
@@ -80,6 +88,26 @@ def test_incremental_report_covers_every_window(noisy_file, capsys):
     combined = cli.combined_report(smoother.reports)
     assert sum(combined.chi2_initial.values()) == pytest.approx(combined.initial_cost, rel=1e-12)
     assert sum(combined.chi2_final.values()) == pytest.approx(combined.final_cost, rel=1e-12)
+
+
+def test_combined_report_is_converged_by_its_reason():
+    def report(reason):
+        return SolveReport(1, 2.0, 1.0, reason)
+
+    for reason, converged in (("cost", True), ("gradient", True), ("cost_floor", True),
+                              ("no_improving_step", False), ("max_iter", False)):
+        assert report(reason).converged is converged
+        combined = cli.combined_report([report("cost"), report(reason), report("gradient")])
+        assert combined.converged is converged
+        assert combined.reason == (reason if not converged else "gradient")
+
+
+def test_zero_sigma_channel_is_treated_as_exact(tmp_path):
+    sim, noisy = tmp_path / "sim.json", tmp_path / "noisy.json"
+    assert run("simulate", "--dur", 1.0, "--dt", 0.1, "--out", sim) == 0
+    assert run("corrupt", "--in", sim, "--sigma-x-trans", 0, "--out", noisy) == 0
+    assert run("estimate", "--in", noisy) == 0
+    assert GraphConfig.from_trajectory(dataio.load_trajectory(noisy)).sigma_x_trans == 1e-4
 
 
 def test_unknown_occlusion_channel_exits_2(noisy_file, tmp_path):

@@ -444,6 +444,14 @@ def test_gap_residual_joins_the_closest_pair(kind):
             np.testing.assert_allclose(factor.residual_and_jacobians(qx, qe)[0], a - b, rtol=0, atol=1e-12)
 
 
+def test_polygon_pusher_jacobian_at_near_parallel_edges():
+    # the flat-pusher-on-flat-face case: the TOOL edge 5e-4 rad off the box edge
+    factor = SurfaceGapFactor("a", "b", BOX, TOOL, ISO2)
+    values = [np.array([0.04505, -0.03558, -3.1407]), np.array([-0.05645, -0.023, -3.14094])]
+    err = rel_err(analytic_jacobian(factor, values), numeric_jacobian(factor, values))
+    assert err < 1e-5, f"relative error {err:.2e}"
+
+
 @pytest.mark.parametrize("shape", [BOX, DISC, PENTAGON], ids=["box", "disc", "pentagon"])
 def test_disc_pusher_jacobian_near_contact(shape):
     # gaps of 1e-6 to 1e-4 m, closer than the samples of make_factor_sample

@@ -324,6 +324,17 @@ class TestClosestPair:
         assert np.linalg.norm(a - b) == pytest.approx(d_oracle, abs=1e-3)
 
 
+    def test_near_parallel_edges_give_a_mutual_pair(self):
+        # a pusher edge 5e-4 rad off the facing object edge, where an
+        # alternating projection contracts by about cos(angle) per sweep
+        sa, pa = Shape2D.box(0.1, 0.1), PlanarPose(0.04505, -0.03558, -3.1407)
+        sb, pb = Shape2D.box(0.03, 0.02), PlanarPose(-0.05645, -0.023, -3.14094)
+        a, b = closest_pair(sa, pa, sb, pb)
+        assert np.linalg.norm(closest_surface_point(sa, pa, b) - a) < 1e-12
+        assert np.linalg.norm(closest_surface_point(sb, pb, a) - b) < 1e-12
+        assert np.linalg.norm(a - b) == pytest.approx(0.0364863, abs=1e-7)
+
+
 class TestRowWiseQueries:
     """The pose-array queries the factor kernels use agree with the scalar ones."""
 

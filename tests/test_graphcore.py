@@ -157,6 +157,31 @@ class TestBuildGraph:
         with pytest.raises(TypeError):
             GraphConfig.from_trajectory(traj, sigma_qss=1e-3)
 
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec(seed=1),
+        NoiseSpec(seed=1, channels=("y", "w"), sigma_x_trans=0.002, sigma_contact=0.003),
+        NoiseSpec(kind="bimodal_triangular", seed=1),
+        NoiseSpec(kind="bimodal_triangular", seed=1, channels=("alpha",), force_mode_offset=0.2),
+    ], ids=["gaussian", "gaussian_y_w", "bimodal", "bimodal_alpha"])
+    def test_config_sigmas_follow_the_noise_spec(self, spec):
+        cfg = GraphConfig.from_trajectory(inject_noise(center_push_trajectory(duration=0.5), spec))
+        tight = 1e-4
+        touched = lambda channel, sigma: sigma if channel in spec.channels else tight
+        if spec.kind == "gaussian":
+            want = {"sigma_x_trans": touched("y", spec.sigma_x_trans),
+                    "sigma_x_rot": touched("y", spec.sigma_x_rot),
+                    "sigma_e_trans": touched("z", spec.sigma_e_trans),
+                    "sigma_e_rot": touched("z", spec.sigma_e_rot),
+                    "sigma_contact": touched("w", spec.sigma_contact),
+                    "sigma_force": touched("alpha", spec.sigma_force)}
+        else:
+            want = {"sigma_x_trans": tight, "sigma_x_rot": tight, "sigma_e_trans": tight, "sigma_e_rot": tight,
+                    "sigma_contact": touched("w", np.sqrt(spec.contact_mode_offset**2
+                                                          + spec.contact_half_width**2 / 6.0)),
+                    "sigma_force": touched("alpha", np.sqrt(spec.force_mode_offset**2
+                                                            + spec.force_half_width**2 / 6.0))}
+        assert {name: getattr(cfg, name) for name in want} == want
+
     def test_config_is_frozen_and_shares_its_noise_models(self):
         traj = center_push_trajectory(duration=1.0)
         cfg = GraphConfig.from_trajectory(traj)
@@ -630,6 +655,18 @@ class TestFixedLag:
                                                  opts=TIGHT)
         for key, bv in batch_values.items():
             np.testing.assert_allclose(inc_values[key], bv, atol=1e-9)
+
+    def test_full_lag_replays_batch_bit_for_bit(self):
+        # one window over the whole, fully measured trajectory is the batch
+        # graph with the batch's factor order and initial values
+        traj = self.make_noisy(duration=2.0)
+        T = len(traj)
+        batch_values, _, _ = solve_batch("QS", traj)
+        inc_values, smoother = solve_incremental("QS", traj, lag=T, batch_every=T)
+        assert len(smoother.reports) == 1
+        assert inc_values.keys() == batch_values.keys()
+        for key, bv in batch_values.items():
+            assert np.array_equal(inc_values[key], bv), key
 
     def test_short_lag_close_to_batch(self):
         traj = self.make_noisy(duration=4.0)
