@@ -518,8 +518,10 @@ def closest_pair(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b:
 
     Closed form whenever a disc is involved. Two separated convex polygons
     are nearest at a vertex of one of them, so for a polygon pair it is the
-    nearest of each vertex against the other shape's boundary. Callers must
-    handle the overlapping case themselves.
+    nearest of each vertex against the other shape's boundary. Parallel
+    facing edges tie along their overlap; there the pair in front of b's
+    center is kept, so a flat pusher touches where it was aimed. Callers
+    must handle the overlapping case themselves.
     """
     if shape_b.kind == "disc":
         # min over the disc is attained along the ray to its center
@@ -537,6 +539,10 @@ def closest_pair(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b:
     a = np.concatenate([va, [closest_surface_point(shape_a, pose_a, v) for v in vb]])
     b = np.concatenate([[closest_surface_point(shape_b, pose_b, v) for v in va], vb])
     i = int(np.argmin(np.einsum("ij,ij->i", a - b, a - b)))
+    a0 = closest_surface_point(shape_a, pose_a, pose_b.translation)
+    b0 = closest_surface_point(shape_b, pose_b, a0)
+    if np.linalg.norm(a0 - b0) <= np.linalg.norm(a[i] - b[i]) + 1e-12:
+        return a0, b0
     return a[i], b[i]
 
 

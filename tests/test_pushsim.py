@@ -189,6 +189,17 @@ class TestSimulatePush:
         np.testing.assert_allclose(traj.object_poses, np.tile(obj_pose.as_array(), (50, 1)), atol=1e-15)
         np.testing.assert_allclose(traj.forces, 0.0)
 
+    @pytest.mark.parametrize("offset", [0.0, 0.01, -0.015, 0.02])
+    def test_flat_pusher_starts_at_the_requested_offset(self, offset):
+        # pusher face parallel to the object face: every point of their
+        # overlap is equally near, and the contact must stay where aimed
+        tool = Shape2D.box(0.03, 0.02)
+        obj_pose, ee_pose = make_push_scene(BOX_OBJ, tool, 0.0, offset)
+        path = straight_path(ee_pose, 0.05, 1.0, 0.1)
+        traj = simulate_push(path, obj_pose, BOX_OBJ, tool, BOX_PARAMS, 0.1)
+        np.testing.assert_allclose(traj.contact_points[0], [-0.05, offset], rtol=0, atol=1e-12)
+        assert traj.max_contact_surface_error() <= 1e-9
+
     def test_curved_path_rotation_matches_moment_sign(self):
         traj = simulate_case("arc", offset=0.0, curvature=2.0, duration=3.0)
         assert not traj.contact_lost
