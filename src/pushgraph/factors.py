@@ -26,10 +26,8 @@ from .errors import NonPositiveTimestep
 from .geometry import (
     EYE2,
     Shape2D,
-    angle_diff,
     closest_pairs,
     closest_points_with_jacobians,
-    cross2,
     deepest_ee_points,
     shapes_intersect_many,
     skew_many,
@@ -74,20 +72,14 @@ class NoiseModel:
 
 
 def quasi_static_residual(xp, xc, pf, c: float, dt: float) -> np.ndarray:
-    """Limit-surface motion constraint in cross-multiplied form.
+    """The D residual of one transition, the one-row call of QuasiStaticFactor.
 
     xp, xc are the previous and current object poses (x, y, theta) and pf
-    the contact/force state (px, py, fx, fy). r = v*tau - c^2*omega*f with
-    v, omega the finite-difference object twist and tau the moment of f
-    applied at the contact point about the object origin (its center of
-    mass). Smooth at omega = 0 and tau = 0, unlike the ratio form, and zero
-    exactly on quasi-static transitions.
+    the contact/force state (px, py, fx, fy).
     """
-    v = (xc[:2] - xp[:2]) / dt
-    omega = angle_diff(xc[2], xp[2]) / dt
-    f = pf[2:4]
-    tau = cross2(pf[:2] - xc[:2], f)
-    return v * tau - c**2 * omega * f
+    r, _ = QuasiStaticFactor.evaluate((np.array([c], dtype=float), np.array([dt], dtype=float)),
+                                      *(np.asarray(v, dtype=float)[None] for v in (xp, xc, pf)))
+    return r[0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +366,15 @@ class ConstantVelocityFactor(Factor):
 
 
 class QuasiStaticFactor(Factor):
-    """D factor: cross-multiplied limit-surface motion constraint."""
+    """D factor: limit-surface motion constraint in cross-multiplied form.
+
+    Variables: previous and current object poses and the contact/force
+    state. r = v*tau - c^2*omega*f with v, omega the finite-difference
+    object twist and tau the moment of f applied at the contact point about
+    the object origin (its center of mass). Smooth at omega = 0 and
+    tau = 0, unlike the ratio form, and zero exactly on quasi-static
+    transitions.
+    """
 
     kind = "d"
 

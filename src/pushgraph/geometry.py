@@ -3,6 +3,12 @@
 Conventions: poses are world-from-body transforms, angles in radians wrapped
 to (-pi, pi], lengths in meters. Shapes are stored in body frame with their
 area centroid at the origin (the center of mass under uniform density).
+
+Each shape query (closest point, signed distance, overlap, closest pair)
+is one kernel over arrays of poses and points, row by row. The factors
+call it on blocks of rows; the query of the same name on PlanarPose
+objects is its one-row call, so the simulator's ground truth and the
+factors share one geometry.
 """
 
 from __future__ import annotations
@@ -245,24 +251,15 @@ class Shape2D:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError("polygon needs an (N, 2) vertex array with N >= 3")
-        area2 = 0.0
-        for i in range(len(v)):
-            area2 += cross2(v[i], v[(i + 1) % len(v)])
+        nxt = np.roll(v, -1, axis=0)
+        w = cross2(v.T, nxt.T)  # twice the signed area of each fan triangle
+        area2 = float(w.sum())
         if area2 <= 0.0:
             raise ValueError("polygon vertices must be counter-clockwise")
-        scale = math.sqrt(abs(area2))
-        for i in range(len(v)):
-            e0 = v[(i + 1) % len(v)] - v[i]
-            e1 = v[(i + 2) % len(v)] - v[(i + 1) % len(v)]
-            if cross2(e0, e1) <= 1e-12 * scale * scale:
-                raise ValueError("polygon must be strictly convex")
-        cx = cy = 0.0
-        for i in range(len(v)):
-            w = cross2(v[i], v[(i + 1) % len(v)])
-            cx += (v[i, 0] + v[(i + 1) % len(v), 0]) * w
-            cy += (v[i, 1] + v[(i + 1) % len(v), 1]) * w
-        centroid = np.array([cx, cy]) / (3.0 * area2)
-        v = v - centroid
+        e = nxt - v
+        if np.any(cross2(e.T, np.roll(e, -1, axis=0).T) <= 1e-12 * area2):
+            raise ValueError("polygon must be strictly convex")
+        v = v - ((v + nxt) * w[:, None]).sum(axis=0) / (3.0 * area2)
         v.setflags(write=False)
         return cls("polygon", vertices=v)
 
@@ -281,10 +278,7 @@ class Shape2D:
         if self.kind == "disc":
             return math.pi * self.radius**2
         v = self.vertices
-        total = 0.0
-        for i in range(len(v)):
-            total += cross2(v[i], v[(i + 1) % len(v)])
-        return total / 2.0
+        return float(cross2(v.T, np.roll(v, -1, axis=0).T).sum()) / 2.0
 
     def max_radius(self) -> float:
         if self.kind == "disc":
@@ -296,7 +290,7 @@ class Shape2D:
             return Shape2D.disc(self.radius * s)
         return Shape2D.polygon(self.vertices * s)
 
-    # -- body-frame queries (edge arrays cached, vectorized over edges) ------
+    # -- body-frame queries (edge arrays cached, vectorized over rows and edges)
 
     @cached_property
     def _edge_start(self) -> np.ndarray:
@@ -317,118 +311,56 @@ class Shape2D:
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     def _project_edges(self, q: np.ndarray):
-        """Per-edge clamped projection of q; returns (points, t, squared dist)."""
-        a = self._edge_start
-        d = self._edge_dir
-        t = np.einsum("j,ij->i", q, d) - np.einsum("ij,ij->i", a, d)
-        t = t / self._edge_len2
-        tc = np.clip(t, 0.0, 1.0)
-        cand = a + tc[:, None] * d
-        diff = q[None, :] - cand
-        return cand, t, np.einsum("ij,ij->i", diff, diff)
+        """Clamped projection of body-frame points q (N, 2) on every edge.
 
-    def closest_point_body(self, q) -> tuple[np.ndarray, np.ndarray]:
-        """Closest boundary point to q plus its 2x2 Jacobian wrt q.
-
-        Works for q inside or outside. The Jacobian is the derivative of the
-        boundary projection in the current feature region (edge or vertex).
+        Returns the projected points (N, E, 2), the unclamped edge
+        parameters t (N, E) and the squared distances (N, E).
         """
-        q = np.asarray(q, dtype=float)
-        if self.kind == "disc":
-            rho = float(np.linalg.norm(q))
-            if rho < 1e-12:
-                # center: projection direction is arbitrary, pick +x
-                return np.array([self.radius, 0.0]), np.zeros((2, 2))
-            n = q / rho
-            g = self.radius * n
-            jac = (self.radius / rho) * (np.eye(2) - np.outer(n, n))
-            return g, jac
-        cand, t, d2 = self._project_edges(q)
-        i = int(np.argmin(d2))
-        if 0.0 < t[i] < 1.0:
-            dhat = self._edge_dir[i] / math.sqrt(self._edge_len2[i])
-            jac = np.outer(dhat, dhat)
-        else:
-            jac = np.zeros((2, 2))
-        return cand[i].copy(), jac
-
-    def closest_points_body(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """closest_point_body of a polygon for an (N, 2) batch.
-
-        Returns points (N, 2) and Jacobians (N, 2, 2).
-        """
-        n_rows = len(q)
         a = self._edge_start  # (E, 2)
         d = self._edge_dir
-        t = (q @ d.T - np.einsum("ij,ij->i", a, d)) / self._edge_len2  # (N, E)
-        cand = a + np.clip(t, 0.0, 1.0)[:, :, None] * d  # (N, E, 2)
+        t = (q @ d.T - np.einsum("ij,ij->i", a, d)) / self._edge_len2
+        cand = a + np.clip(t, 0.0, 1.0)[:, :, None] * d
         diff = q[:, None, :] - cand
-        i = np.argmin(np.einsum("nej,nej->ne", diff, diff), axis=1)
-        rows = np.arange(n_rows)
+        return cand, t, np.einsum("nej,nej->ne", diff, diff)
+
+    def closest_points_body(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closest boundary points of a polygon to body-frame points q (N, 2).
+
+        Works for q inside or outside. Returns the points (N, 2) and their
+        Jacobians wrt q (N, 2, 2): the derivative of the boundary projection
+        in the current feature region, edge or vertex.
+        """
+        cand, t, d2 = self._project_edges(q)
+        rows = np.arange(len(q))
+        i = np.argmin(d2, axis=1)
         ti = t[rows, i]
-        dhat = d[i] / np.sqrt(self._edge_len2[i])[:, None]
+        dhat = self._edge_dir[i] / np.sqrt(self._edge_len2[i])[:, None]
         interior = ((ti > 0.0) & (ti < 1.0))[:, None, None]
         jac = np.where(interior, dhat[:, :, None] * dhat[:, None, :], 0.0)
         return cand[rows, i], jac
-
-    def contains_body(self, q) -> bool:
-        """Point-in-shape test, boundary counts as inside."""
-        q = np.asarray(q, dtype=float)
-        if self.kind == "disc":
-            return float(np.linalg.norm(q)) <= self.radius
-        rel = q[None, :] - self._edge_start
-        cross = self._edge_dir[:, 0] * rel[:, 1] - self._edge_dir[:, 1] * rel[:, 0]
-        return bool(np.all(cross >= 0.0))
-
-    def signed_distance_body(self, q) -> float:
-        q = np.asarray(q, dtype=float)
-        if self.kind == "disc":
-            return float(np.linalg.norm(q)) - self.radius
-        _, _, d2 = self._project_edges(q)
-        d = math.sqrt(float(np.min(d2)))
-        return -d if self.contains_body(q) else d
 
     def signed_distance_many_body(self, pts: np.ndarray) -> np.ndarray:
         """Signed distances for an (N, 2) batch of body-frame points."""
         pts = np.asarray(pts, dtype=float)
         if self.kind == "disc":
             return np.linalg.norm(pts, axis=1) - self.radius
-        a = self._edge_start  # (E, 2)
+        _, _, d2 = self._project_edges(pts)
+        dist = np.sqrt(np.min(d2, axis=1))
         d = self._edge_dir
-        rel = pts[:, None, :] - a[None, :, :]  # (N, E, 2)
-        t = np.einsum("nej,ej->ne", rel, d) / self._edge_len2[None, :]
-        tc = np.clip(t, 0.0, 1.0)
-        cand = a[None, :, :] + tc[:, :, None] * d[None, :, :]
-        diff = pts[:, None, :] - cand
-        dist = np.sqrt(np.min(np.einsum("nej,nej->ne", diff, diff), axis=1))
-        cross = d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
-        inside = np.all(cross >= 0.0, axis=1)
+        rel = pts[:, None, :] - self._edge_start  # (N, E, 2)
+        inside = np.all(d[:, 0] * rel[:, :, 1] - d[:, 1] * rel[:, :, 0] >= 0.0, axis=1)
         return np.where(inside, -dist, dist)
-
-    def outward_normal_body(self, p_boundary) -> np.ndarray:
-        """Outward unit normal at a point on (or near) the boundary."""
-        p = np.asarray(p_boundary, dtype=float)
-        if self.kind == "disc":
-            rho = float(np.linalg.norm(p))
-            return np.array([1.0, 0.0]) if rho < 1e-12 else p / rho
-        _, _, d2 = self._project_edges(p)
-        return self._edge_normals[int(np.argmin(d2))].copy()
 
     def boundary_samples_body(self, subdivisions: int = 32) -> np.ndarray:
         """Vertices plus per-edge subdivision points (polygons only)."""
         if self.kind != "polygon":
             raise ValueError("boundary sampling applies to polygons")
-        v = self.vertices
-        pts = []
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            for k in range(subdivisions):
-                pts.append(a + (b - a) * (k / subdivisions))
-        return np.array(pts)
+        k = np.arange(subdivisions) / subdivisions
+        return (self.vertices[:, None, :] + self._edge_dir[:, None, :] * k[:, None]).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
-# world-frame queries
+# world-frame queries on PlanarPose objects: one-row calls of the kernels below
 # ---------------------------------------------------------------------------
 
 
@@ -443,59 +375,33 @@ def closest_point_with_jacobians(shape: Shape2D, pose: PlanarPose, q):
 
     The pose Jacobian columns are [d/dtx, d/dty, d/dtheta].
     """
-    q = np.asarray(q, dtype=float)
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    R = np.array(((c, -s), (s, c)))
-    t = np.array((pose.x, pose.y))
-    qb = R.T @ (q - t)
-    gb, jac_b = shape.closest_point_body(qb)
-    g = R @ gb + t
-    dg_dq = R @ jac_b @ R.T
-    dg_dpose = np.empty((2, 3))
-    dg_dpose[0, 0] = 1.0 - dg_dq[0, 0]
-    dg_dpose[0, 1] = -dg_dq[0, 1]
-    dg_dpose[1, 0] = -dg_dq[1, 0]
-    dg_dpose[1, 1] = 1.0 - dg_dq[1, 1]
-    # SKEW @ v = (-v1, v0)
-    rg = g - t
-    rq = q - t
-    dg_dpose[0, 2] = -rg[1] - (dg_dq[0, 0] * -rq[1] + dg_dq[0, 1] * rq[0])
-    dg_dpose[1, 2] = rg[0] - (dg_dq[1, 0] * -rq[1] + dg_dq[1, 1] * rq[0])
-    return g, dg_dq, dg_dpose
+    g, dg_dq, dg_dpose = closest_points_with_jacobians(shape, pose.as_array()[None],
+                                                       np.asarray(q, dtype=float)[None])
+    return g[0], dg_dq[0], dg_dpose[0]
 
 
 def signed_distance(shape: Shape2D, pose: PlanarPose, q) -> float:
     """Signed distance to the posed shape: negative inside, zero on boundary."""
-    return shape.signed_distance_body(pose.inverse_transform_point(q))
+    return float(signed_distances(shape, pose.as_array()[None], np.asarray(q, dtype=float)[None])[0])
 
 
 def outward_normal(shape: Shape2D, pose: PlanarPose, q) -> np.ndarray:
-    nb = shape.outward_normal_body(pose.inverse_transform_point(q))
-    return pose.rotation() @ nb
+    """Outward unit normal at a point q on (or near) the posed shape's boundary.
+
+    A polygon's is the normal of the edge nearest q. A disc's points from
+    its center to q; at the center it is the body's +x.
+    """
+    if shape.kind == "disc":
+        d = np.asarray(q, dtype=float) - pose.translation
+        rho = math.hypot(d[0], d[1])
+        return pose.rotation()[:, 0] if rho < 1e-12 else d / rho
+    _, _, d2 = shape._project_edges(pose.inverse_transform_point(q)[None])
+    return pose.rotation() @ shape._edge_normals[np.argmin(d2[0])]
 
 
 def shapes_intersect(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b: PlanarPose) -> bool:
     """Exact open-set overlap test; boundary tangency counts as separate."""
-    if shape_a.kind == "disc" and shape_b.kind == "disc":
-        dist = np.linalg.norm(pose_a.translation - pose_b.translation)
-        return dist < shape_a.radius + shape_b.radius
-    if shape_a.kind == "disc":
-        return signed_distance(shape_b, pose_b, pose_a.translation) < shape_a.radius
-    if shape_b.kind == "disc":
-        return signed_distance(shape_a, pose_a, pose_b.translation) < shape_b.radius
-    # polygon vs polygon: separating-axis test on both edge normal sets
-    va = np.array([pose_a.transform_point(v) for v in shape_a.vertices])
-    vb = np.array([pose_b.transform_point(v) for v in shape_b.vertices])
-    for verts in (va, vb):
-        n = len(verts)
-        for i in range(n):
-            d = verts[(i + 1) % n] - verts[i]
-            axis = np.array([d[1], -d[0]])
-            pa = va @ axis
-            pb = vb @ axis
-            if min(pa.max(), pb.max()) - max(pa.min(), pb.min()) <= 0.0:
-                return False
-    return True
+    return bool(shapes_intersect_many(shape_a, pose_a.as_array()[None], shape_b, pose_b.as_array()[None])[0])
 
 
 def deepest_penetration(obj_shape: Shape2D, obj_pose: PlanarPose, ee_shape: Shape2D, ee_pose: PlanarPose):
@@ -514,44 +420,16 @@ def deepest_penetration(obj_shape: Shape2D, obj_pose: PlanarPose, ee_shape: Shap
 
 
 def closest_pair(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b: PlanarPose):
-    """Closest boundary points (a, b) between two separated convex shapes.
-
-    Closed form whenever a disc is involved. Two separated convex polygons
-    are nearest at a vertex of one of them, so for a polygon pair it is the
-    nearest of each vertex against the other shape's boundary. Parallel
-    facing edges tie along their overlap; there the pair in front of b's
-    center is kept, so a flat pusher touches where it was aimed. Callers
-    must handle the overlapping case themselves.
-    """
-    if shape_b.kind == "disc":
-        # min over the disc is attained along the ray to its center
-        c = pose_b.translation
-        a = closest_surface_point(shape_a, pose_a, c)
-        d = a - c
-        rho = float(np.linalg.norm(d))
-        n = np.array([1.0, 0.0]) if rho < 1e-12 else d / rho
-        return a, c + shape_b.radius * n
-    if shape_a.kind == "disc":
-        b, a = closest_pair(shape_b, pose_b, shape_a, pose_a)
-        return a, b
-    va = shape_a.vertices @ pose_a.rotation().T + pose_a.translation
-    vb = shape_b.vertices @ pose_b.rotation().T + pose_b.translation
-    a = np.concatenate([va, [closest_surface_point(shape_a, pose_a, v) for v in vb]])
-    b = np.concatenate([[closest_surface_point(shape_b, pose_b, v) for v in va], vb])
-    i = int(np.argmin(np.einsum("ij,ij->i", a - b, a - b)))
-    a0 = closest_surface_point(shape_a, pose_a, pose_b.translation)
-    b0 = closest_surface_point(shape_b, pose_b, a0)
-    if np.linalg.norm(a0 - b0) <= np.linalg.norm(a[i] - b[i]) + 1e-12:
-        return a0, b0
-    return a[i], b[i]
+    """Closest boundary points (a, b) between two separated convex shapes."""
+    a, b = closest_pairs(shape_a, pose_a.as_array()[None], shape_b, pose_b.as_array()[None])
+    return a[0], b[0]
 
 
 # ---------------------------------------------------------------------------
-# row-wise queries over pose arrays (the factor kernels)
+# row-wise kernels over pose arrays
 # ---------------------------------------------------------------------------
 # Row n of every argument belongs together: poses are (N, 3) arrays of
-# (x, y, theta), points (N, 2). The scalar queries above stay for the
-# simulator, where one call at a time is cheaper.
+# (x, y, theta), points (N, 2).
 
 
 def _to_body(poses: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -564,13 +442,21 @@ def _to_body(poses: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([c * dx + s * dy, c * dy - s * dx], axis=-1)
 
 
+def _to_world(poses: np.ndarray, body: np.ndarray) -> np.ndarray:
+    """Body points (K, 2) in the world frames of poses (N, 3): (N, K, 2)."""
+    return np.einsum("nij,kj->nki", rot2_many(poses[:, 2]), body) + poses[:, None, :2]
+
+
 def _apply(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     """R[n] @ v[n] for every row n."""
     return (R @ v[:, :, None])[:, :, 0]
 
 
 def closest_points_with_jacobians(shape: Shape2D, poses: np.ndarray, q: np.ndarray):
-    """closest_point_with_jacobians row by row: G (N, 2), dG/dq (N, 2, 2), dG/dpose (N, 2, 3)."""
+    """Closest boundary points G (N, 2) with dG/dq (N, 2, 2) and dG/dpose (N, 2, 3).
+
+    The pose Jacobian columns are [d/dtx, d/dty, d/dtheta].
+    """
     rq = q - poses[:, :2]
     dg_dpose = np.empty((len(q), 2, 3))
     if shape.kind == "disc":
@@ -601,14 +487,14 @@ def closest_points_with_jacobians(shape: Shape2D, poses: np.ndarray, q: np.ndarr
 
 
 def signed_distances(shape: Shape2D, poses: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """signed_distance row by row; q is (N, 2) or (N, K, 2)."""
+    """Signed distances, negative inside and zero on the boundary; q is (N, 2) or (N, K, 2)."""
     body = _to_body(poses, q)
     return shape.signed_distance_many_body(body.reshape(-1, 2)).reshape(body.shape[:-1])
 
 
 def shapes_intersect_many(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2D,
                           poses_b: np.ndarray) -> np.ndarray:
-    """shapes_intersect row by row, as a boolean (N,) array."""
+    """Exact open-set overlap test as a boolean (N,) array; tangency counts as separate."""
     if shape_a.kind == "disc" and shape_b.kind == "disc":
         d = poses_a[:, :2] - poses_b[:, :2]
         return np.hypot(d[:, 0], d[:, 1]) < shape_a.radius + shape_b.radius
@@ -616,12 +502,25 @@ def shapes_intersect_many(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2
         return signed_distances(shape_b, poses_b, poses_a[:, :2]) < shape_a.radius
     if shape_b.kind == "disc":
         return signed_distances(shape_a, poses_a, poses_b[:, :2]) < shape_b.radius
-    return np.array([shapes_intersect(shape_a, PlanarPose.from_array(pa), shape_b, PlanarPose.from_array(pb))
-                     for pa, pb in zip(poses_a, poses_b)], dtype=bool)
+    # polygon vs polygon: separating-axis test on both edge normal sets
+    va, vb = _to_world(poses_a, shape_a.vertices), _to_world(poses_b, shape_b.vertices)
+    axes = skew_many(np.concatenate([np.roll(va, -1, axis=1) - va, np.roll(vb, -1, axis=1) - vb], axis=1))
+    pa = np.einsum("nkj,nvj->nkv", axes, va)
+    pb = np.einsum("nkj,nvj->nkv", axes, vb)
+    overlap = np.minimum(pa.max(axis=2), pb.max(axis=2)) - np.maximum(pa.min(axis=2), pb.min(axis=2))
+    return np.all(overlap > 0.0, axis=1)
 
 
 def closest_pairs(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2D, poses_b: np.ndarray):
-    """closest_pair row by row: boundary points a, b (N, 2) of separated shapes."""
+    """Closest boundary points a, b (N, 2) between two separated convex shapes.
+
+    Closed form whenever a disc is involved. Two separated convex polygons
+    are nearest at a vertex of one of them, so for a polygon pair it is the
+    nearest of each vertex against the other shape's boundary. Parallel
+    facing edges tie along their overlap; there the pair in front of b's
+    center is kept, so a flat pusher touches where it was aimed. Callers
+    must handle the overlapping case themselves.
+    """
     if shape_b.kind == "disc":
         # min over the disc is attained along the ray to its center
         c = poses_b[:, :2]
@@ -635,9 +534,20 @@ def closest_pairs(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2D, poses
     if shape_a.kind == "disc":
         b, a = closest_pairs(shape_b, poses_b, shape_a, poses_a)
         return a, b
-    pairs = [closest_pair(shape_a, PlanarPose.from_array(pa), shape_b, PlanarPose.from_array(pb))
-             for pa, pb in zip(poses_a, poses_b)]
-    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    va, vb = _to_world(poses_a, shape_a.vertices), _to_world(poses_b, shape_b.vertices)
+    on_a = closest_points_with_jacobians(shape_a, np.repeat(poses_a, vb.shape[1], axis=0),
+                                         vb.reshape(-1, 2))[0].reshape(vb.shape)
+    on_b = closest_points_with_jacobians(shape_b, np.repeat(poses_b, va.shape[1], axis=0),
+                                         va.reshape(-1, 2))[0].reshape(va.shape)
+    a = np.concatenate([va, on_a], axis=1)  # (N, Ea + Eb, 2)
+    b = np.concatenate([on_b, vb], axis=1)
+    i = np.argmin(np.einsum("nkj,nkj->nk", a - b, a - b), axis=1)
+    rows = np.arange(len(a))
+    a, b = a[rows, i], b[rows, i]
+    a0 = closest_points_with_jacobians(shape_a, poses_a, poses_b[:, :2])[0]
+    b0 = closest_points_with_jacobians(shape_b, poses_b, a0)[0]
+    front = (np.linalg.norm(a0 - b0, axis=1) <= np.linalg.norm(a - b, axis=1) + 1e-12)[:, None]
+    return np.where(front, a0, a), np.where(front, b0, b)
 
 
 def deepest_ee_points(obj_shape: Shape2D, obj_poses: np.ndarray, ee_shape: Shape2D,

@@ -24,6 +24,7 @@ from .geometry import (
     Shape2D,
     angle_diff,
     closest_pair,
+    closest_points_with_jacobians,
     closest_surface_point,
     cross2,
     deepest_penetration,
@@ -216,16 +217,13 @@ class GroundTruthTrajectory:
 
     def max_dynamics_residual(self) -> float:
         """Largest quasi-static factor residual over all transitions."""
-        from .factors import quasi_static_residual
+        from .factors import QuasiStaticFactor
 
-        worst = 0.0
-        for t in range(1, len(self)):
-            dt = self.timestamps[t] - self.timestamps[t - 1]
-            pf = np.concatenate([self.contact_points[t], self.forces[t]])
-            r = quasi_static_residual(self.object_poses[t - 1], self.object_poses[t], pf,
-                                      self.params.c, dt)
-            worst = max(worst, float(np.max(np.abs(r))))
-        return worst
+        dt = np.diff(self.timestamps)
+        pf = np.hstack([self.contact_points[1:], self.forces[1:]])
+        r, _ = QuasiStaticFactor.evaluate((np.full(len(dt), self.params.c), dt),
+                                          self.object_poses[:-1], self.object_poses[1:], pf)
+        return float(np.max(np.abs(r), initial=0.0))
 
     def max_ellipsoid_deviation(self) -> float:
         """Largest |limit-surface equation - 1| over steps with motion."""
@@ -240,13 +238,10 @@ class GroundTruthTrajectory:
 
     def max_contact_surface_error(self) -> float:
         """Largest distance of the contact point from either surface."""
-        worst = 0.0
-        for t in range(len(self)):
-            p = self.contact_points[t]
-            a = closest_surface_point(self.object_shape, PlanarPose.from_array(self.object_poses[t]), p)
-            b = closest_surface_point(self.ee_shape, PlanarPose.from_array(self.ee_poses[t]), p)
-            worst = max(worst, float(np.linalg.norm(a - p)), float(np.linalg.norm(b - p)))
-        return worst
+        p = self.contact_points
+        a = closest_points_with_jacobians(self.object_shape, self.object_poses, p)[0]
+        b = closest_points_with_jacobians(self.ee_shape, self.ee_poses, p)[0]
+        return float(np.max(np.linalg.norm(np.concatenate([a - p, b - p]), axis=1)))
 
 
 def _initial_contact(obj_shape, obj_pose, ee_shape, ee_poses):

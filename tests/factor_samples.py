@@ -67,7 +67,7 @@ def clear_of_feature_edges(shape, pose, q, margin=0.02):
     """
     if shape.kind == "disc":
         return True
-    _, t, d2 = shape._project_edges(pose.inverse_transform_point(q))
+    _, (t,), (d2,) = shape._project_edges(pose.inverse_transform_point(q)[None])
     closest = d2 <= d2.min() + 1e-18
     return bool(np.all((np.abs(t[closest]) > margin) & (np.abs(t[closest] - 1.0) > margin)))
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pushgraph.errors import DegenerateProjection
 from pushgraph.geometry import (
@@ -16,12 +18,14 @@ from pushgraph.geometry import (
     closest_point_with_jacobians,
     closest_points_with_jacobians,
     closest_surface_point,
+    cross2,
     deepest_penetration,
     embed_in_plane,
     project_to_plane,
     shapes_intersect,
     shapes_intersect_many,
     signed_distance,
+    signed_distances,
     wrap_angle,
     wrap_angles,
 )
@@ -372,3 +376,149 @@ class TestRowWiseQueries:
                     wa, wb = closest_pair(sa, PlanarPose.from_array(x), sb, PlanarPose.from_array(y))
                     np.testing.assert_allclose(a[n], wa, atol=1e-12)
                     np.testing.assert_allclose(b[n], wb, atol=1e-12)
+
+
+# -- the row-wise kernels against oracles written here ------------------------
+
+ORACLE_SHAPES = [Shape2D.disc(0.06), Shape2D.box(0.1, 0.1),
+                 Shape2D.polygon([[0.06, 0.0], [0.02, 0.055], [-0.05, 0.03], [-0.05, -0.03], [0.02, -0.055]]),
+                 Shape2D.ellipse(0.08, 0.05)]
+# half the angles within 1e-3 of +-pi, across the wrap seam
+ANGLES = st.one_of(st.floats(-1e-3, 1e-3).map(lambda u: wrap_angle(math.pi + u)), st.floats(-math.pi, math.pi))
+
+
+def poses(scale):
+    return st.tuples(st.floats(-scale, scale), st.floats(-scale, scale), ANGLES).map(np.array)
+
+
+def points(scale):
+    return st.tuples(st.floats(-scale, scale), st.floats(-scale, scale)).map(np.array)
+
+
+def world_vertices(shape, pose):
+    return shape.vertices @ PlanarPose.from_array(pose).rotation().T + pose[:2]
+
+
+def edges(verts):
+    """Start points and directions of a closed polygon's edges."""
+    return verts, np.roll(verts, -1, axis=0) - verts
+
+
+def segment_distances(verts, q):
+    """Distance from q to each edge of the world polygon verts."""
+    a, d = edges(verts)
+    t = np.clip(np.sum((q - a) * d, axis=1) / np.sum(d * d, axis=1), 0.0, 1.0)
+    return np.linalg.norm(q - (a + t[:, None] * d), axis=1)
+
+
+def strictly_inside(verts, q):
+    a, d = edges(verts)
+    return bool(np.all(cross2(d.T, (q - a).T) > 0.0))
+
+
+def brute_force_overlap(sa, pa, sb, pb):
+    """(open-set overlap, distance of the configuration from a touching one).
+
+    Two convex polygons in general position overlap when a vertex of one
+    lies inside the other or two edges cross; a disc overlaps a polygon
+    when its center is inside or an edge comes nearer than its radius.
+    """
+    if sa.kind == "disc" and sb.kind == "disc":
+        gap = float(np.linalg.norm(pa[:2] - pb[:2])) - sa.radius - sb.radius
+        return gap < 0.0, abs(gap)
+    if sa.kind == "disc":
+        sa, pa, sb, pb = sb, pb, sa, pa
+    va = world_vertices(sa, pa)
+    if sb.kind == "disc":
+        d = segment_distances(va, pb[:2]).min()
+        return strictly_inside(va, pb[:2]) or d < sb.radius, abs(d - sb.radius)
+    vb = world_vertices(sb, pb)
+    inside = any(strictly_inside(vb, v) for v in va) or any(strictly_inside(va, v) for v in vb)
+    # edge i of a along axis 0 against edge j of b along axis 1
+    (p, dp), (r, dr) = edges(va), edges(vb)
+    p, dp, r, dr = p[:, None], dp[:, None], r[None], dr[None]
+
+    def side(o, d, x):
+        """Which side of the line o + s d the point x lies on."""
+        return d[..., 0] * (x - o)[..., 1] - d[..., 1] * (x - o)[..., 0]
+
+    crossing = bool(np.any((side(p, dp, r) * side(p, dp, r + dr) < 0.0)
+                           & (side(r, dr, p) * side(r, dr, p + dp) < 0.0)))
+    margin = min(min(segment_distances(vb, v).min() for v in va), min(segment_distances(va, v).min() for v in vb))
+    return inside or crossing, margin
+
+
+def cloud_spacing(cloud):
+    return float(np.max(np.linalg.norm(np.roll(cloud, -1, axis=0) - cloud, axis=1)))
+
+
+class TestKernelsAgainstOracles:
+    """closest_points_with_jacobians, signed_distances, shapes_intersect_many and
+    closest_pairs against boundary sampling, central differences and brute force."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(shape=st.sampled_from(ORACLE_SHAPES), pose=poses(0.05), q=points(0.15))
+    def test_closest_point_and_signed_distance(self, shape, pose, q):
+        g, dg_dq, dg_dpose = (x[0] for x in closest_points_with_jacobians(shape, pose[None], q[None]))
+        dist = float(np.linalg.norm(q - g))
+        cloud = boundary_cloud(shape, PlanarPose.from_array(pose), 2000)
+        sampled = float(np.min(np.linalg.norm(cloud - q, axis=1)))
+        assert dist <= sampled + 1e-12
+        assert sampled <= dist + cloud_spacing(cloud) / 2.0 + 1e-12
+        sd = signed_distances(shape, pose[None], q[None])[0]
+        assert abs(abs(sd) - dist) <= 1e-12
+        if dist > 1e-9:
+            inside = (np.linalg.norm(q - pose[:2]) < shape.radius if shape.kind == "disc"
+                      else strictly_inside(world_vertices(shape, pose), q))
+            assert (sd < 0.0) == inside
+
+        # central differences where the closest feature cannot switch: a
+        # disc away from its center, a polygon on one edge, clear of its ends
+        if shape.kind == "disc":
+            if np.linalg.norm(q - pose[:2]) < 0.01:
+                return
+        else:
+            verts = world_vertices(shape, pose)
+            d = segment_distances(verts, q)
+            k = int(np.argmin(d))
+            a, b = verts[k], verts[(k + 1) % len(verts)]
+            t = float((q - a) @ (b - a)) / float((b - a) @ (b - a))
+            if not (1e-3 < t < 1.0 - 1e-3 and np.partition(d, 1)[1] > d[k] + 1e-5):
+                return
+        h = 1e-7
+        bumps = [(pose, q + h * e) for e in np.eye(2)] + [(pose + h * e, q) for e in np.eye(3)]
+        rows = [row for p, x in bumps for row in ((p, x), (2 * pose - p, 2 * q - x))]
+        moved = closest_points_with_jacobians(shape, np.array([p for p, _ in rows]),
+                                              np.array([x for _, x in rows]))[0]
+        numeric = ((moved[0::2] - moved[1::2]) / (2.0 * h)).T  # (2, 5)
+        np.testing.assert_allclose(dg_dq, numeric[:, :2], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(dg_dpose, numeric[:, 2:], rtol=0, atol=1e-6)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(sa=st.sampled_from(ORACLE_SHAPES), sb=st.sampled_from(ORACLE_SHAPES),
+           rows=st.lists(st.tuples(poses(0.05), poses(0.15)), min_size=1, max_size=4))
+    def test_overlap(self, sa, sb, rows):
+        want = []
+        for pa, pb in rows:
+            overlap, margin = brute_force_overlap(sa, pa, sb, pb)
+            assume(margin > 1e-9)
+            want.append(overlap)
+        pa, pb = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        np.testing.assert_array_equal(shapes_intersect_many(sa, pa, sb, pb), want)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(sa=st.sampled_from(ORACLE_SHAPES), sb=st.sampled_from(ORACLE_SHAPES), pa=poses(0.02),
+           heading=st.floats(-math.pi, math.pi), reach=st.floats(0.1, 0.2), theta_b=ANGLES)
+    def test_closest_pair_is_mutual_and_matches_sampling(self, sa, sb, pa, heading, reach, theta_b):
+        pb = np.array([pa[0] + reach * math.cos(heading), pa[1] + reach * math.sin(heading), theta_b])
+        overlap, margin = brute_force_overlap(sa, pa, sb, pb)
+        assume(not overlap and margin > 1e-9)
+        a, b = (x[0] for x in closest_pairs(sa, pa[None], sb, pb[None]))
+        np.testing.assert_allclose(closest_points_with_jacobians(sa, pa[None], b[None])[0][0], a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(closest_points_with_jacobians(sb, pb[None], a[None])[0][0], b, rtol=0, atol=1e-12)
+        ca = boundary_cloud(sa, PlanarPose.from_array(pa), 600)
+        cb = boundary_cloud(sb, PlanarPose.from_array(pb), 600)
+        sampled = float(np.min(np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)))
+        gap = float(np.linalg.norm(a - b))
+        assert gap <= sampled + 1e-12
+        assert sampled <= gap + (cloud_spacing(ca) + cloud_spacing(cb)) / 2.0 + 1e-12

@@ -242,6 +242,25 @@ class TestSimulatePush:
             )
             assert np.max(np.abs(r)) <= 1e-8
 
+    @pytest.mark.parametrize("step", [0, 1, -1])
+    def test_dynamics_residual_is_the_worst_transition(self, step):
+        # one force pushed off the limit surface; transition t pairs poses
+        # t-1 and t with the contact and force at t, so forces[0] enters none
+        traj = simulate_case("arc", offset=0.01, duration=2.0)
+        traj.forces[step] += (0.3, -0.2)
+        want = max(
+            float(np.max(np.abs(quasi_static_residual(
+                traj.object_poses[t - 1],
+                traj.object_poses[t],
+                np.concatenate([traj.contact_points[t], traj.forces[t]]),
+                traj.params.c,
+                traj.timestamps[t] - traj.timestamps[t - 1],
+            ))))
+            for t in range(1, len(traj))
+        )
+        assert want > 1e-4 or step == 0
+        assert abs(traj.max_dynamics_residual() - want) <= 1e-15
+
     def test_contact_lost_truncates_with_flag(self):
         obj_pose, ee_pose = make_push_scene(BOX_OBJ, PROBE, 0.0, 0.0)
         fwd = straight_path(ee_pose, 0.05, 2.0, 0.05)
