@@ -46,8 +46,8 @@ def build_shape(spec: str) -> Shape2D:
             a, b = (float(v) for v in dims.split("x"))
             return Shape2D.ellipse(a, b)
     except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad shape spec {spec!r}: {exc}") from exc
-    raise argparse.ArgumentTypeError(f"unknown shape kind {kind!r} (box|disc|ellipse)")
+        raise ValueError(f"bad shape spec {spec!r}: {exc}") from exc
+    raise ValueError(f"unknown shape kind {kind!r} (box|disc|ellipse)")
 
 
 def parse_window(spec: str) -> tuple[float, float]:
@@ -157,6 +157,8 @@ def combined_report(reports: list[SolveReport]) -> SolveReport:
 
 def run_estimate(cfg: dict, traj: dataio.MeasuredTrajectory):
     """Solve one trajectory; returns (arrays, covariances, report, metrics)."""
+    if cfg["mode"] not in ("batch", "incremental"):
+        raise ValueError(f"unknown mode {cfg['mode']!r} (batch|incremental)")
     model = cfg["model"]
     opts = GaussNewtonOptions(max_iter=cfg["max_iter"])
     gconf = GraphConfig.from_trajectory(traj)

@@ -551,15 +551,15 @@ def closest_pairs(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2D, poses
 
 
 def deepest_ee_points(obj_shape: Shape2D, obj_poses: np.ndarray, ee_shape: Shape2D,
-                      ee_poses: np.ndarray, subdivisions: int = 32):
+                      ee_poses: np.ndarray):
     """Point on each ee boundary with the most-negative object signed distance.
 
     Returns delta (N, 2) and its Jacobians (N, 2, 3) with respect to the
-    object pose and the ee pose. A polygon ee is sampled, `subdivisions`
-    points per edge; a disc ee is exact: the point on the line of centres
-    against a disc object, the best edge-normal or vertex direction
-    against a polygon. Where that direction is undefined (concentric
-    discs) it is +x and its Jacobian term is zero.
+    object pose and the ee pose. A polygon ee is sampled at its
+    boundary_samples_body points; a disc ee is exact: the point on the
+    line of centres against a disc object, the best edge-normal or vertex
+    direction against a polygon. Where that direction is undefined
+    (concentric discs) it is +x and its Jacobian term is zero.
     """
     n_rows = len(obj_poses)
     rows = np.arange(n_rows)
@@ -568,7 +568,7 @@ def deepest_ee_points(obj_shape: Shape2D, obj_poses: np.ndarray, ee_shape: Shape
     d_de = np.zeros((n_rows, 2, 3))
     d_de[:, :, :2] = EYE2
     if ee_shape.kind == "polygon":
-        samples = ee_shape.boundary_samples_body(subdivisions)
+        samples = ee_shape.boundary_samples_body()
         arm = np.einsum("nij,sj->nsi", rot2_many(ee_poses[:, 2]), samples)  # (N, S, 2)
         i = np.argmin(signed_distances(obj_shape, obj_poses, arm + c[:, None, :]), axis=1)
         d_de[:, :, 2] = skew_many(arm[rows, i])

@@ -18,10 +18,11 @@ into a square-root boundary prior (a QR factorization of the absorbed
 factors' whitened system) and re-optimizes the window.
 Both paths assemble a timestep the same way: `_step_factors` gives every
 factor whose newest variable is at t (the gauge priors at t = 0, then the
-measurements, then C, S, D and V), and `_window_graph` turns a values dict
-and a factor list into a graph over a run of timesteps. `build_graph`
-calls them over the whole trajectory, the smoother once per update and
-once per window, so only the initial values differ between the two.
+measurements, then C, S, D and V). `build_graph` calls it over the whole
+trajectory, the smoother once per update, so only the initial values
+differ between the two. Every graph, the batch, a window or the factors a
+window marginalizes, is FactorGraph(factors, initial): its variables are
+the keys its factors touch.
 `linearize` is the one place factors are evaluated: it serves the
 Gauss-Newton candidates (their cost is the squared norm of the whitened
 residual it assembles), the marginal covariances and the smoother's
@@ -31,7 +32,7 @@ timesteps; blocks with constant Jacobians are whitened once per graph
 and after that only their residuals are evaluated.
 The state is one flat vector in variable_index order. `linearize` takes
 it, and `gauss_newton` iterates on it: a candidate is x + delta with the
-angle slots wrapped through a mask kept in the linearize cache, and a
+angle slots wrapped through a mask kept in the graph's layout, and a
 dict of values per key is flattened (FactorGraph.state_vector) or built
 only at the entry and the exit of a solve.
 """
@@ -39,10 +40,11 @@ only at the entry and the exit of a solve.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -153,36 +155,24 @@ class LinearizedPriorFactor(Factor):
 
 
 class FactorGraph:
-    """Typed variables plus factors; owns initial values for optimization."""
+    """A fixed set of factors; its variables are the keys they touch.
 
-    def __init__(self):
-        self.dims: dict[VariableKey, int] = {}
-        self.factors: list[Factor] = []
-        self.initial: dict[VariableKey, np.ndarray] = {}
-        self._version = 0
-        self._lin_cache = None
+    Variables are in timestep-major order, and `initial`, if given, is
+    copied for each of them. The layout linearize uses is built on first
+    use and kept, since a graph does not change after it is built.
+    """
 
-    def add_variable(self, key: VariableKey, initial=None):
-        self.dims[key] = key_dim(key)
-        self._version += 1
-        if initial is not None:
-            self.initial[key] = np.asarray(initial, dtype=float).copy()
-
-    def add_factor(self, factor: Factor):
-        for key in factor.keys:
-            if key not in self.dims:
-                raise KeyError(f"factor references unknown variable {key}")
-        self.factors.append(factor)
-        self._version += 1
+    def __init__(self, factors: Iterable[Factor], initial: dict | None = None):
+        self.factors: list[Factor] = list(factors)
+        keys = sorted({key for f in self.factors for key in f.keys}, key=_key_sort)
+        self.dims: dict[VariableKey, int] = {key: key_dim(key) for key in keys}
+        self.initial: dict[VariableKey, np.ndarray] = (
+            {} if initial is None else {key: np.array(initial[key], dtype=float) for key in keys})
 
     def variable_index(self) -> dict[VariableKey, tuple[int, int]]:
         """Timestep-major ordering; near-optimal elimination for chain graphs."""
-        index = {}
-        off = 0
-        for key in sorted(self.dims, key=_key_sort):
-            index[key] = (off, self.dims[key])
-            off += self.dims[key]
-        return index
+        offsets = itertools.accumulate(self.dims.values(), initial=0)
+        return {key: (off, dim) for (key, dim), off in zip(self.dims.items(), offsets)}
 
     @property
     def total_dim(self) -> int:
@@ -196,7 +186,7 @@ class FactorGraph:
 
         values may hold keys of other graphs too; they are left out.
         """
-        index = _layout(self).index
+        index = self.layout.index
         return np.concatenate([values[key] for key in index], dtype=float) if index else np.zeros(0)
 
     def cost(self, values: dict) -> float:
@@ -207,6 +197,11 @@ class FactorGraph:
         for f in self.factors:
             out[f.kind] = out.get(f.kind, 0) + 1
         return out
+
+    @cached_property
+    def layout(self) -> _LinearizeCache:
+        """The blocks and band layout that linearize uses, built on first use."""
+        return _build_linearize_cache(self)
 
 
 @dataclass
@@ -228,7 +223,6 @@ class _Block:
 class _LinearizeCache:
     """Blocks and the band layout of a graph, reused across iterations."""
 
-    version: int
     index: dict
     theta: np.ndarray  # marks the state vector's angle slots, wrapped on update
     shape: tuple[int, int]
@@ -284,7 +278,6 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
         if b.kernel.constant_jacobian:
             b.jacobian = np.concatenate(b.kernel.constant_jacobians(b.consts), axis=2) * b.inv_sigmas[:, :, None]
     return _LinearizeCache(
-        version=graph._version,
         index=index,
         theta=np.concatenate([_ANGLES[key.role] for key in index]) if index else np.zeros(0, dtype=bool),
         shape=(m, n),
@@ -348,22 +341,15 @@ class LinearSystem:
         return out
 
 
-def _layout(graph: FactorGraph) -> _LinearizeCache:
-    """The graph's linearize cache, rebuilt after a variable or factor was added."""
-    if graph._lin_cache is None or graph._lin_cache.version != graph._version:
-        graph._lin_cache = _build_linearize_cache(graph)
-    return graph._lin_cache
-
-
 def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
     """Whiten the residual and the blocks' Jacobians at the state vector x.
 
     x holds every variable in variable_index order (graph.state_vector
     flattens a dict of values); each block gathers its factors' values from
-    it by index arrays of the cache. Residual rows come block by block, each
+    it by index arrays of the layout. Residual rows come block by block, each
     block's factor by factor.
     """
-    cache = _layout(graph)
+    cache = graph.layout
     res = np.empty(cache.shape[0])
     jacobians = []
     for b in cache.blocks:
@@ -383,14 +369,16 @@ def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
 # ---------------------------------------------------------------------------
 
 
+# Levenberg ladder, scaled by the normal-matrix diagonal (Marquardt style)
+_DAMPINGS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
+_COST_FLOOR = 1e-14  # a cost this small counts as solved outright
+
+
 @dataclass
 class GaussNewtonOptions:
     max_iter: int = 100
     rel_cost_tol: float = 1e-9
     abs_grad_tol: float = 1e-10
-    abs_cost_tol: float = 1e-14  # cost this small counts as solved outright
-    # Levenberg ladder, scaled by the normal-matrix diagonal (Marquardt style)
-    dampings: tuple = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
 
 
 @dataclass
@@ -442,7 +430,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
 
     The solve iterates on one flat state vector: the initial values are
     flattened once, a candidate is x + delta with the angle slots wrapped
-    (retract, through the cache's theta mask), and the values dict, whose
+    (retract, through the layout's theta mask), and the values dict, whose
     arrays are views into the final vector, is built once on return. The
     report's per-kind chi^2 come from the first and the final system.
     """
@@ -452,7 +440,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
         if key not in init:
             raise KeyError(f"no initial value for {key}")
     x = graph.state_vector(init)
-    theta = _layout(graph).theta
+    theta = graph.layout.theta
     system = linearize(graph, x)
     cost = system.cost
     if not math.isfinite(cost):
@@ -460,10 +448,9 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     trace = [cost]
     report = SolveReport(0, cost, cost, "max_iter", trace, chi2_initial=system.chi2_by_kind())
 
-    ladder = list(opts.dampings)
     warm = None  # index of the last rung that produced an accepted step
     for it in range(opts.max_iter):
-        if cost <= opts.abs_cost_tol:
+        if cost <= _COST_FLOOR:
             report.reason = "cost_floor"
             break
         if float(np.max(np.abs(system.gradient))) < opts.abs_grad_tol:
@@ -471,7 +458,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
             break
         # plain Gauss-Newton first; on cost increase walk the Levenberg
         # ladder, starting one rung below the last one that worked
-        attempts = [None] + (ladder if warm is None else ladder[max(warm - 1, 0):])
+        attempts = [None, *(_DAMPINGS if warm is None else _DAMPINGS[max(warm - 1, 0):])]
         accepted = None
         singular_everywhere = True
         for damping in attempts:
@@ -486,7 +473,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
                 raise NonFiniteCost("cost became non-finite during optimization")
             if c_new <= cost:
                 accepted = (candidate, c_system, c_new)
-                warm = None if damping is None else ladder.index(damping)
+                warm = None if damping is None else _DAMPINGS.index(damping)
                 break
         if accepted is None:
             if singular_everywhere:
@@ -750,17 +737,6 @@ def _step_factors(model: GraphModel, traj: MeasuredTrajectory, config: GraphConf
     return factors
 
 
-def _window_graph(values: dict, factors: list[Factor], t0: int, T: int) -> FactorGraph:
-    """The graph over timesteps t0..T-1 with the given factors, initialized from values."""
-    graph = FactorGraph()
-    for t in range(t0, T):
-        for key in (obj_key(t), ee_key(t), pf_key(t)):
-            graph.add_variable(key, values[key])
-    for f in factors:
-        graph.add_factor(f)
-    return graph
-
-
 def _check_metadata(model: GraphModel, traj: MeasuredTrajectory):
     if traj.object_shape is None or traj.ee_shape is None:
         raise MissingShapeConfig("graph construction needs object and ee shapes")
@@ -804,7 +780,7 @@ def build_graph(model, traj: MeasuredTrajectory, config: GraphConfig | None = No
     init = initial_values(traj)
     factors = [f for t, step in enumerate(traj.steps)
                for f in _step_factors(model, traj, config, t, step, times, init)]
-    return _window_graph(init, factors, 0, len(traj))
+    return FactorGraph(factors, init)
 
 
 def values_to_arrays(values: dict, T: int, timestamps) -> TrajectoryArrays:
@@ -841,13 +817,16 @@ class FixedLagSmoother:
     `batch_every <= lag` makes every timestep part of an optimized window
     before it is marginalized.
 
-    Each update appends the factors of _step_factors, as build_graph does,
-    so with lag >= T and batch_every = T the one window is the batch graph,
-    factor for factor in the same order. On a fully measured trajectory its
-    initial values are the batch's too, and the answer equals the batch
-    answer bit for bit. Under occlusion the initial values differ: the batch
-    sees the whole trajectory and interpolates across a gap, while the
-    smoother is causal and extrapolates from its own estimates.
+    Each update appends the factors of _step_factors, as build_graph does.
+    A window is the graph of the active factors; every step has factors on
+    its three variables, so its variables are the whole (role, t) grid from
+    first_active_t on. With lag >= T and batch_every = T the one window is
+    the batch graph, factor for factor in the same order. On a fully
+    measured trajectory its initial values are the batch's too, and the
+    answer equals the batch answer bit for bit. Under occlusion the initial
+    values differ: the batch sees the whole trajectory and interpolates
+    across a gap, while the smoother is causal and extrapolates from its
+    own estimates.
     """
 
     def __init__(self, model, traj_template: MeasuredTrajectory, config: GraphConfig | None = None,
@@ -912,24 +891,15 @@ class FixedLagSmoother:
         window_start = max(self.first_active_t, T - self.lag)
         if window_start > self.first_active_t:
             self._marginalize_upto(window_start)
-        graph = _window_graph(self.estimates, self.active_factors, self.first_active_t, T)
-        values, report = gauss_newton(graph, None, self.opts)
+        values, report = gauss_newton(FactorGraph(self.active_factors, self.estimates), None, self.opts)
         self.reports.append(report)
         self.estimates.update(values)
 
     def _marginalize_upto(self, new_start: int):
         # every active factor touching a timestep before new_start is absorbed;
         # the variables it also touches at or after new_start form the boundary
-        absorbed = FactorGraph()
-        kept = []
-        for f in self.active_factors:
-            if all(k.t >= new_start for k in f.keys):
-                kept.append(f)
-                continue
-            for k in f.keys:
-                if k not in absorbed.dims:
-                    absorbed.add_variable(k)
-            absorbed.add_factor(f)
+        absorbed = FactorGraph(f for f in self.active_factors if any(k.t < new_start for k in f.keys))
+        kept = [f for f in self.active_factors if all(k.t >= new_start for k in f.keys)]
         # timestep-major ordering puts the old variables first; the rows of
         # R below the old block are the boundary's square-root information
         system = linearize(absorbed, absorbed.state_vector(self.estimates))

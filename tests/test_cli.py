@@ -136,6 +136,29 @@ def test_one_step_trajectory_exits_2_in_both_modes(tmp_path):
         assert run("estimate", "--in", sim, "--mode", mode) == 2
 
 
+@pytest.mark.parametrize("spec", ["box:0.1", "box:0.1xq", "disc:abc", "hexagon:1"])
+@pytest.mark.parametrize("flag", ["--shape", "--ee-shape"])
+def test_malformed_shape_spec_exits_2(tmp_path, capsys, flag, spec):
+    out = tmp_path / "sim.json"
+    assert run("simulate", flag, spec, "--dur", 0.2, "--dt", 0.1, "--out", out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_mode_exits_2(noisy_file, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mode": "bogus"}))
+    out = tmp_path / "out.csv"
+    for argv in (["estimate", "--in", noisy_file, "--mode", "bogus", "--out", out],
+                 ["--config", config, "estimate", "--in", noisy_file, "--out", out],
+                 [*BENCH_ARGS, "--trials", 1, "--mode", "bogus", "--out", out],
+                 ["--config", config, *BENCH_ARGS, "--trials", 1, "--out", out]):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "batch" in err and "incremental" in err
+        assert not out.exists()
+
+
 def test_batch_every_beyond_the_lag_exits_2(noisy_file):
     assert run("estimate", "--in", noisy_file, "--mode", "incremental", "--lag", 20,
                "--batch-every", 30) == 2

@@ -286,10 +286,7 @@ def test_fused_residual_matches_residual(kind):
             r, jacs = factor.residual_and_jacobians(*values)
             # graph keys in sample order; the roles keep the pose/pf split
             factor.keys = tuple(obj_key(t) if len(v) == 3 else pf_key(t) for t, v in enumerate(values))
-            graph = FactorGraph()
-            for key in factor.keys:
-                graph.add_variable(key)
-            graph.add_factor(factor)
+            graph = FactorGraph([factor])
             system = linearize(graph, graph.state_vector(dict(zip(factor.keys, values))))
             w = factor.noise.whiten(r)
             np.testing.assert_array_equal(system.residual, w)
@@ -351,18 +348,15 @@ def test_block_rows_match_one_row_calls(kind):
     # rows alternate within a block
     for k, sample in enumerate(_block_edge_samples(kind, rng)):
         samples.insert(4 * k + 1, sample)
-    graph = FactorGraph()
     values, expected = {}, []
     t = 0
     for factor, vals in samples:
         r, jacs = factor.residual_and_jacobians(*vals)
         factor.keys = tuple(obj_key(t + j) if len(v) == 3 else pf_key(t + j) for j, v in enumerate(vals))
         t += len(vals)
-        for key, v in zip(factor.keys, vals):
-            graph.add_variable(key)
-            values[key] = v
-        graph.add_factor(factor)
+        values.update(zip(factor.keys, vals))
         expected.append((factor, factor.noise.whiten(r), [factor.noise.whiten_jacobian(j) for j in jacs]))
+    graph = FactorGraph(factor for factor, _ in samples)
     system = linearize(graph, graph.state_vector(values))
     n = graph.total_dim
     owner = np.empty(n, dtype=int)
@@ -381,7 +375,7 @@ def test_block_rows_match_one_row_calls(kind):
     for key in want:
         np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12)
     # the blocks are shared: fewer kernel calls than factors
-    assert len(graph._lin_cache.blocks) < len(samples) // 2
+    assert len(graph.layout.blocks) < len(samples) // 2
     if kind in ("c_objee", "c_objee_poly_ee", "s", "s_poly_ee"):
         assert None in want and len(want) > 1  # zero and nonzero rows in one block
     if kind in ("c_object", "c_ee"):
