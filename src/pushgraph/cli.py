@@ -84,7 +84,7 @@ def run_simulate(cfg: dict) -> dataio.MeasuredTrajectory:
         path = pushsim.arc_path(e0, speed, cfg["curvature"], dur, dt)
         gt = pushsim.simulate_push(path, PlanarPose.identity(), obj_shape, ee_shape, params, dt)
     elif cfg["path"] == "random":
-        steer = pushsim.steering_profile("random", T, dt, seed=cfg["seed"], amplitude=cfg["steer_amplitude"])
+        steer = pushsim.steering_profile(T, dt, seed=cfg["seed"], amplitude=cfg["steer_amplitude"])
         gt = pushsim.servo_push(PlanarPose.identity(), obj_shape, ee_shape, params, speed, dur, dt,
                                 steer, lateral_offset=cfg["offset"], direction=cfg["direction"])
     else:
@@ -391,7 +391,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add(est, "lag", EST_DEFAULTS["lag"], "fixed-lag window (timesteps)")
     _add(est, "batch_every", EST_DEFAULTS["batch_every"], "re-optimize after this many timesteps")
     _add(est, "max_iter", EST_DEFAULTS["max_iter"], "optimizer iteration cap")
-    _add(est, "covariances", EST_DEFAULTS["covariances"], "report posterior marginal covariances")
+    _add(est, "covariances", EST_DEFAULTS["covariances"],
+         "report posterior marginal covariances (batch mode only; incremental writes NaN columns)")
     est.add_argument("--out", type=str, default=None, help="results CSV path")
 
     ben = sub.add_parser("benchmark", help="multi-trial model comparison")

@@ -196,18 +196,21 @@ class MeasuredTrajectory:
 
 @dataclass
 class TrajectoryArrays:
-    """Dense per-timestep state arrays used by metrics and export."""
+    """Per-timestep states as dense arrays, the form metrics and export take.
+
+    Ground truth, measurements and estimates all fill every field; a
+    measurement that is missing at a step is a NaN row.
+    """
 
     timestamps: np.ndarray
-    x: np.ndarray | None = None  # (T, 3)
-    e: np.ndarray | None = None  # (T, 3)
-    p: np.ndarray | None = None  # (T, 2)
-    f: np.ndarray | None = None  # (T, 2)
+    x: np.ndarray  # (T, 3) object poses
+    e: np.ndarray  # (T, 3) pusher poses
+    p: np.ndarray  # (T, 2) contact points
+    f: np.ndarray  # (T, 2) contact forces
 
 
-def from_ground_truth(gt: GroundTruthTrajectory, plane: Plane3 | None = None) -> MeasuredTrajectory:
-    """Wrap simulator output as a trajectory with noiseless measurements."""
-    plane = plane if plane is not None else Plane3.xy()
+def from_ground_truth(gt: GroundTruthTrajectory) -> MeasuredTrajectory:
+    """Wrap simulator output as a trajectory in the xy plane with noiseless measurements."""
     steps = []
     for i in range(len(gt)):
         x = PlanarPose.from_array(gt.object_poses[i])
@@ -224,7 +227,7 @@ def from_ground_truth(gt: GroundTruthTrajectory, plane: Plane3 | None = None) ->
         )
     return MeasuredTrajectory(
         steps=steps,
-        plane=plane,
+        plane=Plane3.xy(),
         object_shape=gt.object_shape,
         ee_shape=gt.ee_shape,
         params=gt.params,
@@ -361,6 +364,8 @@ def trajectory_from_dict(data: dict) -> MeasuredTrajectory:
                     truth=truth,
                 )
             )
+        if not steps:
+            raise ParseError("trajectory has no steps")
         return MeasuredTrajectory(
             steps=steps,
             plane=plane,
@@ -559,52 +564,53 @@ def _stats(err: np.ndarray) -> ChannelStats:
     )
 
 
-def motion_mask(truth: TrajectoryArrays, threshold: float = 1e-4) -> np.ndarray:
-    """Steps where the object translates faster than threshold (m/s)."""
+MOTION_THRESHOLD = 1e-4  # m/s; slower object steps are left out of the object-pose channels
+
+
+def motion_mask(truth: TrajectoryArrays) -> np.ndarray:
+    """Steps where the object translates faster than MOTION_THRESHOLD."""
     ts = truth.timestamps
     x = truth.x
     mask = np.zeros(len(ts), dtype=bool)
     for t in range(1, len(ts)):
         v = np.linalg.norm(x[t, :2] - x[t - 1, :2]) / (ts[t] - ts[t - 1])
-        mask[t] = v > threshold
+        mask[t] = v > MOTION_THRESHOLD
     if len(ts) > 1:
         mask[0] = mask[1]
     return mask
 
 
-def compute_metrics(estimate: TrajectoryArrays, truth: TrajectoryArrays,
-                    motion_threshold: float = 1e-4) -> Metrics:
-    """Error statistics per channel; object-pose channels only while moving."""
+def compute_metrics(estimate: TrajectoryArrays, truth: TrajectoryArrays) -> Metrics:
+    """Error statistics of every channel; NaN rows of the estimate are left out.
+
+    The object-pose channels count only the steps where the true object
+    moves faster than MOTION_THRESHOLD (1e-4 m/s).
+    """
     if len(estimate.timestamps) != len(truth.timestamps) or not np.allclose(
         estimate.timestamps, truth.timestamps
     ):
         raise LengthMismatch("estimate and ground truth timestamps differ")
     m = Metrics()
-    moving = motion_mask(truth, motion_threshold)
-    if estimate.x is not None and truth.x is not None:
-        trans_err = np.linalg.norm(estimate.x[:, :2] - truth.x[:, :2], axis=1)
-        rot_err = np.array([abs(angle_diff(a, b)) for a, b in zip(estimate.x[:, 2], truth.x[:, 2])])
-        sel = moving & np.isfinite(trans_err)
-        m.channels["x_trans"] = _stats(trans_err[sel] * 100.0)
-        m.channels["x_rot"] = _stats(rot_err[sel])
-    if estimate.e is not None and truth.e is not None:
-        trans_err = np.linalg.norm(estimate.e[:, :2] - truth.e[:, :2], axis=1)
-        rot_err = np.array([abs(angle_diff(a, b)) for a, b in zip(estimate.e[:, 2], truth.e[:, 2])])
-        m.channels["e_trans"] = _stats(trans_err * 100.0)
-        m.channels["e_rot"] = _stats(rot_err)
-    if estimate.p is not None and truth.p is not None:
-        m.channels["contact"] = _stats(np.linalg.norm(estimate.p - truth.p, axis=1) * 100.0)
-    if estimate.f is not None and truth.f is not None:
-        mag_est = np.linalg.norm(estimate.f, axis=1)
-        mag_tru = np.linalg.norm(truth.f, axis=1)
-        m.channels["force_mag"] = _stats(np.abs(mag_est - mag_tru))
-        dir_err = np.full(len(mag_tru), np.nan)
-        for t in range(len(mag_tru)):
-            if mag_tru[t] > 1e-9 and mag_est[t] > 1e-9:
-                dir_err[t] = math.degrees(
-                    math.atan2(abs(cross2(estimate.f[t], truth.f[t])), float(estimate.f[t] @ truth.f[t]))
-                )
-        m.channels["force_dir"] = _stats(dir_err)
+    trans_err = np.linalg.norm(estimate.x[:, :2] - truth.x[:, :2], axis=1)
+    rot_err = np.array([abs(angle_diff(a, b)) for a, b in zip(estimate.x[:, 2], truth.x[:, 2])])
+    sel = motion_mask(truth) & np.isfinite(trans_err)
+    m.channels["x_trans"] = _stats(trans_err[sel] * 100.0)
+    m.channels["x_rot"] = _stats(rot_err[sel])
+    trans_err = np.linalg.norm(estimate.e[:, :2] - truth.e[:, :2], axis=1)
+    rot_err = np.array([abs(angle_diff(a, b)) for a, b in zip(estimate.e[:, 2], truth.e[:, 2])])
+    m.channels["e_trans"] = _stats(trans_err * 100.0)
+    m.channels["e_rot"] = _stats(rot_err)
+    m.channels["contact"] = _stats(np.linalg.norm(estimate.p - truth.p, axis=1) * 100.0)
+    mag_est = np.linalg.norm(estimate.f, axis=1)
+    mag_tru = np.linalg.norm(truth.f, axis=1)
+    m.channels["force_mag"] = _stats(np.abs(mag_est - mag_tru))
+    dir_err = np.full(len(mag_tru), np.nan)
+    for t in range(len(mag_tru)):
+        if mag_tru[t] > 1e-9 and mag_est[t] > 1e-9:
+            dir_err[t] = math.degrees(
+                math.atan2(abs(cross2(estimate.f[t], truth.f[t])), float(estimate.f[t] @ truth.f[t]))
+            )
+    m.channels["force_dir"] = _stats(dir_err)
     return m
 
 
@@ -635,26 +641,18 @@ def export_results(estimate: TrajectoryArrays, covariances: dict | None, path,
                    config_echo: dict | None = None) -> None:
     """Write per-timestep estimates and 2-sigma summaries as CSV.
 
-    covariances may provide "x" (T,3,3), "p" (T,2,2), "f" (T,2,2) blocks;
-    absent blocks are written as NaN. Comment lines starting with '#' carry
-    the provenance echo.
+    covariances is None, written as NaN columns, or holds all three blocks:
+    "x" (T,3,3), "p" (T,2,2) and "f" (T,2,2). Comment lines starting with
+    '#' carry the provenance echo.
     """
     T = len(estimate.timestamps)
 
     def cov_cols(t):
-        out = []
-        if covariances and covariances.get("x") is not None:
-            major, minor = _ellipse_axes(covariances["x"][t][:2, :2])
-            out += [major, minor, math.sqrt(max(0.0, covariances["x"][t][2, 2]))]
-        else:
-            out += [math.nan] * 3
-        for key in ("p", "f"):
-            if covariances and covariances.get(key) is not None:
-                major, minor = _ellipse_axes(covariances[key][t])
-                out += [major, minor]
-            else:
-                out += [math.nan] * 2
-        return out
+        if covariances is None:
+            return [math.nan] * 7
+        x = covariances["x"][t]
+        return [*_ellipse_axes(x[:2, :2]), math.sqrt(max(0.0, x[2, 2])),
+                *_ellipse_axes(covariances["p"][t]), *_ellipse_axes(covariances["f"][t])]
 
     try:
         with open(path, "w") as fh:
@@ -662,12 +660,8 @@ def export_results(estimate: TrajectoryArrays, covariances: dict | None, path,
                 fh.write("# config: " + json.dumps(config_echo, sort_keys=True) + "\n")
             fh.write(",".join(RESULT_COLUMNS) + "\n")
             for t in range(T):
-                row = [estimate.timestamps[t]]
-                row += list(estimate.x[t]) if estimate.x is not None else [math.nan] * 3
-                row += list(estimate.e[t]) if estimate.e is not None else [math.nan] * 3
-                row += list(estimate.p[t]) if estimate.p is not None else [math.nan] * 2
-                row += list(estimate.f[t]) if estimate.f is not None else [math.nan] * 2
-                row += cov_cols(t)
+                row = [estimate.timestamps[t], *estimate.x[t], *estimate.e[t], *estimate.p[t],
+                       *estimate.f[t], *cov_cols(t)]
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
     except OSError as exc:
         raise IoError(str(exc)) from exc

@@ -114,18 +114,6 @@ class PlanarPose:
     def rotation(self) -> np.ndarray:
         return rot2(self.theta)
 
-    def compose(self, other: "PlanarPose") -> "PlanarPose":
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return PlanarPose(
-            self.x + c * other.x - s * other.y,
-            self.y + s * other.x + c * other.y,
-            self.theta + other.theta,
-        )
-
-    def inverse(self) -> "PlanarPose":
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return PlanarPose(-(c * self.x + s * self.y), -(-s * self.x + c * self.y), -self.theta)
-
     def transform_point(self, q) -> np.ndarray:
         """Body-frame point to world frame."""
         return self.rotation() @ np.asarray(q, dtype=float) + self.translation
@@ -155,10 +143,6 @@ class Pose3:
             raise ValueError("quaternion norm is zero")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "quaternion", q / n)
-
-    @classmethod
-    def identity(cls) -> "Pose3":
-        return cls(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
 
     @classmethod
     def from_matrix(cls, t, rot: np.ndarray) -> "Pose3":
@@ -230,6 +214,16 @@ def embed_in_plane(pp: PlanarPose, plane: Plane3) -> Pose3:
 # shapes
 # ---------------------------------------------------------------------------
 
+BOUNDARY_SUBDIVISIONS = 32  # boundary_samples_body points per polygon edge
+
+
+def _positive(name: str, value: float) -> float:
+    """value as a float; raises ValueError naming it unless finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
 
 @dataclass(frozen=True, eq=False)
 class Shape2D:
@@ -241,9 +235,7 @@ class Shape2D:
 
     @classmethod
     def disc(cls, radius: float) -> "Shape2D":
-        if radius <= 0.0:
-            raise ValueError("disc radius must be positive")
-        return cls("disc", radius=float(radius))
+        return cls("disc", radius=_positive("disc radius", radius))
 
     @classmethod
     def polygon(cls, vertices) -> "Shape2D":
@@ -251,6 +243,8 @@ class Shape2D:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError("polygon needs an (N, 2) vertex array with N >= 3")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("polygon vertices must be finite")
         nxt = np.roll(v, -1, axis=0)
         w = cross2(v.T, nxt.T)  # twice the signed area of each fan triangle
         area2 = float(w.sum())
@@ -265,13 +259,14 @@ class Shape2D:
 
     @classmethod
     def box(cls, width: float, height: float) -> "Shape2D":
-        hw, hh = width / 2.0, height / 2.0
+        hw, hh = _positive("box width", width) / 2.0, _positive("box height", height) / 2.0
         return cls.polygon([[hw, -hh], [hw, hh], [-hw, hh], [-hw, -hh]])
 
     @classmethod
-    def ellipse(cls, a: float, b: float, n: int = 64) -> "Shape2D":
-        """Ellipse with semi-axes a, b approximated by an n-gon."""
-        ang = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    def ellipse(cls, a: float, b: float) -> "Shape2D":
+        """Ellipse with semi-axes a, b approximated by a 64-gon."""
+        a, b = _positive("ellipse semi-axis a", a), _positive("ellipse semi-axis b", b)
+        ang = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         return cls.polygon(np.column_stack([a * np.cos(ang), b * np.sin(ang)]))
 
     def area(self) -> float:
@@ -284,11 +279,6 @@ class Shape2D:
         if self.kind == "disc":
             return self.radius
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
-
-    def scaled(self, s: float) -> "Shape2D":
-        if self.kind == "disc":
-            return Shape2D.disc(self.radius * s)
-        return Shape2D.polygon(self.vertices * s)
 
     # -- body-frame queries (edge arrays cached, vectorized over rows and edges)
 
@@ -351,11 +341,11 @@ class Shape2D:
         inside = np.all(d[:, 0] * rel[:, :, 1] - d[:, 1] * rel[:, :, 0] >= 0.0, axis=1)
         return np.where(inside, -dist, dist)
 
-    def boundary_samples_body(self, subdivisions: int = 32) -> np.ndarray:
-        """Vertices plus per-edge subdivision points (polygons only)."""
+    def boundary_samples_body(self) -> np.ndarray:
+        """Vertices plus BOUNDARY_SUBDIVISIONS points per edge (polygons only)."""
         if self.kind != "polygon":
             raise ValueError("boundary sampling applies to polygons")
-        k = np.arange(subdivisions) / subdivisions
+        k = np.arange(BOUNDARY_SUBDIVISIONS) / BOUNDARY_SUBDIVISIONS
         return (self.vertices[:, None, :] + self._edge_dir[:, None, :] * k[:, None]).reshape(-1, 2)
 
 

@@ -178,9 +178,6 @@ class FactorGraph:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def residual_dim(self) -> int:
-        return sum(f.dim for f in self.factors)
-
     def state_vector(self, values: dict) -> np.ndarray:
         """The values of the graph's variables as one vector, in variable_index order.
 
@@ -595,19 +592,17 @@ class GraphConfig:
     sigma_weak: float = 1e3  # regularization for unmeasured contact/force components
 
     @classmethod
-    def from_trajectory(cls, traj: MeasuredTrajectory, **overrides) -> "GraphConfig":
+    def from_trajectory(cls, traj: MeasuredTrajectory) -> "GraphConfig":
         """Measurement sigmas from the file's corruption provenance.
 
         Each sigma is the recorded noise spec's (NoiseSpec.sigmas). A
         channel the spec did not touch, or touched with a zero sigma, is
         treated as exact (tight sigma), so that, e.g., ground-truth-pose
-        protocols pin poses. overrides name fields to set; an unknown name
-        raises TypeError.
+        protocols pin poses. dataclasses.replace sets other fields.
         """
         tight = 1e-4
         sigmas = {} if traj.noise is None else traj.noise.sigmas()
-        sigmas = {name: sigma if sigma > 0.0 else tight for name, sigma in sigmas.items()}
-        return cls(**{**sigmas, **overrides})
+        return cls(**{name: sigma if sigma > 0.0 else tight for name, sigma in sigmas.items()})
 
     @cached_property
     def object_pose_noise(self) -> NoiseModel:

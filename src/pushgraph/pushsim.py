@@ -396,7 +396,7 @@ def benchmark_scenario(seed: int, duration: float = 4.0, dt: float = 0.1,
     if speed is None:
         speed = rng.uniform(0.05, 0.08)
     T = max(1, round(duration / dt))
-    steer = steering_profile("random", T, dt, seed=seed + 10_000, amplitude=rng.uniform(0.2, 0.35))
+    steer = steering_profile(T, dt, seed=seed + 10_000, amplitude=rng.uniform(0.2, 0.35))
     gt = servo_push(
         PlanarPose.identity(), obj_shape, ee_shape, params, speed, duration, dt, steer,
         lateral_offset=rng.uniform(-0.01, 0.01), direction=rng.uniform(-math.pi, math.pi),
@@ -404,25 +404,19 @@ def benchmark_scenario(seed: int, duration: float = 4.0, dt: float = 0.1,
     return gt
 
 
-def steering_profile(kind: str, T: int, dt: float, seed: int = 0, amplitude: float = 0.25) -> np.ndarray:
-    """Per-step steer angles for servo pushes: constant, sine, or random walk."""
-    if kind == "none":
-        return np.zeros(T)
-    if kind == "constant":
-        return np.full(T, amplitude)
-    if kind == "sine":
-        t = np.arange(T) * dt
-        period = max(2.0, T * dt / 2.0)
-        return amplitude * np.sin(2.0 * math.pi * t / period)
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        out = np.zeros(T)
-        val = rng.uniform(-amplitude, amplitude)
-        for i in range(T):
-            val = np.clip(val + rng.normal(0.0, amplitude) * math.sqrt(dt), -amplitude, amplitude)
-            out[i] = val
-        return out
-    raise ValueError(f"unknown steering profile {kind!r}")
+def steering_profile(T: int, dt: float, seed: int = 0, amplitude: float = 0.25) -> np.ndarray:
+    """Per-step steer angles for servo pushes: a random walk, deterministic per seed.
+
+    The walk starts uniform in [-amplitude, amplitude], takes Gaussian steps
+    of standard deviation amplitude * sqrt(dt), and is clipped to that range.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros(T)
+    val = rng.uniform(-amplitude, amplitude)
+    for i in range(T):
+        val = np.clip(val + rng.normal(0.0, amplitude) * math.sqrt(dt), -amplitude, amplitude)
+        out[i] = val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +467,3 @@ def arc_path(start: PlanarPose, speed: float, curvature: float, duration: float,
     poses[:, 2] = np.array([PlanarPose(0, 0, a).theta for a in poses[:, 2]])
     return poses
 
-
-def random_curvature_path(start: PlanarPose, speed: float, duration: float, dt: float,
-                          seed: int, max_curvature: float = 2.0) -> np.ndarray:
-    """Smoothly varying curvature, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    n = max(1, round(duration / dt))
-    curv = 0.0
-    poses = np.zeros((n, 3))
-    x, y, th = start.x, start.y, start.theta
-    for i in range(n):
-        poses[i] = [x, y, th]
-        curv = np.clip(curv + rng.normal(0.0, 0.6) * dt / 0.1, -max_curvature, max_curvature)
-        x += speed * dt * math.cos(th)
-        y += speed * dt * math.sin(th)
-        th += speed * curv * dt
-    poses[:, 2] = np.array([PlanarPose(0, 0, a).theta for a in poses[:, 2]])
-    return poses

@@ -136,7 +136,8 @@ def test_one_step_trajectory_exits_2_in_both_modes(tmp_path):
         assert run("estimate", "--in", sim, "--mode", mode) == 2
 
 
-@pytest.mark.parametrize("spec", ["box:0.1", "box:0.1xq", "disc:abc", "hexagon:1"])
+@pytest.mark.parametrize("spec", ["box:0.1", "box:0.1xq", "disc:abc", "hexagon:1",
+                                  "disc:nan", "box:infx1", "box:0x1"])
 @pytest.mark.parametrize("flag", ["--shape", "--ee-shape"])
 def test_malformed_shape_spec_exits_2(tmp_path, capsys, flag, spec):
     out = tmp_path / "sim.json"
@@ -177,6 +178,8 @@ def test_explicit_flag_beats_config_file(tmp_path):
 @pytest.mark.parametrize("text", [
     "{not json",
     json.dumps({"schema_version": 1, "steps": [{"bogus": 1}]}),
+    json.dumps({"schema_version": 1, "plane": {"origin": [0, 0, 0], "normal": [0, 0, 1], "x_axis": [1, 0, 0]},
+                "steps": []}),
 ])
 def test_malformed_input_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"

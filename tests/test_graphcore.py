@@ -81,7 +81,7 @@ def center_push_trajectory(duration=3.0, dt=0.1, speed=0.05, offset=0.0, kind="s
         gt = simulate_push(straight_path(e0, speed, duration, dt), x0, BOX, PROBE, PARAMS, dt)
     else:
         T = max(1, round(duration / dt))
-        steer = steering_profile("random", T, dt, seed=seed, amplitude=0.3)
+        steer = steering_profile(T, dt, seed=seed, amplitude=0.3)
         gt = servo_push(PP.identity(), BOX, PROBE, PARAMS, speed, duration, dt, steer,
                         lateral_offset=offset)
     assert not gt.contact_lost
@@ -159,12 +159,12 @@ class TestBuildGraph:
 
     def test_config_overrides(self):
         traj = inject_noise(center_push_trajectory(duration=1.0), NoiseSpec(seed=1, channels=("w",)))
-        cfg = GraphConfig.from_trajectory(traj, sigma_qs=1e-3, sigma_contact=0.02)
+        cfg = dataclasses.replace(GraphConfig.from_trajectory(traj), sigma_qs=1e-3, sigma_contact=0.02)
         assert cfg.sigma_qs == 1e-3
         assert cfg.sigma_contact == 0.02  # wins over the recorded noise
         assert cfg.sigma_x_trans == 1e-4  # y was not corrupted: tight
         with pytest.raises(TypeError):
-            GraphConfig.from_trajectory(traj, sigma_qss=1e-3)
+            dataclasses.replace(GraphConfig.from_trajectory(traj), sigma_qss=1e-3)
 
     @pytest.mark.parametrize("spec", [
         NoiseSpec(seed=1),
@@ -215,7 +215,7 @@ class TestBuildGraph:
     def test_well_posedness_residual_dim(self):
         traj = center_push_trajectory(duration=1.0)
         graph = build_graph("QS", traj)
-        assert graph.residual_dim() >= graph.total_dim
+        assert graph.layout.shape[0] >= graph.total_dim
 
 
 def grid(t0, T):
@@ -314,7 +314,7 @@ class TestLinearize:
         graph = build_graph("QS", traj)
         system = linearize(graph, graph.state_vector(graph.initial))
         n = graph.total_dim
-        dense_entries = graph.residual_dim() * n
+        dense_entries = graph.layout.shape[0] * n
         assert sum(J.size for J in system.jacobians) * 100 <= dense_entries
         assert system.normal_matrix.size * 20 <= n * n
 

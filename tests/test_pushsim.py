@@ -12,11 +12,13 @@ from pushgraph.pushsim import (
     GroundTruthTrajectory,
     PushParams,
     arc_path,
+    benchmark_scenario,
     limit_surface_constants,
     make_push_scene,
     quasi_static_step,
-    random_curvature_path,
+    servo_push,
     simulate_push,
+    steering_profile,
     straight_path,
 )
 
@@ -65,9 +67,10 @@ class TestLimitSurfaceConstants:
         assert params.c == pytest.approx(grid_mean_radius(Shape2D.box(1.0, 1.0)), abs=1e-4)
 
     def test_c_scales_linearly_with_shape(self):
-        for shape in (Shape2D.disc(0.07), Shape2D.box(0.1, 0.1)):
+        for shape, tripled in ((Shape2D.disc(0.07), Shape2D.disc(0.21)),
+                               (Shape2D.box(0.1, 0.1), Shape2D.box(0.3, 0.3))):
             c1 = limit_surface_constants(shape, 0.3, 1.0).c
-            c3 = limit_surface_constants(shape.scaled(3.0), 0.3, 1.0).c
+            c3 = limit_surface_constants(tripled, 0.3, 1.0).c
             assert c3 == pytest.approx(3.0 * c1, rel=1e-9)
 
     def test_polygon_oracle_agreement(self):
@@ -158,18 +161,23 @@ class TestQuasiStaticStep:
         assert diffs[0.2] > 0.0
 
 
-def simulate_case(kind, seed=0, speed=0.06, duration=4.0, dt=0.05, obj=None, params=None,
+def simulate_case(kind, speed=0.06, duration=4.0, dt=0.05, obj=None, params=None,
                   offset=0.02, curvature=1.5):
     obj = obj if obj is not None else BOX_OBJ
     params = params if params is not None else limit_surface_constants(obj, 0.3, 1.0)
     obj_pose, ee_pose = make_push_scene(obj, PROBE, direction=0.0, lateral_offset=offset)
     if kind == "straight":
         path = straight_path(ee_pose, speed, duration, dt)
-    elif kind == "arc":
-        path = arc_path(ee_pose, speed, curvature, duration, dt)
     else:
-        path = random_curvature_path(ee_pose, speed, duration, dt, seed)
+        path = arc_path(ee_pose, speed, curvature, duration, dt)
     return simulate_push(path, obj_pose, obj, PROBE, params, dt)
+
+
+def servo_case(seed, duration, obj=BOX_OBJ, params=BOX_PARAMS):
+    """The pusher of `simulate --path random`: a servo push steered by a random walk."""
+    steer = steering_profile(round(duration / 0.05), 0.05, seed=seed, amplitude=0.3)
+    return servo_push(PlanarPose.identity(), obj, PROBE, params, 0.06, duration, 0.05, steer,
+                      lateral_offset=0.02)
 
 
 class TestSimulatePush:
@@ -210,7 +218,7 @@ class TestSimulatePush:
                 assert np.sign(dth) == np.sign(tau)
 
     def test_energy_consistency(self):
-        traj = simulate_case("random", seed=3, duration=4.0)
+        traj = servo_case(seed=3, duration=4.0)
         for t in range(1, len(traj)):
             v = (traj.object_poses[t, :2] - traj.object_poses[t - 1, :2]) / (
                 traj.timestamps[t] - traj.timestamps[t - 1]
@@ -224,7 +232,7 @@ class TestSimulatePush:
             (Shape2D.ellipse(0.08, 0.05), limit_surface_constants(Shape2D.ellipse(0.08, 0.05), 0.35, 1.2)),
         ]
         for i, (obj, params) in enumerate(shapes):
-            traj = simulate_case("random", seed=10 + i, obj=obj, params=params, duration=2.0)
+            traj = servo_case(seed=10 + i, duration=2.0, obj=obj, params=params)
             assert traj.max_dynamics_residual() <= 1e-8
             assert traj.max_ellipsoid_deviation() <= 1e-8
             assert traj.max_contact_surface_error() <= 1e-9
@@ -293,3 +301,29 @@ class TestSimulatePush:
         sd = signed_distance(BOX_OBJ, obj_pose, traj.contact_points[0])
         assert abs(sd) < 1e-9
         assert traj.max_dynamics_residual() <= 1e-8
+
+
+# benchmark_scenario(seed, duration=4.0, dt=0.1): final object pose, final
+# contact point and the sum of the force norms. Both benchmark workloads are
+# built from these scenes, so a change to them changes what the benchmark
+# measures.
+BENCHMARK_SCENES = {
+    0: ([-0.15038251484225842, 0.13086577298004828, 0.17714043475583008],  # box 10x10 cm
+        [-0.09235416002242569, 0.09045896616605237], 112.51410058402983),
+    1: ([0.18414680812970094, -0.0882434459601415, 0.3403647278408535],  # disc
+        [0.12458177938806095, -0.0810318337265558], 159.6551779569204),
+    2: ([0.09153556898302434, 0.2734972126174251, 0.12153194890369923],  # ellipse
+        [0.08198863791504721, 0.22292754761174918], 92.15131940863276),
+    3: ([0.16939031128996443, -0.21477968667242855, -0.5570850890517631],  # box 12x8 cm
+        [0.1396108899612314, -0.14910483558522944], 77.41524769163851),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCHMARK_SCENES))
+def test_benchmark_scene_is_pinned(seed):
+    pose, contact, force_sum = BENCHMARK_SCENES[seed]
+    gt = benchmark_scenario(seed, duration=4.0, dt=0.1)
+    assert len(gt) == 40 and not gt.contact_lost
+    np.testing.assert_allclose(gt.object_poses[-1], pose, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(gt.contact_points[-1], contact, rtol=1e-9, atol=0.0)
+    assert np.sum(np.linalg.norm(gt.forces, axis=1)) == pytest.approx(force_sum, rel=1e-9, abs=0.0)
