@@ -69,7 +69,23 @@ def _echo(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_SIM_POSITIVE = ("dt", "dur")
+_SIM_FINITE = ("mu", "mass", "gravity", "speed", "offset", "direction", "curvature", "steer_amplitude")
+
+
+def _check_simulate_numbers(cfg: dict):
+    """Raise ValueError naming the flag of a non-finite number, or of a dt or dur that is not positive."""
+    for name in _SIM_POSITIVE + _SIM_FINITE:
+        value = float(cfg[name])
+        flag = "--" + name.replace("_", "-")
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+        if name in _SIM_POSITIVE and value <= 0.0:
+            raise ValueError(f"{flag} must be positive, got {value}")
+
+
 def run_simulate(cfg: dict) -> dataio.MeasuredTrajectory:
+    _check_simulate_numbers(cfg)
     obj_shape = build_shape(cfg["shape"])
     ee_shape = build_shape(cfg["ee_shape"])
     params = pushsim.limit_surface_constants(obj_shape, cfg["mu"], cfg["mass"], cfg["gravity"])

@@ -97,8 +97,11 @@ class Factor:
       stack(factors) -> consts, the factors' constants along a leading row axis
       evaluate(consts, *vals) -> (residuals (N, d), [Jacobian (N, d, dim_k) per key])
 
-    with vals[k] the (N, dim_k) values of the k-th key. Factors can share a
-    block when their class, kind, dims and block_signature() agree. A
+    with vals[k] the (N, dim_k) values of the k-th key. Factors share a
+    block when their class, kind, residual dim d and block_signature()
+    agree, and the block takes its key dims from its first factor: a class
+    whose factors can differ in the number or dims of their keys puts those
+    in its block signature. A
     constant_jacobian class splits its kernel into residuals(consts, *vals)
     and constant_jacobians(consts), which depend on the constants alone.
     residual_and_jacobians(*vals) is the one-row call of the same kernel.

@@ -26,10 +26,12 @@ the keys its factors touch.
 `linearize` is the one place factors are evaluated: it serves the
 Gauss-Newton candidates (their cost is the squared norm of the whitened
 residual it assembles), the marginal covariances and the smoother's
-marginalization. It groups a graph's factors into blocks of one class
-and signature and calls each class's kernel once per block, over all its
-timesteps; blocks with constant Jacobians are whitened once per graph
-and after that only their residuals are evaluated.
+marginalization. The marginals at a solve's answer reuse the solve's
+final system and its band factor, and linearize only at other values.
+`linearize` groups a graph's factors into blocks of one class, kind,
+residual dim and signature and calls each class's kernel once per block,
+over all its timesteps; blocks with constant Jacobians are whitened once
+per graph and after that only their residuals are evaluated.
 The state is one flat vector in variable_index order. `linearize` takes
 it, and `gauss_newton` iterates on it: a candidate is x + delta with the
 angle slots wrapped through a mask kept in the graph's layout, and a
@@ -42,6 +44,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -130,6 +133,10 @@ class LinearizedPriorFactor(Factor):
         self.r0 = np.asarray(r0, dtype=float)
         self.sqrt_info = np.asarray(sqrt_info, dtype=float)
 
+    def block_signature(self):
+        # its keys are the boundary a marginalization left, any number of any dims
+        return tuple(len(a) for a in self.anchors)
+
     @classmethod
     def stack(cls, factors):
         anchors = np.array([np.concatenate(f.anchors) for f in factors])
@@ -168,6 +175,9 @@ class FactorGraph:
         self.dims: dict[VariableKey, int] = {key: key_dim(key) for key in keys}
         self.initial: dict[VariableKey, np.ndarray] = (
             {} if initial is None else {key: np.array(initial[key], dtype=float) for key in keys})
+        # the system the last gauss_newton on this graph ended on, until
+        # marginal_covariances takes it
+        self.solved: LinearSystem | None = None
 
     def variable_index(self) -> dict[VariableKey, tuple[int, int]]:
         """Timestep-major ordering; near-optimal elimination for chain graphs."""
@@ -241,9 +251,8 @@ class _LinearizeCache:
 def _band_positions(blocks: list[_Block], n: int) -> np.ndarray:
     """Flat position in band storage of every lower pair of the blocks, block by block."""
     # H[i, j] with i >= j sits at [i - j, j] of the (bandwidth + 1, n) band
-    positions = [((b.columns[:, :, None] - b.columns[:, None, :]) * n + b.columns[:, None, :])[b.lower]
-                 for b in blocks]
-    return np.concatenate(positions) if positions else np.zeros(0, dtype=int)
+    return _concat([((b.columns[:, :, None] - b.columns[:, None, :]) * n + b.columns[:, None, :])[b.lower]
+                    for b in blocks], int)
 
 
 def _band(layout: _LinearizeCache, blocks: list[tuple[_Block, np.ndarray]], positions: np.ndarray) -> np.ndarray:
@@ -254,44 +263,56 @@ def _band(layout: _LinearizeCache, blocks: list[tuple[_Block, np.ndarray]], posi
     return band.reshape(bw + 1, n)
 
 
+def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=dtype)
+
+
 def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
     index = graph.variable_index()
+    offset_of = {key: off for key, (off, _) in index.items()}.__getitem__
     n = graph.total_dim
     groups: dict = {}
     for f in graph.factors:
-        dims = tuple(graph.dims[k] for k in f.keys)
-        groups.setdefault((type(f), f.kind, f.dim, dims, f.block_signature()), []).append(f)
+        groups.setdefault((type(f), f.kind, len(f.noise.sigmas), f.block_signature()), []).append(f)
     blocks = []
+    bandwidth = 0
     m = 0
-    for (cls, kind, d, dims, _), factors in groups.items():
-        offsets = np.array([[index[k][0] for k in f.keys] for f in factors])
+    for (cls, kind, d, _), factors in groups.items():
+        N = len(factors)
+        dims = [graph.dims[k] for k in factors[0].keys]  # the same for the whole block (see Factor)
+        keys = itertools.chain.from_iterable(map(operator.attrgetter("keys"), factors))
+        offsets = np.fromiter(map(offset_of, keys), dtype=np.intp).reshape(N, len(dims))
         gather = [offsets[:, i, None] + np.arange(dim) for i, dim in enumerate(dims)]
         columns = np.concatenate(gather, axis=1)
-        inv_sigmas = np.array([f.noise.inv_sigmas for f in factors])
-        blocks.append(_Block(cls, kind, cls.stack(factors), gather, inv_sigmas, slice(m, m + len(factors) * d),
-                             columns, columns[:, :, None] >= columns[:, None, :], None))
-        m += len(factors) * d
-    for b in blocks:
-        if b.kernel.constant_jacobian:
-            b.jacobian = np.concatenate(b.kernel.constant_jacobians(b.consts), axis=2) * b.inv_sigmas[:, :, None]
+        diff = columns[:, :, None] - columns[:, None, :]  # row minus column of each pair
+        lower = diff >= 0
+        bandwidth = max(bandwidth, int(diff.max()))
+        inv_sigmas = np.concatenate([f.noise.inv_sigmas for f in factors]).reshape(N, d)
+        consts = cls.stack(factors)
+        jacobian = (np.concatenate(cls.constant_jacobians(consts), axis=2) * inv_sigmas[:, :, None]
+                    if cls.constant_jacobian else None)
+        blocks.append(_Block(cls, kind, consts, gather, inv_sigmas, slice(m, m + N * d), columns, lower, jacobian))
+        m += N * d
     return _LinearizeCache(
         index=index,
-        theta=np.concatenate([_ANGLES[key.role] for key in index]) if index else np.zeros(0, dtype=bool),
+        theta=_concat([_ANGLES[key.role] for key in index], bool),
         shape=(m, n),
         blocks=blocks,
-        bandwidth=max((int(np.ptp(b.columns, axis=1).max()) for b in blocks), default=0),
+        bandwidth=bandwidth,
         band_positions=_band_positions([b for b in blocks if b.jacobian is None], n),
-        columns=np.concatenate([b.columns.ravel() for b in blocks]) if blocks else np.zeros(0, dtype=int),
+        columns=_concat([b.columns.ravel() for b in blocks], int),
     )
 
 
 @dataclass
 class LinearSystem:
-    """Whitened linearization J delta ~ -r, held as the blocks' row Jacobians.
+    """Whitened linearization J delta ~ -r at x, held as the blocks' row Jacobians.
 
-    J^T J (banded, see normal_matrix), J^T r and a dense J are formed on first use.
+    J^T J (banded, see normal_matrix), its band Cholesky factor, J^T r and a
+    dense J are formed on first use.
     """
 
+    x: np.ndarray  # the state vector it linearizes at
     residual: np.ndarray
     index: dict[VariableKey, tuple[int, int]]
     jacobians: list[np.ndarray]  # per block of the layout, its whitened (N, d, width) Jacobian
@@ -321,6 +342,15 @@ class LinearSystem:
         layout = self.layout
         relinearized = [(b, J) for b, J in zip(layout.blocks, self.jacobians) if b.jacobian is None]
         return layout.constant_band + _band(layout, relinearized, layout.band_positions)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The Cholesky factor L of normal_matrix in the same lower band storage.
+
+        Shared by the undamped Gauss-Newton step and the marginals; raises
+        numpy.linalg.LinAlgError when J^T J is not positive definite.
+        """
+        return scipy.linalg.cholesky_banded(self.normal_matrix, lower=True, check_finite=False)
 
     @cached_property
     def gradient(self) -> np.ndarray:
@@ -358,7 +388,7 @@ def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
             r, jacs = b.kernel.evaluate(b.consts, *vals)
             jacobians.append(np.concatenate(jacs, axis=2) * b.inv_sigmas[:, :, None])
         res[b.rows] = (r * b.inv_sigmas).ravel()
-    return LinearSystem(residual=res, index=cache.index, jacobians=jacobians, layout=cache)
+    return LinearSystem(x=x, residual=res, index=cache.index, jacobians=jacobians, layout=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +403,16 @@ _COST_FLOOR = 1e-14  # a cost this small counts as solved outright
 
 @dataclass
 class GaussNewtonOptions:
-    max_iter: int = 100
+    """When gauss_newton stops; see its docstring for the order of the tests."""
+
+    max_iter: int = 100  # accepted steps at most; reaching it stops with "max_iter"
+    # stop ("cost") once an accepted step lowered the cost by at most this
+    # fraction of it
     rel_cost_tol: float = 1e-9
-    abs_grad_tol: float = 1e-10
+    # stop ("cost") before linearizing the undamped step when the Gauss-Newton
+    # model forecasts a decrease of at most this fraction of the cost
+    rel_model_tol: float = 1e-7
+    abs_grad_tol: float = 1e-10  # stop ("gradient") once max |J^T r| is below it
 
 
 @dataclass
@@ -400,12 +437,17 @@ class SolveReport:
 
 
 def _solve_normal(system: LinearSystem, damping: float | None) -> np.ndarray | None:
-    H = system.normal_matrix
-    if damping is not None:
-        H = H.copy()
-        H[0] += damping * np.where(H[0] > 0.0, H[0], 1.0)
+    """The step solving (H + damping diag) delta = -g, or None when H is singular there.
+
+    The undamped step uses the system's own factor, which the marginals reuse.
+    """
     try:
-        factor = scipy.linalg.cholesky_banded(H, lower=True, check_finite=False)
+        if damping is None:
+            factor = system.factor
+        else:
+            H = system.normal_matrix.copy()
+            H[0] += damping * np.where(H[0] > 0.0, H[0], 1.0)
+            factor = scipy.linalg.cholesky_banded(H, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
     delta = scipy.linalg.cho_solve_banded((factor, True), -system.gradient, check_finite=False)
@@ -425,11 +467,27 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     evaluated once. A solve that finds no improving step stops unconverged,
     with reason "no_improving_step".
 
+    Two rules stop a solve as converged, with reason "cost":
+      - the model rule, before a candidate is linearized: the undamped step
+        delta (H delta = -g) has the forecast decrease -g^T delta = delta^T H
+        delta, and the solve stops at the current point, evaluated already,
+        when that is between 0 and rel_model_tol times the cost. Only the
+        undamped step is trusted for this, since a damped step forecasts a
+        small decrease because it is short, not because the cost is near its
+        minimum; and a negative forecast means the step is no descent
+        direction, a broken solve rather than a converged one.
+      - the actual rule, after an accepted step: the cost fell by at most
+        rel_cost_tol times its previous value.
+    The gradient ("gradient"), the cost floor ("cost_floor") and the
+    iteration cap ("max_iter") stop it too.
+
     The solve iterates on one flat state vector: the initial values are
     flattened once, a candidate is x + delta with the angle slots wrapped
-    (retract, through the layout's theta mask), and the values dict, whose
-    arrays are views into the final vector, is built once on return. The
-    report's per-kind chi^2 come from the first and the final system.
+    (retract, through the layout's theta mask), and the values dict is built
+    once on return. The report's per-kind chi^2 come from the first and the
+    final system. The final system is kept as graph.solved, so that
+    marginal_covariances at the returned values does not linearize again,
+    and takes the band factor too when the model rule stopped the solve.
     """
     opts = opts or GaussNewtonOptions()
     init = init or graph.initial
@@ -453,13 +511,18 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
         if float(np.max(np.abs(system.gradient))) < opts.abs_grad_tol:
             report.reason = "gradient"
             break
+        undamped = _solve_normal(system, None)
+        # the model rule: stop here, without linearizing x + undamped
+        if undamped is not None and 0.0 <= -float(system.gradient @ undamped) <= opts.rel_model_tol * cost:
+            report.reason = "cost"
+            break
         # plain Gauss-Newton first; on cost increase walk the Levenberg
         # ladder, starting one rung below the last one that worked
-        attempts = [None, *(_DAMPINGS if warm is None else _DAMPINGS[max(warm - 1, 0):])]
+        ladder = _DAMPINGS if warm is None else _DAMPINGS[max(warm - 1, 0):]
+        attempts = itertools.chain([(None, undamped)], ((d, _solve_normal(system, d)) for d in ladder))
         accepted = None
         singular_everywhere = True
-        for damping in attempts:
-            delta = _solve_normal(system, damping)
+        for damping, delta in attempts:
             if delta is None:
                 continue
             singular_everywhere = False
@@ -489,7 +552,10 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     report.final_cost = cost
     report.cost_trace = trace
     report.chi2_final = system.chi2_by_kind()
-    return {key: x[off : off + dim] for key, (off, dim) in system.index.items()}, report
+    graph.solved = system
+    # views into a copy, so that changing the values leaves the kept system's point alone
+    out = x.copy()
+    return {key: out[off : off + dim] for key, (off, dim) in system.index.items()}, report
 
 
 def _selected_inverse(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -537,10 +603,19 @@ def marginal_covariances(graph: FactorGraph, values: dict, keys) -> dict:
     Dellaert 2009), in O(n bandwidth^2) time and O(n bandwidth) memory. A
     key's block is read from its diagonal block, or from the pair of blocks
     around the edge that it straddles.
+
+    At the values the last gauss_newton on the graph returned, its final
+    system (graph.solved) and that system's factor are taken over instead of
+    linearizing and factoring again; other values are linearized. The graph
+    lets go of the system when it is taken, so that solved graphs kept alive
+    do not hold one each.
     """
-    system = linearize(graph, graph.state_vector(values))
+    x = graph.state_vector(values)
+    system, graph.solved = graph.solved, None
+    if system is None or not np.array_equal(system.x, x):
+        system = linearize(graph, x)
     try:
-        factor = scipy.linalg.cholesky_banded(system.normal_matrix, lower=True, check_finite=False)
+        factor = system.factor
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     diag, below = _selected_inverse(factor)

@@ -146,6 +146,20 @@ def test_malformed_shape_spec_exits_2(tmp_path, capsys, flag, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", 0), ("--dt", -0.1), ("--dt", "nan"), ("--dur", -1), ("--dur", 0), ("--dur", "inf"),
+    ("--mu", "nan"), ("--speed", "nan"), ("--offset", "nan"), ("--curvature", "inf"),
+    ("--steer-amplitude", "nan"), ("--mass", "inf"),
+])
+def test_bad_simulate_number_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "sim.json"
+    argv = ["--path", "random"] if flag == "--steer-amplitude" else []
+    assert run("simulate", "--dur", 0.5, "--dt", 0.1, *argv, flag, value, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()
+
+
 def test_unknown_mode_exits_2(noisy_file, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"mode": "bogus"}))

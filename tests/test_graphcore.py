@@ -55,7 +55,7 @@ PROBE = Shape2D.disc(0.008)
 PARAMS = limit_surface_constants(BOX, 0.3, 1.0)
 
 # iterate until no float-level improvement remains; used for agreement tests
-TIGHT = GaussNewtonOptions(max_iter=200, rel_cost_tol=1e-16, abs_grad_tol=1e-12)
+TIGHT = GaussNewtonOptions(max_iter=200, rel_cost_tol=1e-16, rel_model_tol=1e-16, abs_grad_tol=1e-12)
 
 
 def dense_normal_matrix(band):
@@ -476,6 +476,46 @@ class TestGaussNewton:
         assert report.converged is False
         np.testing.assert_array_equal(values[key], graph.initial[key])
 
+    def test_model_stop_skips_the_last_candidate(self, monkeypatch):
+        traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
+                            NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
+        graph = build_graph("QS", traj)
+        real_linearize = graphcore.linearize
+        systems = []
+
+        def recorded(graph, x):
+            systems.append(real_linearize(graph, x))
+            return systems[-1]
+
+        monkeypatch.setattr(graphcore, "linearize", recorded)
+        _, report = gauss_newton(graph)
+        monkeypatch.undo()
+        opts = GaussNewtonOptions()
+        trace = report.cost_trace
+        assert report.reason == "cost" and report.iterations >= 3
+        # the last accepted step still lowered the cost by more than rel_cost_tol:
+        # the model's forecast stopped the solve, and no candidate followed it
+        assert trace[-2] - trace[-1] > opts.rel_cost_tol * trace[-2]
+        assert len(systems) == report.iterations + 1
+        assert [s.cost for s in systems] == trace
+        _, tight = gauss_newton(build_graph("QS", traj), None, TIGHT)
+        assert tight.iterations > report.iterations
+        assert 0.0 <= report.final_cost - tight.final_cost <= 2 * opts.rel_model_tol * tight.final_cost
+
+    def test_damped_steps_do_not_stop_on_their_forecast(self, monkeypatch):
+        # with the undamped step refused, every step is damped, and each
+        # damped forecast is small because the step is short
+        traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
+                            NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
+        real_solve = graphcore._solve_normal
+        monkeypatch.setattr(graphcore, "_solve_normal",
+                            lambda system, damping: None if damping is None else real_solve(system, damping))
+        _, report = gauss_newton(build_graph("QS", traj))
+        monkeypatch.undo()
+        _, tight = gauss_newton(build_graph("QS", traj), None, TIGHT)
+        assert report.converged and report.iterations >= 3
+        assert report.final_cost - tight.final_cost <= 1e-6 * tight.final_cost
+
     def test_report_splits_chi2_by_factor_kind(self):
         traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
                             NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
@@ -681,6 +721,49 @@ class TestMarginals:
         assert len(nees) == 240
         assert 1.5 <= nees.mean() <= 2.5
         assert np.mean(nees <= 5.991) >= 0.93
+
+    def test_marginals_at_the_solution_reuse_its_final_system(self, monkeypatch):
+        traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
+                            NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
+        graph = build_graph("QS", traj)
+        values, _ = gauss_newton(graph)
+        keys = [obj_key(t) for t in range(len(traj))] + [pf_key(t) for t in range(len(traj))]
+        # the same graph built again has no solve to reuse, so it linearizes
+        fresh = marginal_covariances(FactorGraph(graph.factors, graph.initial), values, keys)
+        assert "factor" in vars(graph.solved)  # formed for the undamped step the model rule judged
+
+        def refused(*args, **kwargs):
+            raise AssertionError("linearized or factored again")
+
+        monkeypatch.setattr(graphcore, "linearize", refused)
+        monkeypatch.setattr(graphcore.scipy.linalg, "cholesky_banded", refused)
+        reused = marginal_covariances(graph, values, keys)
+        monkeypatch.undo()
+        assert graph.solved is None  # taken over, not kept
+        for key in keys:
+            np.testing.assert_array_equal(reused[key], fresh[key])
+        # a second call, other values, or the solution changed in place are linearized
+        real_linearize = graphcore.linearize
+        calls = []
+
+        def linearized_marginals(values):
+            calls.clear()
+            monkeypatch.setattr(graphcore, "linearize", lambda g, x: calls.append(x) or real_linearize(g, x))
+            out = marginal_covariances(graph, values, keys)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            np.testing.assert_array_equal(calls[0], graph.state_vector(values))
+            return out
+
+        again = linearized_marginals(values)
+        for key in keys:
+            np.testing.assert_array_equal(again[key], reused[key])
+        gauss_newton(graph)
+        linearized_marginals(graph.initial)
+        values, _ = gauss_newton(graph)
+        values[obj_key(3)][0] += 1e-3
+        moved = linearized_marginals(values)
+        assert not np.array_equal(moved[obj_key(3)], reused[obj_key(3)])
 
     def test_singular_system_detected(self):
         graph = unconstrained_x1_graph(np.zeros(3))
