@@ -271,6 +271,9 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
     index = graph.variable_index()
     offset_of = {key: off for key, (off, _) in index.items()}.__getitem__
     n = graph.total_dim
+    dim_at = np.zeros(n, dtype=np.intp)  # the dim of the key that starts at each offset
+    if index:
+        dim_at[list(map(offset_of, index))] = list(graph.dims.values())
     groups: dict = {}
     for f in graph.factors:
         groups.setdefault((type(f), f.kind, len(f.noise.sigmas), f.block_signature()), []).append(f)
@@ -282,6 +285,9 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
         dims = [graph.dims[k] for k in factors[0].keys]  # the same for the whole block (see Factor)
         keys = itertools.chain.from_iterable(map(operator.attrgetter("keys"), factors))
         offsets = np.fromiter(map(offset_of, keys), dtype=np.intp).reshape(N, len(dims))
+        if (dim_at[offsets] != dims).any():
+            raise ValueError(f"{cls.__name__} factors of one block differ in their key dims; "
+                             "its block_signature must tell them apart")
         gather = [offsets[:, i, None] + np.arange(dim) for i, dim in enumerate(dims)]
         columns = np.concatenate(gather, axis=1)
         diff = columns[:, :, None] - columns[:, None, :]  # row minus column of each pair
@@ -399,6 +405,10 @@ def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
 # Levenberg ladder, scaled by the normal-matrix diagonal (Marquardt style)
 _DAMPINGS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
 _COST_FLOOR = 1e-14  # a cost this small counts as solved outright
+# the model rule stops on a forecast decrease of up to this many times
+# rel_cost_tol of the cost: 1e-7 at the default, where a chi^2 whose standard
+# deviation is in the tens gains nothing
+_MODEL_TOL_RATIO = 100.0
 
 
 @dataclass
@@ -407,11 +417,10 @@ class GaussNewtonOptions:
 
     max_iter: int = 100  # accepted steps at most; reaching it stops with "max_iter"
     # stop ("cost") once an accepted step lowered the cost by at most this
-    # fraction of it
+    # fraction of it, or before linearizing the undamped step when the
+    # Gauss-Newton model forecasts a decrease of at most _MODEL_TOL_RATIO
+    # times this fraction
     rel_cost_tol: float = 1e-9
-    # stop ("cost") before linearizing the undamped step when the Gauss-Newton
-    # model forecasts a decrease of at most this fraction of the cost
-    rel_model_tol: float = 1e-7
     abs_grad_tol: float = 1e-10  # stop ("gradient") once max |J^T r| is below it
 
 
@@ -471,11 +480,12 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
       - the model rule, before a candidate is linearized: the undamped step
         delta (H delta = -g) has the forecast decrease -g^T delta = delta^T H
         delta, and the solve stops at the current point, evaluated already,
-        when that is between 0 and rel_model_tol times the cost. Only the
-        undamped step is trusted for this, since a damped step forecasts a
-        small decrease because it is short, not because the cost is near its
-        minimum; and a negative forecast means the step is no descent
-        direction, a broken solve rather than a converged one.
+        when that is between 0 and _MODEL_TOL_RATIO * rel_cost_tol (1e-7 at
+        the default) times the cost. Only the undamped step is trusted for
+        this, since a damped step forecasts a small decrease because it is
+        short, not because the cost is near its minimum; and a negative
+        forecast means the step is no descent direction, a broken solve
+        rather than a converged one.
       - the actual rule, after an accepted step: the cost fell by at most
         rel_cost_tol times its previous value.
     The gradient ("gradient"), the cost floor ("cost_floor") and the
@@ -513,7 +523,8 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
             break
         undamped = _solve_normal(system, None)
         # the model rule: stop here, without linearizing x + undamped
-        if undamped is not None and 0.0 <= -float(system.gradient @ undamped) <= opts.rel_model_tol * cost:
+        model_tol = _MODEL_TOL_RATIO * opts.rel_cost_tol * cost
+        if undamped is not None and 0.0 <= -float(system.gradient @ undamped) <= model_tol:
             report.reason = "cost"
             break
         # plain Gauss-Newton first; on cost increase walk the Levenberg

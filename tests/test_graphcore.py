@@ -55,7 +55,7 @@ PROBE = Shape2D.disc(0.008)
 PARAMS = limit_surface_constants(BOX, 0.3, 1.0)
 
 # iterate until no float-level improvement remains; used for agreement tests
-TIGHT = GaussNewtonOptions(max_iter=200, rel_cost_tol=1e-16, rel_model_tol=1e-16, abs_grad_tol=1e-12)
+TIGHT = GaussNewtonOptions(max_iter=200, rel_cost_tol=1e-18, abs_grad_tol=1e-12)
 
 
 def dense_normal_matrix(band):
@@ -339,6 +339,18 @@ class TestLinearize:
         step = graphcore._solve_normal(system, None)
         assert np.max(np.abs(step - want)) <= 1e-9 * np.max(np.abs(want))
 
+    def test_block_takes_key_dims_its_signature_tells_apart(self, monkeypatch):
+        # boundary priors of 3 rows each, on a pose (dim 3) and on a contact-force key (dim 4)
+        priors = [LinearizedPriorFactor([key], [np.zeros(dim)], np.zeros(3), np.eye(3, dim))
+                  for key, dim in ((obj_key(0), 3), (pf_key(0), 4))]
+        initial = {obj_key(0): np.zeros(3), pf_key(0): np.zeros(4)}
+        layout = FactorGraph(priors, initial).layout
+        assert [[g.shape[1] for g in b.gather] for b in layout.blocks] == [[3], [4]]
+        # a class that let them share a block would read the second key with the first one's dim
+        monkeypatch.setattr(LinearizedPriorFactor, "block_signature", lambda self: ())
+        with pytest.raises(ValueError, match="differ in their key dims"):
+            FactorGraph(priors, initial).layout
+
     def test_cached_constant_band_is_not_aliased(self):
         from pushgraph.factors import ConstantVelocityFactor
 
@@ -500,7 +512,8 @@ class TestGaussNewton:
         assert [s.cost for s in systems] == trace
         _, tight = gauss_newton(build_graph("QS", traj), None, TIGHT)
         assert tight.iterations > report.iterations
-        assert 0.0 <= report.final_cost - tight.final_cost <= 2 * opts.rel_model_tol * tight.final_cost
+        model_tol = graphcore._MODEL_TOL_RATIO * opts.rel_cost_tol
+        assert 0.0 <= report.final_cost - tight.final_cost <= 2 * model_tol * tight.final_cost
 
     def test_damped_steps_do_not_stop_on_their_forecast(self, monkeypatch):
         # with the undamped step refused, every step is damped, and each
