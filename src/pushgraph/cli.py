@@ -3,6 +3,11 @@
 Reproducibility rules: every command is deterministic given its effective
 config and seed, and the effective config is echoed into every output file.
 Config precedence is CLI flags > --config file (JSON) > built-in defaults.
+Each command's flags, with their defaults, help and converters, come from one
+table (SIM_FLAGS, CORRUPT_FLAGS, EST_FLAGS, BENCH_FLAGS). Every value goes
+through its flag's converter once, whether it came from the command line, the
+config file or the default; a value that does not convert is an error naming
+the flag (exit 2).
 Per-trial benchmark seeds derive from the master seed as
 SeedSequence(master_seed, spawn_key=(trial,)), independent of worker count.
 """
@@ -14,6 +19,7 @@ import concurrent.futures
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,32 +66,12 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=(trial,)).generate_state(1)[0])
 
 
-def _echo(cfg: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())}
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 
-_SIM_POSITIVE = ("dt", "dur")
-_SIM_FINITE = ("mu", "mass", "gravity", "speed", "offset", "direction", "curvature", "steer_amplitude")
-
-
-def _check_simulate_numbers(cfg: dict):
-    """Raise ValueError naming the flag of a non-finite number, or of a dt or dur that is not positive."""
-    for name in _SIM_POSITIVE + _SIM_FINITE:
-        value = float(cfg[name])
-        flag = "--" + name.replace("_", "-")
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
-        if name in _SIM_POSITIVE and value <= 0.0:
-            raise ValueError(f"{flag} must be positive, got {value}")
-
-
 def run_simulate(cfg: dict) -> dataio.MeasuredTrajectory:
-    _check_simulate_numbers(cfg)
     obj_shape = build_shape(cfg["shape"])
     ee_shape = build_shape(cfg["ee_shape"])
     params = pushsim.limit_surface_constants(obj_shape, cfg["mu"], cfg["mass"], cfg["gravity"])
@@ -106,7 +92,7 @@ def run_simulate(cfg: dict) -> dataio.MeasuredTrajectory:
     else:
         raise ValueError(f"unknown path family {cfg['path']!r}")
     traj = dataio.from_ground_truth(gt)
-    traj.config = _echo(cfg)
+    traj.config = dict(cfg)
     return traj
 
 
@@ -143,7 +129,7 @@ def run_corrupt(cfg: dict, traj: dataio.MeasuredTrajectory) -> dataio.MeasuredTr
     if cfg["occlude"] is not None:
         out = dataio.apply_occlusion(out, parse_window(cfg["occlude"]),
                                      channels=tuple(cfg["occlude_channels"].split(",")))
-    out.config = _echo(cfg)
+    out.config = dict(cfg)
     return out
 
 
@@ -296,7 +282,7 @@ def write_benchmark_csv(rows, aggregates, path, cfg):
 
     columns = [c for c in _columns(rows) if c != "error"]
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(_echo(cfg), sort_keys=True) + "\n")
+    buf.write("# config: " + json.dumps(cfg, sort_keys=True) + "\n")
     buf.write("# aggregate rows: trial=-1 mean, trial=-2 std\n")
     buf.write(",".join(columns) + "\n")
     for row in rows + aggregates:
@@ -317,134 +303,164 @@ def _fmt(v):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-SIM_DEFAULTS = {
-    "shape": "box:0.1x0.1", "ee_shape": "disc:0.008", "mu": 0.3, "mass": 1.0, "gravity": 9.81,
-    "path": "straight", "curvature": 1.0, "steer_amplitude": 0.3, "offset": 0.0,
-    "direction": 0.0, "speed": 0.06, "dur": 10.0, "dt": 0.04, "seed": 0,
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _checked(kind: Callable, test: Callable, need: str) -> Callable:
+    """A converter: kind(value), refused unless test holds for it."""
+    def convert(value):
+        number = kind(value)
+        if not test(number):
+            raise ValueError(f"must be {need}, got {number}")
+        return number
+    return convert
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and positive")
+_count = _checked(_integer, lambda n: n >= 1, "at least 1")
+
+
+class Flag(NamedTuple):
+    """A setting's default, help text, and the converter every value of it goes through."""
+
+    default: object
+    help: str
+    convert: Callable = str
+
+
+SIM_FLAGS = {
+    "shape": Flag("box:0.1x0.1", "object shape, box:WxH | disc:R | ellipse:AxB (m)"),
+    "ee_shape": Flag("disc:0.008", "pusher shape (m)"),
+    "mu": Flag(0.3, "support friction coefficient (unitless)", _finite),
+    "mass": Flag(1.0, "object mass (kg)", _finite),
+    "gravity": Flag(9.81, "gravity (m/s^2)", _finite),
+    "path": Flag("straight", "pusher path family: straight | arc | random"),
+    "curvature": Flag(1.0, "arc curvature (1/m)", _finite),
+    "steer_amplitude": Flag(0.3, "random-path steering bound (rad)", _finite),
+    "offset": Flag(0.0, "lateral contact offset (m)", _finite),
+    "direction": Flag(0.0, "push heading (rad)", _finite),
+    "speed": Flag(0.06, "pusher speed (m/s)", _finite),
+    "dur": Flag(10.0, "duration (s)", _positive),
+    "dt": Flag(0.04, "timestep (s)", _positive),
+    "seed": Flag(0, "random-path seed", _integer),
 }
 
-CORRUPT_DEFAULTS = {
-    "kind": "gaussian", "sigma_x_trans": 0.005, "sigma_x_rot": 0.5,
-    "sigma_e_trans": 0.005, "sigma_e_rot": 0.5, "sigma_contact": 0.005, "sigma_force": 0.5,
-    "mode_offset_contact": 0.003, "half_width_contact": 0.002,
-    "mode_offset_force": 0.3, "half_width_force": 0.2,
-    "channels": "y,z,w,alpha", "occlude": None, "occlude_channels": "y", "seed": 0,
+CORRUPT_FLAGS = {
+    "kind": Flag("gaussian", "noise family: gaussian | bimodal"),
+    "sigma_x_trans": Flag(0.005, "object pose translation sigma (m)", _finite),
+    "sigma_x_rot": Flag(0.5, "object pose rotation sigma (rad)", _finite),
+    "sigma_e_trans": Flag(0.005, "ee pose translation sigma (m)", _finite),
+    "sigma_e_rot": Flag(0.5, "ee pose rotation sigma (rad)", _finite),
+    "sigma_contact": Flag(0.005, "contact point sigma (m)", _finite),
+    "sigma_force": Flag(0.5, "force sigma (N)", _finite),
+    "mode_offset_contact": Flag(0.003, "bimodal contact mode (m)", _finite),
+    "half_width_contact": Flag(0.002, "bimodal contact half-width (m)", _finite),
+    "mode_offset_force": Flag(0.3, "bimodal force mode (N)", _finite),
+    "half_width_force": Flag(0.2, "bimodal force half-width (N)", _finite),
+    "channels": Flag("y,z,w,alpha", "channels to corrupt (subset of y,z,w,alpha)"),
+    "occlude": Flag(None, "occlusion window LO:HI (trajectory fraction)",
+                    lambda value: value if value is None else str(value)),
+    "occlude_channels": Flag("y", "channels dropped in the window"),
+    "seed": Flag(0, "corruption seed", _integer),
 }
 
-EST_DEFAULTS = {
-    "model": "QS", "mode": "batch", "lag": 20, "batch_every": 5,
-    "max_iter": 100, "covariances": True, "seed": 0,
+EST_FLAGS = {
+    "model": Flag("QS", "graph model: CP | SDF | QS"),
+    "mode": Flag("batch", "batch | incremental"),
+    "lag": Flag(20, "fixed-lag window (timesteps)", _integer),
+    "batch_every": Flag(5, "re-optimize after this many timesteps", _integer),
+    "max_iter": Flag(100, "optimizer iteration cap", _count),
+    "covariances": Flag(True, "report posterior marginal covariances "
+                        "(batch mode only; incremental writes NaN columns)", _boolean),
 }
 
-BENCH_DEFAULTS = {
-    **CORRUPT_DEFAULTS, **EST_DEFAULTS,
-    "models": "CP,SDF,QS", "trials": 10, "dur": 4.0, "dt": 0.1, "jobs": 1, "covariances": False,
+# a benchmark trial corrupts and estimates with these settings; --models
+# stands in for --model, and --seed is the master seed
+BENCH_FLAGS = {
+    "models": Flag("CP,SDF,QS", "comma-separated models to run"),
+    "trials": Flag(10, "number of simulated trials", _count),
+    "dur": Flag(4.0, "trial duration (s)", _positive),
+    "dt": Flag(0.1, "trial timestep (s)", _positive),
+    "jobs": Flag(1, "parallel workers", _count),
+    **CORRUPT_FLAGS,
+    **{name: flag for name, flag in EST_FLAGS.items() if name != "model"},
+    "covariances": EST_FLAGS["covariances"]._replace(default=False),
+    "seed": Flag(0, "master seed for the trial-seed split", _integer),
 }
 
 
-def _add(parser, name, default, help_text, kind=None):
-    flag = "--" + name.replace("_", "-")
-    if isinstance(default, bool):
-        group = parser.add_mutually_exclusive_group()
-        group.add_argument(flag, dest=name, action="store_true", default=None, help=help_text)
-        group.add_argument("--no-" + name.replace("_", "-"), dest=name, action="store_false",
-                           default=None, help=f"disable {name}")
-        return
-    kind = kind or (type(default) if default is not None else str)
-    parser.add_argument(flag, dest=name, type=kind, default=None, help=help_text)
+CORRUPT_DEFAULTS = {name: flag.default for name, flag in CORRUPT_FLAGS.items()}
+BENCH_DEFAULTS = {name: flag.default for name, flag in BENCH_FLAGS.items()}
+
+# command: (help, flags, --in help or None, --out help or None, --out required)
+COMMANDS = {
+    "simulate": ("generate a ground-truth pushing trajectory", SIM_FLAGS,
+                 None, "output trajectory JSON path", True),
+    "corrupt": ("inject measurement noise / occlusion", CORRUPT_FLAGS,
+                "input trajectory JSON", "output trajectory JSON path", True),
+    "estimate": ("MAP-optimize a trajectory file", EST_FLAGS,
+                 "input trajectory JSON", "results CSV path", False),
+    "benchmark": ("multi-trial model comparison", BENCH_FLAGS,
+                  None, "benchmark table CSV path", False),
+    "inspect": ("summarize a trajectory file", {}, "trajectory JSON", None, False),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """The command line; it parses flag values as text and effective_config converts them."""
     parser = argparse.ArgumentParser(
         prog="pushgraph",
         description="Planar-push trajectory estimation: simulate, corrupt, estimate, benchmark.",
     )
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON file with defaults for any flag (CLI flags win)")
+    parser.add_argument("--config", default=None, help="JSON file with defaults for any flag (CLI flags win)")
     parser.add_argument("--quiet", action="store_true", help="suppress console output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="generate a ground-truth pushing trajectory")
-    _add(sim, "shape", SIM_DEFAULTS["shape"], "object shape, box:WxH | disc:R | ellipse:AxB (m)")
-    _add(sim, "ee_shape", SIM_DEFAULTS["ee_shape"], "pusher shape (m)")
-    _add(sim, "mu", SIM_DEFAULTS["mu"], "support friction coefficient (unitless)")
-    _add(sim, "mass", SIM_DEFAULTS["mass"], "object mass (kg)")
-    _add(sim, "gravity", SIM_DEFAULTS["gravity"], "gravity (m/s^2)")
-    _add(sim, "path", SIM_DEFAULTS["path"], "pusher path family: straight | arc | random")
-    _add(sim, "curvature", SIM_DEFAULTS["curvature"], "arc curvature (1/m)")
-    _add(sim, "steer_amplitude", SIM_DEFAULTS["steer_amplitude"], "random-path steering bound (rad)")
-    _add(sim, "offset", SIM_DEFAULTS["offset"], "lateral contact offset (m)")
-    _add(sim, "direction", SIM_DEFAULTS["direction"], "push heading (rad)")
-    _add(sim, "speed", SIM_DEFAULTS["speed"], "pusher speed (m/s)")
-    _add(sim, "dur", SIM_DEFAULTS["dur"], "duration (s)")
-    _add(sim, "dt", SIM_DEFAULTS["dt"], "timestep (s)")
-    _add(sim, "seed", SIM_DEFAULTS["seed"], "random-path seed")
-    sim.add_argument("--out", type=str, required=True, help="output trajectory JSON path")
-
-    cor = sub.add_parser("corrupt", help="inject measurement noise / occlusion")
-    cor.add_argument("--in", dest="infile", type=str, required=True, help="input trajectory JSON")
-    _add(cor, "kind", CORRUPT_DEFAULTS["kind"], "noise family: gaussian | bimodal")
-    _add(cor, "sigma_x_trans", CORRUPT_DEFAULTS["sigma_x_trans"], "object pose translation sigma (m)")
-    _add(cor, "sigma_x_rot", CORRUPT_DEFAULTS["sigma_x_rot"], "object pose rotation sigma (rad)")
-    _add(cor, "sigma_e_trans", CORRUPT_DEFAULTS["sigma_e_trans"], "ee pose translation sigma (m)")
-    _add(cor, "sigma_e_rot", CORRUPT_DEFAULTS["sigma_e_rot"], "ee pose rotation sigma (rad)")
-    _add(cor, "sigma_contact", CORRUPT_DEFAULTS["sigma_contact"], "contact point sigma (m)")
-    _add(cor, "sigma_force", CORRUPT_DEFAULTS["sigma_force"], "force sigma (N)")
-    _add(cor, "mode_offset_contact", CORRUPT_DEFAULTS["mode_offset_contact"], "bimodal contact mode (m)")
-    _add(cor, "half_width_contact", CORRUPT_DEFAULTS["half_width_contact"], "bimodal contact half-width (m)")
-    _add(cor, "mode_offset_force", CORRUPT_DEFAULTS["mode_offset_force"], "bimodal force mode (N)")
-    _add(cor, "half_width_force", CORRUPT_DEFAULTS["half_width_force"], "bimodal force half-width (N)")
-    _add(cor, "channels", CORRUPT_DEFAULTS["channels"], "channels to corrupt (subset of y,z,w,alpha)")
-    _add(cor, "occlude", CORRUPT_DEFAULTS["occlude"], "occlusion window LO:HI (trajectory fraction)", str)
-    _add(cor, "occlude_channels", CORRUPT_DEFAULTS["occlude_channels"], "channels dropped in the window")
-    _add(cor, "seed", CORRUPT_DEFAULTS["seed"], "corruption seed")
-    cor.add_argument("--out", type=str, required=True, help="output trajectory JSON path")
-
-    est = sub.add_parser("estimate", help="MAP-optimize a trajectory file")
-    est.add_argument("--in", dest="infile", type=str, required=True, help="input trajectory JSON")
-    _add(est, "model", EST_DEFAULTS["model"], "graph model: CP | SDF | QS")
-    _add(est, "mode", EST_DEFAULTS["mode"], "batch | incremental")
-    _add(est, "lag", EST_DEFAULTS["lag"], "fixed-lag window (timesteps)")
-    _add(est, "batch_every", EST_DEFAULTS["batch_every"], "re-optimize after this many timesteps")
-    _add(est, "max_iter", EST_DEFAULTS["max_iter"], "optimizer iteration cap")
-    _add(est, "covariances", EST_DEFAULTS["covariances"],
-         "report posterior marginal covariances (batch mode only; incremental writes NaN columns)")
-    est.add_argument("--out", type=str, default=None, help="results CSV path")
-
-    ben = sub.add_parser("benchmark", help="multi-trial model comparison")
-    _add(ben, "models", BENCH_DEFAULTS["models"], "comma-separated models to run")
-    _add(ben, "trials", BENCH_DEFAULTS["trials"], "number of simulated trials")
-    _add(ben, "dur", BENCH_DEFAULTS["dur"], "trial duration (s)")
-    _add(ben, "dt", BENCH_DEFAULTS["dt"], "trial timestep (s)")
-    _add(ben, "jobs", BENCH_DEFAULTS["jobs"], "parallel workers")
-    for name in ("kind", "sigma_x_trans", "sigma_x_rot", "sigma_e_trans", "sigma_e_rot",
-                 "sigma_contact", "sigma_force", "mode_offset_contact", "half_width_contact",
-                 "mode_offset_force", "half_width_force", "channels", "occlude",
-                 "occlude_channels", "mode", "lag", "batch_every", "max_iter", "covariances"):
-        _add(ben, name, BENCH_DEFAULTS[name], f"see corrupt/estimate ({name})",
-             str if name == "occlude" else None)
-    _add(ben, "seed", 0, "master seed for the trial-seed split")
-    ben.add_argument("--out", type=str, default=None, help="benchmark table CSV path")
-
-    ins = sub.add_parser("inspect", help="summarize a trajectory file")
-    ins.add_argument("--in", dest="infile", type=str, required=True, help="trajectory JSON")
-
+    for command, (help_text, flags, in_help, out_help, out_required) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        if in_help:
+            cmd.add_argument("--in", dest="infile", required=True, help=in_help)
+        for name, flag in flags.items():
+            action = argparse.BooleanOptionalAction if flag.convert is _boolean else "store"
+            cmd.add_argument(_flag(name), dest=name, action=action, default=None, help=flag.help)
+        if out_help:
+            cmd.add_argument("--out", required=out_required, default=None, help=out_help)
     return parser
 
 
-def effective_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, config-file values, and explicitly passed flags."""
-    cfg = dict(defaults)
+def effective_config(args: argparse.Namespace, flags: dict[str, Flag]) -> dict:
+    """Each flag's value from the command line, else the config file, else its default,
+    through the flag's converter; a value that does not convert raises ValueError naming
+    the flag. Config-file keys that are not flags of this command are ignored."""
+    file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        for k, v in file_cfg.items():
-            if k in cfg:
-                cfg[k] = v
-    for k in cfg:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
+        if not isinstance(file_cfg, dict):
+            raise ValueError("--config must hold a JSON object")
+    cfg = {}
+    for name, flag in flags.items():
+        value = getattr(args, name)
+        if value is None:
+            value = file_cfg.get(name, flag.default)
+        try:
+            cfg[name] = flag.convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{_flag(name)}: {exc}") from None
     return cfg
 
 
@@ -457,15 +473,14 @@ def main(argv=None) -> int:
             print(msg)
 
     try:
+        cfg = effective_config(args, COMMANDS[args.command][1])
         if args.command == "simulate":
-            cfg = effective_config(args, SIM_DEFAULTS)
             traj = run_simulate(cfg)
             dataio.save_trajectory(traj, args.out)
             say(f"wrote {len(traj)} steps to {args.out}")
             return 0
 
         if args.command == "corrupt":
-            cfg = effective_config(args, CORRUPT_DEFAULTS)
             traj = dataio.load_trajectory(args.infile)
             out = run_corrupt(cfg, traj)
             dataio.save_trajectory(out, args.out)
@@ -473,7 +488,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "estimate":
-            cfg = effective_config(args, EST_DEFAULTS)
             traj = dataio.load_trajectory(args.infile)
             arrays, covs, report, metrics = run_estimate(cfg, traj)
             say(f"model={cfg['model']} mode={cfg['mode']} iterations={report.iterations} "
@@ -486,12 +500,11 @@ def main(argv=None) -> int:
                     for k, v in sorted(metrics.covariance_traces.items()):
                         say(f"  posterior trace {k}: {v:.4e}")
             if args.out:
-                dataio.export_results(arrays, covs, args.out, config_echo=_echo(cfg))
+                dataio.export_results(arrays, covs, args.out, config_echo=cfg)
                 say(f"wrote results to {args.out}")
             return 0 if report.converged else 1
 
         if args.command == "benchmark":
-            cfg = effective_config(args, BENCH_DEFAULTS)
             rows, aggregates = run_benchmark(cfg)
             for agg in aggregates:
                 if agg["trial"] == -1:

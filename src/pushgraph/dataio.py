@@ -22,7 +22,9 @@ Schema v1 (JSON, one file per trajectory)::
     }
 
 A pose is either planar {"x", "y", "theta"} or spatial {"t": [3], "q": [4]}
-with the quaternion ordered (w, x, y, z). Missing measurements are null.
+with the quaternion ordered (w, x, y, z). The loader projects a spatial pose
+into the file's plane as it reads it, so a loaded trajectory holds only
+planar poses, and files are written planar. Missing measurements are null.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ class StepTruth:
 @dataclass
 class TrajectoryStep:
     t: float
-    y: PlanarPose | Pose3 | None = None
-    z: PlanarPose | Pose3 | None = None
+    y: PlanarPose | None = None
+    z: PlanarPose | None = None
     w: np.ndarray | None = None
     alpha: np.ndarray | None = None
     truth: StepTruth | None = None
@@ -93,6 +95,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in (*_SIGMA_CHANNELS, "contact_mode_offset", "contact_half_width",
+                     "force_mode_offset", "force_half_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in _SIGMA_CHANNELS:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
@@ -156,14 +162,6 @@ class MeasuredTrajectory:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def planar_measurement(self, meas):
-        """Measurement as a PlanarPose, projecting spatial poses if needed."""
-        if meas is None:
-            return None
-        if isinstance(meas, PlanarPose):
-            return meas
-        return project_to_plane(meas, self.plane)
-
     def truth_arrays(self) -> "TrajectoryArrays":
         if any(s.truth is None for s in self.steps):
             raise ValueError("trajectory has no complete ground truth")
@@ -184,9 +182,9 @@ class MeasuredTrajectory:
         f = np.full((T, 2), np.nan)
         for i, s in enumerate(self.steps):
             if s.y is not None:
-                x[i] = self.planar_measurement(s.y).as_array()
+                x[i] = s.y.as_array()
             if s.z is not None:
-                e[i] = self.planar_measurement(s.z).as_array()
+                e[i] = s.z.as_array()
             if s.w is not None:
                 p[i] = s.w
             if s.alpha is not None:
@@ -239,20 +237,17 @@ def from_ground_truth(gt: GroundTruthTrajectory) -> MeasuredTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _pose_to_json(pose):
-    if pose is None:
-        return None
-    if isinstance(pose, PlanarPose):
-        return {"x": pose.x, "y": pose.y, "theta": pose.theta}
-    return {"t": pose.translation.tolist(), "q": pose.quaternion.tolist()}
+def _pose_to_json(pose: PlanarPose | None):
+    return None if pose is None else {"x": pose.x, "y": pose.y, "theta": pose.theta}
 
 
-def _pose_from_json(obj):
+def _pose_from_json(obj, plane: Plane3) -> PlanarPose | None:
+    """A planar pose, or a spatial one projected into the plane."""
     if obj is None:
         return None
     if "theta" in obj:
         return PlanarPose(obj["x"], obj["y"], obj["theta"])
-    return Pose3(np.array(obj["t"]), np.array(obj["q"]))
+    return project_to_plane(Pose3(np.array(obj["t"]), np.array(obj["q"])), plane)
 
 
 def _shape_to_json(shape):
@@ -349,16 +344,16 @@ def trajectory_from_dict(data: dict) -> MeasuredTrajectory:
             if s.get("truth") is not None:
                 tr = s["truth"]
                 truth = StepTruth(
-                    x=_pose_from_json(tr["x"]),
-                    e=_pose_from_json(tr["e"]),
+                    x=_pose_from_json(tr["x"], plane),
+                    e=_pose_from_json(tr["e"], plane),
                     p=np.array(tr["p"], dtype=float),
                     f=np.array(tr["f"], dtype=float),
                 )
             steps.append(
                 TrajectoryStep(
                     t=float(s["t"]),
-                    y=_pose_from_json(s.get("y")),
-                    z=_pose_from_json(s.get("z")),
+                    y=_pose_from_json(s.get("y"), plane),
+                    z=_pose_from_json(s.get("z"), plane),
                     w=_vec(s.get("w")),
                     alpha=_vec(s.get("alpha")),
                     truth=truth,
@@ -471,22 +466,17 @@ def _perturb_pose(pose, dxy, dtheta):
 def inject_noise(traj: MeasuredTrajectory, spec: NoiseSpec) -> MeasuredTrajectory:
     """Additive measurement corruption; ground truth is left untouched.
 
-    Spatial pose measurements are projected into the plane before the planar
-    perturbation is applied. Missing entries stay missing. Deterministic for
-    a given (trajectory, spec.seed).
+    Missing entries stay missing. Deterministic for a given
+    (trajectory, spec.seed).
     """
     rng = np.random.default_rng(spec.seed)
     steps = []
     for s in traj.steps:
         y, z, w, alpha = s.y, s.z, s.w, s.alpha
-        if y is not None and "y" in spec.channels:
-            y = traj.planar_measurement(y)
-            if spec.kind == "gaussian":
-                y = _perturb_pose(y, rng.normal(0.0, spec.sigma_x_trans, 2), rng.normal(0.0, spec.sigma_x_rot))
-        if z is not None and "z" in spec.channels:
-            z = traj.planar_measurement(z)
-            if spec.kind == "gaussian":
-                z = _perturb_pose(z, rng.normal(0.0, spec.sigma_e_trans, 2), rng.normal(0.0, spec.sigma_e_rot))
+        if y is not None and "y" in spec.channels and spec.kind == "gaussian":
+            y = _perturb_pose(y, rng.normal(0.0, spec.sigma_x_trans, 2), rng.normal(0.0, spec.sigma_x_rot))
+        if z is not None and "z" in spec.channels and spec.kind == "gaussian":
+            z = _perturb_pose(z, rng.normal(0.0, spec.sigma_e_trans, 2), rng.normal(0.0, spec.sigma_e_rot))
         if w is not None and "w" in spec.channels:
             if spec.kind == "gaussian":
                 w = w + rng.normal(0.0, spec.sigma_contact, 2)

@@ -45,10 +45,6 @@ class NonConvergence(PushGraphError):
     """Inner root solve of the pushing step did not converge."""
 
 
-class ContactLost(PushGraphError):
-    """Pusher separated from the object."""
-
-
 # dataio
 class ParseError(PushGraphError):
     """Trajectory file is malformed."""

@@ -24,8 +24,6 @@ from .errors import DegenerateProjection
 
 TWO_PI = 2.0 * math.pi
 
-# 2-D rotation generator: d/dtheta R(theta) = SKEW @ R(theta)
-SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
 EYE2 = np.eye(2)
 EYE2.setflags(write=False)
 
@@ -69,7 +67,7 @@ _SKEW_SIGNS = np.array([-1.0, 1.0])
 
 
 def skew_many(v: np.ndarray) -> np.ndarray:
-    """SKEW @ v for every row of v (..., 2): (-v1, v0)."""
+    """The 2-D rotation generator [[0, -1], [1, 0]] applied to every row of v (..., 2): (-v1, v0)."""
     return v[..., ::-1] * _SKEW_SIGNS
 
 
@@ -175,8 +173,8 @@ class Plane3:
         object.__setattr__(self, "x_axis", x)
 
     @classmethod
-    def xy(cls, z: float = 0.0) -> "Plane3":
-        return cls(np.array([0.0, 0.0, z]), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    def xy(cls) -> "Plane3":
+        return cls(np.zeros(3), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
 
     @property
     def y_axis(self) -> np.ndarray:

@@ -66,7 +66,7 @@ from .factors import (
     QuasiStaticFactor,
     SurfaceGapFactor,
 )
-from .geometry import angle_diff, wrap_angle, wrap_angles
+from .geometry import PlanarPose, angle_diff, wrap_angle, wrap_angles
 
 
 class Role(str, enum.Enum):
@@ -724,8 +724,8 @@ def _as_model(model) -> GraphModel:
     return GraphModel(str(model).upper())
 
 
-def _planar_or_none(traj: MeasuredTrajectory, meas):
-    return None if meas is None else traj.planar_measurement(meas).as_array()
+def _planar_or_none(meas: PlanarPose | None):
+    return None if meas is None else meas.as_array()
 
 
 def _extrapolate_pose(prev, prev2):
@@ -783,8 +783,8 @@ def _step_factors(model: GraphModel, traj: MeasuredTrajectory, config: GraphConf
             PriorFactor(ee_key(0), init[ee_key(0)], config.ee_pose_noise, wrap_index=2),
             PriorFactor(pf_key(0), init[pf_key(0)], config.pf_noise),
         ]
-    y = _planar_or_none(traj, step.y)
-    z = _planar_or_none(traj, step.z)
+    y = _planar_or_none(step.y)
+    z = _planar_or_none(step.z)
     if y is not None:
         factors.append(PoseMeasurementFactor(obj_key(t), y, config.object_pose_noise))
     if z is not None:
@@ -838,8 +838,8 @@ def _initial_pf(prev_pf: np.ndarray, step: TrajectoryStep) -> np.ndarray:
 def initial_values(traj: MeasuredTrajectory) -> dict[VariableKey, np.ndarray]:
     """Initialization from projected measurements with gap extrapolation."""
     T = len(traj)
-    xs = _initial_pose_track([_planar_or_none(traj, s.y) for s in traj.steps])
-    es = _initial_pose_track([_planar_or_none(traj, s.z) for s in traj.steps])
+    xs = _initial_pose_track([_planar_or_none(s.y) for s in traj.steps])
+    es = _initial_pose_track([_planar_or_none(s.z) for s in traj.steps])
     init: dict[VariableKey, np.ndarray] = {}
     pf = np.zeros(4)
     for t, step in enumerate(traj.steps):
@@ -933,8 +933,8 @@ class FixedLagSmoother:
     # -- construction helpers ------------------------------------------------
 
     def _init_new_variables(self, t: int, step: TrajectoryStep):
-        y = _planar_or_none(self.template, step.y)
-        z = _planar_or_none(self.template, step.z)
+        y = _planar_or_none(step.y)
+        z = _planar_or_none(step.z)
         if y is None:
             prev = self.estimates.get(obj_key(t - 1))
             prev2 = self.estimates.get(obj_key(t - 2))

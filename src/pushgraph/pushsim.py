@@ -18,7 +18,7 @@ import numpy as np
 import scipy.integrate
 import scipy.optimize
 
-from .errors import ContactLost, DegenerateShape, NonConvergence, NoSolution
+from .errors import DegenerateShape, NonConvergence, NoSolution
 from .geometry import (
     PlanarPose,
     Shape2D,
@@ -133,7 +133,7 @@ def _continuous_guess(u, r_arm, params: PushParams):
     return f, kappa
 
 
-def _solve_step(x0: PlanarPose, p0, p1, params: PushParams, tol: float = 1e-12):
+def _solve_step(x0: PlanarPose, p0, p1, params: PushParams):
     """Solve one sticking step: find (f, kappa) and the resulting object pose.
 
     The twist is parameterized by limit-surface normality, so the motion
@@ -161,9 +161,9 @@ def _solve_step(x0: PlanarPose, p0, p1, params: PushParams, tol: float = 1e-12):
         landing = t1 + rot2(x0.theta + dtheta) @ qb
         return np.array([landing[0] - p1[0], landing[1] - p1[1], params.ellipsoid_value(f, tau) - 1.0])
 
-    sol = scipy.optimize.root(residual, z0, method="hybr", tol=tol)
+    sol = scipy.optimize.root(residual, z0, method="hybr", tol=1e-12)
     if not sol.success or np.max(np.abs(residual(sol.x))) > 1e-9:
-        sol = scipy.optimize.root(residual, z0 * 1.05 + 1e-9, method="hybr", tol=tol)
+        sol = scipy.optimize.root(residual, z0 * 1.05 + 1e-9, method="hybr", tol=1e-12)
         if not sol.success or np.max(np.abs(residual(sol.x))) > 1e-9:
             raise NonConvergence("inner step solve failed")
     z = sol.x
@@ -343,7 +343,7 @@ def simulate_push(ee_poses, obj_init: PlanarPose, obj_shape: Shape2D, ee_shape: 
 
 
 def servo_push(obj_init: PlanarPose, obj_shape: Shape2D, ee_shape: Shape2D, params: PushParams,
-               speed: float, duration: float, dt: float, steer_angles=None,
+               speed: float, duration: float, dt: float, steer_angles,
                lateral_offset: float = 0.0, direction: float = 0.0) -> GroundTruthTrajectory:
     """Center-seeking push with a steering profile; keeps contact stable.
 
@@ -354,7 +354,7 @@ def servo_push(obj_init: PlanarPose, obj_shape: Shape2D, ee_shape: Shape2D, para
     through simulate_push.
     """
     T = max(1, round(duration / dt))
-    steer = np.zeros(T) if steer_angles is None else np.asarray(steer_angles, dtype=float)
+    steer = np.asarray(steer_angles, dtype=float)
     if len(steer) < T:
         raise ValueError("steer_angles shorter than the trajectory")
     _, ee0 = make_push_scene(obj_shape, ee_shape, direction, lateral_offset)

@@ -27,7 +27,7 @@ from pushgraph.dataio import (
     trajectory_to_dict,
 )
 from pushgraph.errors import LengthMismatch, NonMonotonicTimestamps, ParseError, SchemaVersionError
-from pushgraph.geometry import PlanarPose, Plane3, Pose3, Shape2D, project_to_plane
+from pushgraph.geometry import PlanarPose, Plane3, Pose3, Shape2D, embed_in_plane, project_to_plane
 from pushgraph.pushsim import limit_surface_constants
 
 
@@ -96,18 +96,31 @@ class TestSchema:
             assert back.noise == traj.noise
             assert back.object_shape.kind == traj.object_shape.kind
 
-    def test_pose3_measurements_roundtrip(self, tmp_path):
-        steps = [
-            TrajectoryStep(t=0.0, y=Pose3(np.array([1.0, 2.0, 0.5]), np.array([1.0, 0.0, 0.0, 0.0]))),
-            TrajectoryStep(t=0.1, y=PlanarPose(0.1, 0.2, 0.3)),
-        ]
-        traj = MeasuredTrajectory(steps=steps, plane=Plane3.xy())
-        path = tmp_path / "t.json"
-        save_trajectory(traj, path)
-        back = load_trajectory(path)
-        assert isinstance(back.steps[0].y, Pose3)
-        np.testing.assert_array_equal(back.steps[0].y.translation, [1.0, 2.0, 0.5])
-        assert isinstance(back.steps[1].y, PlanarPose)
+    def test_spatial_poses_load_as_their_plane_projections(self):
+        # a tilted plane, with every spatial pose lifted off it along the normal
+        normal = np.array([0.0, -0.6, 0.8])
+        plane = Plane3(np.array([0.2, -0.1, 0.3]), normal, np.array([1.0, 0.0, 0.0]))
+        planar = random_trajectory(np.random.default_rng(5), missing_prob=0.0)
+        data = trajectory_to_dict(planar)
+        data["plane"] = {"origin": plane.origin.tolist(), "normal": normal.tolist(),
+                         "x_axis": plane.x_axis.tolist()}
+        spatial = {}
+        for i, step in enumerate(data["steps"]):
+            for holder, key in ((step, "y"), (step, "z"), (step["truth"], "x"), (step["truth"], "e")):
+                pose = embed_in_plane(PlanarPose(**{k: holder[key][k] for k in ("x", "y", "theta")}), plane)
+                pose = Pose3(pose.translation + (0.01 * i + 0.02) * normal, pose.quaternion)
+                spatial[i, key] = pose
+                holder[key] = {"t": pose.translation.tolist(), "q": pose.quaternion.tolist()}
+
+        back = trajectory_from_dict(data)
+        for i, step in enumerate(back.steps):
+            for key, pose in (("y", step.y), ("z", step.z), ("x", step.truth.x), ("e", step.truth.e)):
+                assert isinstance(pose, PlanarPose)
+                projected = project_to_plane(spatial[i, key], plane)
+                np.testing.assert_array_equal(pose.as_array(), projected.as_array())
+            np.testing.assert_allclose(step.y.as_array(), planar.steps[i].y.as_array(), rtol=0, atol=1e-12)
+        written = trajectory_to_dict(back)["steps"][0]
+        assert all("theta" in pose for pose in (written["y"], written["z"], written["truth"]["x"]))
 
     def test_decreasing_timestamps_rejected(self):
         steps = [
@@ -267,6 +280,23 @@ class TestNoise:
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValueError, match="'q'"):
             NoiseSpec(channels=("y", "q"))
+
+    @pytest.mark.parametrize("field", ["sigma_x_trans", "sigma_x_rot", "sigma_e_trans", "sigma_e_rot",
+                                       "sigma_contact", "sigma_force", "contact_mode_offset",
+                                       "contact_half_width", "force_mode_offset", "force_half_width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NoiseSpec(**{field: value})
+
+    def test_non_finite_noise_block_is_a_parse_error(self, tmp_path):
+        traj = inject_noise(random_trajectory(np.random.default_rng(3)), NoiseSpec(seed=1))
+        data = trajectory_to_dict(traj)
+        data["noise"]["force_half_width"] = math.nan
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="force_half_width must be finite"):
+            load_trajectory(file)
 
 
 class TestOcclusion:
