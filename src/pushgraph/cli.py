@@ -57,8 +57,14 @@ def build_shape(spec: str) -> Shape2D:
 
 
 def parse_window(spec: str) -> tuple[float, float]:
-    lo, _, hi = spec.partition(":")
-    return float(lo), float(hi)
+    """An occlusion window LO:HI of trajectory fractions, 0 <= LO <= HI <= 1."""
+    try:
+        lo, hi = (float(v) for v in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"must be LO:HI, got {spec!r}") from None
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ValueError(f"must satisfy 0 <= LO <= HI <= 1, got {spec!r}")
+    return lo, hi
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -329,6 +335,15 @@ def _checked(kind: Callable, test: Callable, need: str) -> Callable:
 _finite = _checked(float, math.isfinite, "finite")
 _positive = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and positive")
 _count = _checked(_integer, lambda n: n >= 1, "at least 1")
+_seed = _checked(_integer, lambda n: n >= 0, "non-negative")
+
+
+def _window(value):
+    """An --occlude value: None, or a LO:HI text that parse_window accepts, kept as text."""
+    if value is None:
+        return None
+    parse_window(str(value))
+    return str(value)
 
 
 class Flag(NamedTuple):
@@ -353,7 +368,7 @@ SIM_FLAGS = {
     "speed": Flag(0.06, "pusher speed (m/s)", _finite),
     "dur": Flag(10.0, "duration (s)", _positive),
     "dt": Flag(0.04, "timestep (s)", _positive),
-    "seed": Flag(0, "random-path seed", _integer),
+    "seed": Flag(0, "random-path seed", _seed),
 }
 
 CORRUPT_FLAGS = {
@@ -369,10 +384,9 @@ CORRUPT_FLAGS = {
     "mode_offset_force": Flag(0.3, "bimodal force mode (N)", _finite),
     "half_width_force": Flag(0.2, "bimodal force half-width (N)", _finite),
     "channels": Flag("y,z,w,alpha", "channels to corrupt (subset of y,z,w,alpha)"),
-    "occlude": Flag(None, "occlusion window LO:HI (trajectory fraction)",
-                    lambda value: value if value is None else str(value)),
+    "occlude": Flag(None, "occlusion window LO:HI (trajectory fraction)", _window),
     "occlude_channels": Flag("y", "channels dropped in the window"),
-    "seed": Flag(0, "corruption seed", _integer),
+    "seed": Flag(0, "corruption seed", _seed),
 }
 
 EST_FLAGS = {
@@ -396,7 +410,7 @@ BENCH_FLAGS = {
     **CORRUPT_FLAGS,
     **{name: flag for name, flag in EST_FLAGS.items() if name != "model"},
     "covariances": EST_FLAGS["covariances"]._replace(default=False),
-    "seed": Flag(0, "master seed for the trial-seed split", _integer),
+    "seed": Flag(0, "master seed for the trial-seed split", _seed),
 }
 
 
@@ -537,11 +551,8 @@ def main(argv=None) -> int:
                 say(f"  corruption: {traj.noise.kind} seed={traj.noise.seed}")
             return 0
 
-    except (PushGraphError, ValueError) as exc:
+    except (PushGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
         return 2
     return 1
 

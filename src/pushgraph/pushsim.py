@@ -7,6 +7,16 @@ normal at that force, and (iii) the object material point at the contact
 lands exactly on the advected pusher contact point. The twist is taken from
 the normality condition, which makes simulated transitions satisfy the
 estimator's quasi-static factor identically.
+
+That leaves three equations in three unknowns, z = (fx, fy, kappa): the two
+landing coordinates and the ellipsoid equation. Each step solves them by
+damped Newton in plain floats: the Jacobian is analytic, the 3x3 step comes
+from its adjugate, and a step is halved until the residual norm falls. The
+start is the closed-form continuous-limit solution, so Newton takes the root
+that continues the sticking push; a root with kappa < 0 (the same motion
+under the opposite force) is mirrored to the pushing one. Where the damped
+iteration stalls, as it can on steps that turn the object by a radian or
+more, Newton with whole steps is run from the same start.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.optimize
 
 from .errors import DegenerateShape, NonConvergence, NoSolution
 from .geometry import (
@@ -51,6 +60,9 @@ class PushParams:
     pressure_model: str = "uniform"
 
     def __post_init__(self):
+        for name in ("mu_s", "mass", "gravity", "f_max", "tau_max", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         expected_fmax = self.mu_s * self.mass * self.gravity
         if abs(self.f_max - expected_fmax) > 1e-6 * max(1.0, expected_fmax):
             raise ValueError("f_max must equal mu_s * mass * gravity")
@@ -117,60 +129,157 @@ def _continuous_guess(u, r_arm, params: PushParams):
     """Closed-form sticking-push solution at the start configuration.
 
     Returns (f, kappa): force on the ellipsoid and the positive motion scale
-    such that the contact displacement kappa * A f equals u.
+    such that the contact displacement kappa * A f equals u, where
+    A = I / f_max^2 + s s^T / tau_max^2 and s = (-r_y, r_x) is the arm
+    turned by 90 degrees. A is solved by its 2x2 adjugate.
     """
-    s_arm = np.array([-r_arm[1], r_arm[0]])
-    A = np.eye(2) / params.f_max**2 + np.outer(s_arm, s_arm) / params.tau_max**2
-    fdir = np.linalg.solve(A, u)
-    norm = np.linalg.norm(fdir)
+    fm2 = params.f_max**2
+    tm2 = params.tau_max**2
+    sx, sy = -float(r_arm[1]), float(r_arm[0])
+    a11 = 1.0 / fm2 + sx * sx / tm2
+    a12 = sx * sy / tm2
+    a22 = 1.0 / fm2 + sy * sy / tm2
+    det = a11 * a22 - a12 * a12
+    ux, uy = float(u[0]), float(u[1])
+    dx = (a22 * ux - a12 * uy) / det
+    dy = (a11 * uy - a12 * ux) / det
+    norm = math.hypot(dx, dy)
     if norm < 1e-300:
         raise NoSolution("degenerate contact geometry")
-    fhat = fdir / norm
-    q = params.ellipsoid_value(fhat, float(s_arm @ fhat))
-    m = 1.0 / math.sqrt(q)
-    f = m * fhat
-    kappa = norm / m
-    return f, kappa
+    fx, fy = dx / norm, dy / norm
+    tau = sx * fx + sy * fy
+    m = 1.0 / math.sqrt((fx * fx + fy * fy) / fm2 + tau * tau / tm2)
+    return (m * fx, m * fy), norm / m
+
+
+def _step_system(z, t0, theta0, qb, p1, fm2, tm2):
+    """Residual of one step's equations at z = (fx, fy, kappa), and its Jacobian.
+
+    t0 and theta0 are the object pose at the start, qb the contact in the
+    object frame, p1 where the contact must land; fm2 = f_max^2 and
+    tm2 = tau_max^2. With t1 = t0 + kappa f / fm2, tau = (p1 - t1) x f and
+    dtheta = kappa tau / tm2, the residual is the landing error
+    t1 + R(theta0 + dtheta) qb - p1 and the ellipsoid value minus one.
+    Returns (r, J, (t1x, t1y, dtheta)) as plain floats; J is row-major.
+    """
+    fx, fy, kappa = z
+    t1x = t0[0] + kappa * fx / fm2
+    t1y = t0[1] + kappa * fy / fm2
+    dx, dy = p1[0] - t1x, p1[1] - t1y
+    tau = dx * fy - dy * fx
+    dtheta = kappa * tau / tm2
+    c, s = math.cos(theta0 + dtheta), math.sin(theta0 + dtheta)
+    vx, vy = c * qb[0] - s * qb[1], s * qb[0] + c * qb[1]  # R qb; d(R qb)/dtheta = (-vy, vx)
+    r = (t1x + vx - p1[0], t1y + vy - p1[1], (fx * fx + fy * fy) / fm2 + tau * tau / tm2 - 1.0)
+    # d tau / d(fx, fy); d tau / d kappa is zero, since d t1 / d kappa is parallel to f
+    ka = kappa / fm2
+    tau_fx = -ka * fy - dy
+    tau_fy = dx + ka * fx
+    th_fx, th_fy, th_k = kappa * tau_fx / tm2, kappa * tau_fy / tm2, tau / tm2
+    J = (
+        (ka - vy * th_fx, -vy * th_fy, fx / fm2 - vy * th_k),
+        (vx * th_fx, ka + vx * th_fy, fy / fm2 + vx * th_k),
+        (2.0 * (fx / fm2 + tau * tau_fx / tm2), 2.0 * (fy / fm2 + tau * tau_fy / tm2), 0.0),
+    )
+    return r, J, (t1x, t1y, dtheta)
+
+
+def _solve3(J, r):
+    """x with J x = r for a 3x3 J, by the adjugate; None when J is singular."""
+    (a, b, c), (d, e, f), (g, h, i) = J
+    c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * c00 + b * c01 + c * c02
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    c10, c11, c12 = c * h - b * i, a * i - c * g, b * g - a * h
+    c20, c21, c22 = b * f - c * e, c * d - a * f, a * e - b * d
+    return (
+        (c00 * r[0] + c10 * r[1] + c20 * r[2]) / det,
+        (c01 * r[0] + c11 * r[1] + c21 * r[2]) / det,
+        (c02 * r[0] + c12 * r[1] + c22 * r[2]) / det,
+    )
+
+
+_NEWTON_MAX_ITER = 100
+_NEWTON_MAX_HALVINGS = 40
+_NEWTON_FLOOR = 1e-15  # max |r| at which a further step can gain nothing but rounding
+_STEP_TOL = 1e-9  # max |r| a step must reach to be accepted
+
+
+def _within(r, tol: float) -> bool:
+    """Every |r_i| <= tol; false if any r_i is NaN."""
+    return abs(r[0]) <= tol and abs(r[1]) <= tol and abs(r[2]) <= tol
+
+
+def _newton(z, args, damped: bool):
+    """Newton iteration on _step_system(z, *args) from z; returns (z, r, motion) at the end.
+
+    Each step is halved until the residual norm falls when damped, and taken
+    whole otherwise. The iteration stops once max |r| is at rounding level,
+    the Jacobian is singular or the residual is not finite, or (damped) when
+    no halving lowers the norm.
+    """
+    r, J, motion = _step_system(z, *args)
+    norm2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+    for _ in range(_NEWTON_MAX_ITER):
+        if not math.isfinite(norm2) or _within(r, _NEWTON_FLOOR):
+            break
+        delta = _solve3(J, r)
+        if delta is None:
+            break
+        scale = 1.0
+        for _ in range(_NEWTON_MAX_HALVINGS):
+            trial = (z[0] - scale * delta[0], z[1] - scale * delta[1], z[2] - scale * delta[2])
+            r_t, J_t, motion_t = _step_system(trial, *args)
+            norm2_t = r_t[0] * r_t[0] + r_t[1] * r_t[1] + r_t[2] * r_t[2]
+            if norm2_t < norm2 or not damped:
+                break
+            scale *= 0.5
+        else:
+            break  # no step along the Newton direction lowers the residual
+        z, r, J, motion, norm2 = trial, r_t, J_t, motion_t, norm2_t
+    return z, r, motion
 
 
 def _solve_step(x0: PlanarPose, p0, p1, params: PushParams):
     """Solve one sticking step: find (f, kappa) and the resulting object pose.
 
     The twist is parameterized by limit-surface normality, so the motion
-    constraint of the quasi-static factor holds identically; the root solve
-    only enforces the material-point landing and the ellipsoid equation.
+    constraint of the quasi-static factor holds identically; the solve only
+    enforces the material-point landing and the ellipsoid equation, three
+    equations in z = (fx, fy, kappa) (see _step_system for the residual and
+    its analytic Jacobian).
+
+    Damped Newton from the continuous-limit guess: each step solves the 3x3
+    system by its adjugate and is halved until the residual norm falls,
+    until max |r| is at rounding level (_NEWTON_FLOOR) or no halving lowers
+    the norm. Damped steps can stall where |r| has a local minimum, as on
+    some steps that turn the object by a radian or more; then Newton with
+    whole steps is run from the same guess. The result is accepted only
+    if max |r| <= 1e-9. Starting from the guess, Newton takes the root that
+    continues the sticking push, the nearest one; if it lands on the mirror
+    branch (kappa < 0: the same motion with the force reversed), the force
+    is reversed.
     """
-    t0 = x0.translation
-    qb = x0.inverse_transform_point(p0)
-    u = p1 - t0 - x0.rotation() @ qb  # equals p1 - p0
+    c0, s0 = math.cos(x0.theta), math.sin(x0.theta)
+    arm = (float(p0[0]) - x0.x, float(p0[1]) - x0.y)
+    qb = (c0 * arm[0] + s0 * arm[1], c0 * arm[1] - s0 * arm[0])  # contact in the object frame
+    p1 = (float(p1[0]), float(p1[1]))
+    u = (p1[0] - x0.x - (c0 * qb[0] - s0 * qb[1]), p1[1] - x0.y - (s0 * qb[0] + c0 * qb[1]))  # p1 - p0
 
-    f_init, kappa_init = _continuous_guess(u, p0 - t0, params)
-    z0 = np.array([f_init[0], f_init[1], kappa_init])
-
-    def unpack(z):
-        f = z[:2]
-        kappa = z[2]
-        dtrans = kappa * f / params.f_max**2
-        t1 = t0 + dtrans
-        tau = cross2(p1 - t1, f)
-        dtheta = kappa * tau / params.tau_max**2
-        return f, kappa, t1, tau, dtheta
-
-    def residual(z):
-        f, kappa, t1, tau, dtheta = unpack(z)
-        landing = t1 + rot2(x0.theta + dtheta) @ qb
-        return np.array([landing[0] - p1[0], landing[1] - p1[1], params.ellipsoid_value(f, tau) - 1.0])
-
-    sol = scipy.optimize.root(residual, z0, method="hybr", tol=1e-12)
-    if not sol.success or np.max(np.abs(residual(sol.x))) > 1e-9:
-        sol = scipy.optimize.root(residual, z0 * 1.05 + 1e-9, method="hybr", tol=1e-12)
-        if not sol.success or np.max(np.abs(residual(sol.x))) > 1e-9:
+    f_init, kappa_init = _continuous_guess(u, arm, params)
+    z0 = (*f_init, kappa_init)
+    args = ((x0.x, x0.y), x0.theta, qb, p1, params.f_max**2, params.tau_max**2)
+    z, r, motion = _newton(z0, args, damped=True)
+    if not _within(r, _STEP_TOL):
+        z, r, motion = _newton(z0, args, damped=False)
+        if not _within(r, _STEP_TOL):
             raise NonConvergence("inner step solve failed")
-    z = sol.x
-    if z[2] < 0.0:
-        z = -z  # mirror branch: same motion, opposite force; pick pushing
-    f, kappa, t1, tau, dtheta = unpack(z)
-    return PlanarPose(t1[0], t1[1], x0.theta + dtheta), f
+    fx, fy, kappa = z
+    if kappa < 0.0:
+        fx, fy = -fx, -fy  # mirror branch: same motion, opposite force; pick pushing
+    t1x, t1y, dtheta = motion
+    return PlanarPose(t1x, t1y, x0.theta + dtheta), np.array([fx, fy])
 
 
 def _advect_contact(ee_pose: PlanarPose, ee_motion, contact):
@@ -410,6 +519,8 @@ def steering_profile(T: int, dt: float, seed: int = 0, amplitude: float = 0.25) 
     The walk starts uniform in [-amplitude, amplitude], takes Gaussian steps
     of standard deviation amplitude * sqrt(dt), and is clipped to that range.
     """
+    if not math.isfinite(amplitude):
+        raise ValueError(f"steering amplitude must be finite, got {amplitude}")
     rng = np.random.default_rng(seed)
     out = np.zeros(T)
     val = rng.uniform(-amplitude, amplitude)

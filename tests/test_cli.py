@@ -342,6 +342,12 @@ def test_spatial_poses_estimate_like_their_plane_projections(noisy_file, tmp_pat
     [*BENCH_ARGS, "--jobs", 0],
     [*BENCH_ARGS, "--dt", 0],
     [*BENCH_ARGS, "--dur", "nan"],
+    ["corrupt", "--occlude", "abc"],
+    ["corrupt", "--occlude", "0.1:0.2:0.3"],
+    ["corrupt", "--occlude", "0.6:0.3"],
+    ["corrupt", "--seed", -1],
+    ["simulate", "--seed", -1],
+    [*BENCH_ARGS, "--seed", -1],
 ])
 def test_bad_flag_value_exits_2_naming_the_flag(noisy_file, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -362,6 +368,11 @@ def test_bad_flag_value_exits_2_naming_the_flag(noisy_file, tmp_path, capsys, ar
     ("simulate", {"dur": "-1"}, "--dur"),
     ("benchmark", {"trials": "0"}, "--trials"),
     ("estimate", [1, 2], "--config"),
+    ("corrupt", {"occlude": "abc"}, "--occlude"),
+    ("corrupt", {"occlude": 0.5}, "--occlude"),
+    ("corrupt", {"seed": -1}, "--seed"),
+    ("simulate", {"seed": "-3"}, "--seed"),
+    ("benchmark", {"seed": -1}, "--seed"),
 ])
 def test_bad_config_value_exits_2_naming_the_flag(noisy_file, tmp_path, capsys, command, config, flag):
     path = tmp_path / "cfg.json"
@@ -372,6 +383,13 @@ def test_bad_config_value_exits_2_naming_the_flag(noisy_file, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_missing_config_file_exits_2_with_error(noisy_file, tmp_path, capsys):
+    missing = tmp_path / "nofile.json"
+    assert run("--config", missing, "estimate", "--in", noisy_file) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nofile.json" in err and "Traceback" not in err
 
 
 def test_config_values_are_converted_like_flags(tmp_path):

@@ -1,13 +1,27 @@
 """Simulator physics: limit-surface constants, step solve, trajectory invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pushgraph.errors import DegenerateShape
+from pushgraph import pushsim
+from pushgraph.cli import trial_seed
+from pushgraph.errors import DegenerateShape, NonConvergence
 from pushgraph.factors import quasi_static_residual
-from pushgraph.geometry import PlanarPose, Shape2D, cross2, signed_distance
+from pushgraph.geometry import (
+    PlanarPose,
+    Shape2D,
+    closest_surface_point,
+    cross2,
+    outward_normal,
+    rot2,
+    signed_distance,
+)
 from pushgraph.pushsim import (
     GroundTruthTrajectory,
     PushParams,
@@ -83,6 +97,18 @@ class TestLimitSurfaceConstants:
             PushParams(mu_s=0.3, mass=1.0, gravity=9.81, f_max=1.0, tau_max=0.1, c=0.1)
         good = limit_surface_constants(Shape2D.disc(0.05), 0.3, 1.0)
         assert good.ellipsoid_value([good.f_max, 0.0], 0.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("field", ["mu_s", "mass", "gravity", "f_max", "tau_max", "c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_refuse_non_finite_fields(self, field, bad):
+        good = limit_surface_constants(Shape2D.disc(0.05), 0.3, 1.0)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PushParams(**{**dataclasses.asdict(good), field: bad})
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (0.3, math.inf), (0.3, 1.0, math.nan)])
+    def test_constants_refuse_non_finite_inputs(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            limit_surface_constants(Shape2D.disc(0.05), *args)
 
     def test_degenerate_shape(self):
         class Fake:
@@ -327,3 +353,167 @@ def test_benchmark_scene_is_pinned(seed):
     np.testing.assert_allclose(gt.object_poses[-1], pose, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(gt.contact_points[-1], contact, rtol=1e-9, atol=0.0)
     assert np.sum(np.linalg.norm(gt.forces, axis=1)) == pytest.approx(force_sum, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_steering_profile_refuses_a_non_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match="steering amplitude must be finite"):
+        steering_profile(10, 0.1, seed=0, amplitude=amplitude)
+
+
+# ---------------------------------------------------------------------------
+# the step solve: Newton on the analytic Jacobian
+# ---------------------------------------------------------------------------
+
+# the benchmark's shapes; friction 0.25-0.45 and mass 0.6-1.2 kg as in benchmark_scenario
+SCENE_SHAPES = [Shape2D.box(0.1, 0.1), Shape2D.disc(0.06), Shape2D.ellipse(0.08, 0.05), Shape2D.box(0.12, 0.08)]
+near_pi = st.floats(math.pi - 1e-3, math.pi) | st.floats(-math.pi, -math.pi + 1e-3)
+headings = near_pi | st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def benchmark_steps(draw):
+    """A step in the benchmark's range: object pose, contact on its surface, pusher
+    motion into the face of up to 1 cm (the benchmark moves at most 8 mm per step)."""
+    shape = draw(st.sampled_from(SCENE_SHAPES))
+    params = limit_surface_constants(shape, draw(st.floats(0.25, 0.45)), draw(st.floats(0.6, 1.2)))
+    x0 = PlanarPose(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)), draw(headings))
+    phi = draw(st.floats(-math.pi, math.pi))
+    contact = closest_surface_point(shape, x0, x0.translation + 0.5 * np.array([math.cos(phi), math.sin(phi)]))
+    inward = rot2(draw(st.floats(-1.0, 1.0))) @ -outward_normal(shape, x0, contact)
+    motion = np.array([*(draw(st.floats(1e-4, 0.01)) * inward), draw(st.floats(-0.05, 0.05))])
+    e0 = PlanarPose(*(contact + 0.008 * inward), math.atan2(inward[1], inward[0]))
+    return x0, e0, motion, contact, params
+
+
+def hybr_step(x0, e0, motion, contact, params):
+    """The step solve done by MINPACK's hybrid method from the continuous-limit
+    guess (np.linalg.solve), the simulator's solver before the Newton rewrite."""
+    _, p1 = pushsim._advect_contact(e0, motion, contact)
+    t0, qb = x0.translation, x0.inverse_transform_point(contact)
+    s_arm = np.array([-(contact - t0)[1], (contact - t0)[0]])
+    A = np.eye(2) / params.f_max**2 + np.outer(s_arm, s_arm) / params.tau_max**2
+    fdir = np.linalg.solve(A, p1 - contact)
+    fhat = fdir / np.linalg.norm(fdir)
+    m = 1.0 / math.sqrt(params.ellipsoid_value(fhat, float(s_arm @ fhat)))
+
+    def unpack(z):
+        t1 = t0 + z[2] * z[:2] / params.f_max**2
+        dtheta = z[2] * cross2(p1 - t1, z[:2]) / params.tau_max**2
+        return t1, dtheta
+
+    def residual(z):
+        t1, dtheta = unpack(z)
+        landing = t1 + rot2(x0.theta + dtheta) @ qb
+        tau = cross2(p1 - t1, z[:2])
+        return np.array([*(landing - p1), params.ellipsoid_value(z[:2], tau) - 1.0])
+
+    sol = scipy.optimize.root(residual, [*(m * fhat), np.linalg.norm(fdir) / m], method="hybr", tol=1e-13)
+    assert sol.success and np.max(np.abs(residual(sol.x))) <= 1e-12
+    z = sol.x if sol.x[2] > 0 else -sol.x
+    t1, dtheta = unpack(z)
+    return PlanarPose(t1[0], t1[1], x0.theta + dtheta), z[:2]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(step=benchmark_steps(), fscale=st.floats(0.3, 1.2), fangle=st.floats(-math.pi, math.pi))
+def test_step_jacobian_matches_central_differences(step, fscale, fangle):
+    x0, e0, motion, contact, params = step
+    _, p1 = pushsim._advect_contact(e0, motion, contact)
+    qb = x0.inverse_transform_point(contact)
+    # any z near the step's scale: |f| about f_max, kappa moving the object by |u|
+    z = np.array([fscale * params.f_max * math.cos(fangle), fscale * params.f_max * math.sin(fangle),
+                  np.linalg.norm(p1 - contact) * params.f_max])
+    args = ((x0.x, x0.y), x0.theta, tuple(qb), tuple(p1), params.f_max**2, params.tau_max**2)
+    _, J, _ = pushsim._step_system(tuple(z), *args)
+    numeric = np.zeros((3, 3))
+    for k in range(3):
+        # large enough that rounding theta0 + dtheta near +-pi stays below 1e-8 of the slope
+        h = 1e-5 * (params.f_max if k < 2 else z[2])
+        up, down = z.copy(), z.copy()
+        up[k] += h
+        down[k] -= h
+        numeric[:, k] = (np.array(pushsim._step_system(tuple(up), *args)[0])
+                         - np.array(pushsim._step_system(tuple(down), *args)[0])) / (2 * h)
+    scale = np.abs(numeric).max(axis=0)  # per column: the unknowns have different units
+    np.testing.assert_allclose(np.array(J) / scale, numeric / scale, rtol=0, atol=1e-6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(step=benchmark_steps())
+def test_step_agrees_with_a_hybr_reference(step):
+    x1, f = quasi_static_step(*step)
+    x1_ref, f_ref = hybr_step(*step)
+    np.testing.assert_allclose([x1.x, x1.y], [x1_ref.x, x1_ref.y], rtol=0, atol=1e-12)
+    assert abs(math.remainder(x1.theta - x1_ref.theta, 2 * math.pi)) <= 1e-12
+    np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-12)
+
+
+def test_mirror_branch_returns_the_pushing_force(monkeypatch):
+    # start Newton from the mirrored guess (-f, -kappa): it converges to the
+    # mirror root, which must come back as the pushing solution (kappa > 0)
+    x0 = PlanarPose(0.02, -0.01, 0.4)
+    contact = x0.transform_point([-0.05, 0.03])
+    e0 = PlanarPose(contact[0] - PROBE.radius, contact[1], 0.0)
+    motion = np.array([0.004, 0.001, 0.0])
+    x1, f = quasi_static_step(x0, e0, motion, contact, BOX_PARAMS)
+    guess = pushsim._continuous_guess
+
+    def mirrored(*args):
+        (fx, fy), kappa = guess(*args)
+        return (-fx, -fy), -kappa
+
+    monkeypatch.setattr(pushsim, "_continuous_guess", mirrored)
+    x1_m, f_m = quasi_static_step(x0, e0, motion, contact, BOX_PARAMS)
+    np.testing.assert_allclose(x1_m.as_array(), x1.as_array(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(f_m, f, rtol=0, atol=1e-12)
+    assert float(f_m @ motion[:2]) > 0.0  # kappa > 0: the force does positive work
+
+
+def test_stalled_damped_newton_falls_back_to_whole_steps(monkeypatch):
+    # an 11 cm step on a 6 cm disc that turns it by 1.2 rad: halved steps
+    # stall at a local minimum of |r|, whole steps reach hybr's root
+    disc = Shape2D.disc(0.06)
+    step = (PlanarPose(-0.3911686573891682, 0.19822261732171254, -1.7818232999255073),
+            PlanarPose(-0.34989853055157216, 0.1665875634920011, 1.4486562924988764),
+            np.array([0.013575629040231615, 0.11059480991778882, 0.0]),
+            np.array([-0.3435492802688651, 0.16172063213358395]),
+            limit_surface_constants(disc, 0.40269727616795836, 1.0953392107070132))
+    passes = []
+    newton = pushsim._newton
+
+    def spy(z, args, damped):
+        passes.append(damped)
+        return newton(z, args, damped)
+
+    monkeypatch.setattr(pushsim, "_newton", spy)
+    x1, f = quasi_static_step(*step)
+    assert passes == [True, False]
+    x1_ref, f_ref = hybr_step(*step)
+    assert abs(x1.theta - step[0].theta) > 1.0
+    np.testing.assert_allclose(x1.as_array(), x1_ref.as_array(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-12)
+
+
+def test_nan_contact_raises_nonconvergence():
+    x0 = PlanarPose.identity()
+    e0 = PlanarPose(-0.058, 0.0, 0.0)
+    with pytest.raises(NonConvergence, match="inner step solve failed"):
+        quasi_static_step(x0, e0, np.array([0.004, 0.0, 0.0]), np.array([math.nan, 0.0]), BOX_PARAMS)
+
+
+def test_continuous_guess_solves_its_2x2_system():
+    for r_arm, u in (([-0.05, 0.03], [0.004, 0.001]), ([0.0, -0.06], [-0.002, 0.003])):
+        f, kappa = pushsim._continuous_guess(np.array(u), np.array(r_arm), BOX_PARAMS)
+        s_arm = np.array([-r_arm[1], r_arm[0]])
+        A = np.eye(2) / BOX_PARAMS.f_max**2 + np.outer(s_arm, s_arm) / BOX_PARAMS.tau_max**2
+        np.testing.assert_allclose(kappa * A @ np.array(f), u, rtol=1e-14, atol=0)
+        assert kappa > 0.0
+        assert BOX_PARAMS.ellipsoid_value(f, float(s_arm @ f)) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_benchmark_scenes_lie_on_the_limit_surface(i):
+    gt = benchmark_scenario(trial_seed(0, i), duration=4.0)
+    assert gt.max_ellipsoid_deviation() <= 1e-12
+    assert gt.max_dynamics_residual() <= 1e-12
