@@ -507,6 +507,9 @@ def main(argv=None) -> int:
             say(f"model={cfg['model']} mode={cfg['mode']} iterations={report.iterations} "
                 f"cost {report.initial_cost:.4e} -> {report.final_cost:.4e} "
                 f"converged={report.converged} ({report.reason})")
+            for kind in dict.fromkeys([*report.chi2_initial, *report.chi2_final]):
+                say(f"  chi2 {kind}: {report.chi2_initial.get(kind, 0.0):.4e} -> "
+                    f"{report.chi2_final.get(kind, 0.0):.4e}")
             if metrics is not None:
                 for ch, st in sorted(metrics.channels.items()):
                     say(f"  {ch}: rmse={st.rmse:.4g} mae={st.mae:.4g} std={st.std:.4g} n={st.count}")

@@ -356,7 +356,7 @@ class LinearSystem:
         Shared by the undamped Gauss-Newton step and the marginals; raises
         numpy.linalg.LinAlgError when J^T J is not positive definite.
         """
-        return scipy.linalg.cholesky_banded(self.normal_matrix, lower=True, check_finite=False)
+        return _band_cholesky(self.normal_matrix)
 
     @cached_property
     def gradient(self) -> np.ndarray:
@@ -372,6 +372,20 @@ class LinearSystem:
         for b, J in zip(self.layout.blocks, self.jacobians):
             np.put_along_axis(out[b.rows].reshape(*J.shape[:2], -1), b.columns[:, None, :], J, axis=2)
         return out
+
+
+def _band_cholesky(band: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of a matrix in lower band storage, in the same storage; band is kept.
+
+    LAPACK's dpbtrf, the routine scipy's cholesky_banded wraps, called
+    without the wrapper's dispatch, which took as long as the factorization
+    on window-sized systems. Raises numpy.linalg.LinAlgError when the
+    matrix is not positive definite.
+    """
+    factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"band Cholesky failed: dpbtrf info {info}")
+    return factor
 
 
 def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
@@ -402,13 +416,16 @@ def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
 # ---------------------------------------------------------------------------
 
 
-# Levenberg ladder, scaled by the normal-matrix diagonal (Marquardt style)
-_DAMPINGS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
+# Levenberg ladder, scaled by the normal-matrix diagonal (Marquardt style).
+# It runs to 1e10: next to a minimum where the undamped step goes uphill,
+# only a step damped far beyond 1e2 may still lower the cost, and a ladder
+# ending at 1e2 would report such converged solves as stalls
+_DAMPINGS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)
 _COST_FLOOR = 1e-14  # a cost this small counts as solved outright
-# the model rule stops on a forecast decrease of up to this many times
-# rel_cost_tol of the cost: 1e-7 at the default, where a chi^2 whose standard
-# deviation is in the tens gains nothing
-_MODEL_TOL_RATIO = 100.0
+# the model rule's chi^2 threshold is this many times rel_cost_tol: 1e-3 at
+# the default, a remaining step of at most sqrt(1e-3), about 3.2%, of a
+# posterior standard deviation in any direction (see gauss_newton)
+_MODEL_TOL_RATIO = 1e6
 
 
 @dataclass
@@ -417,9 +434,9 @@ class GaussNewtonOptions:
 
     max_iter: int = 100  # accepted steps at most; reaching it stops with "max_iter"
     # stop ("cost") once an accepted step lowered the cost by at most this
-    # fraction of it, or before linearizing the undamped step when the
-    # Gauss-Newton model forecasts a decrease of at most _MODEL_TOL_RATIO
-    # times this fraction
+    # fraction of it, or before linearizing the undamped step when that step
+    # is at most sqrt(_MODEL_TOL_RATIO * this) posterior standard deviations
+    # long: sqrt(1e-3), about 3.2% of a sigma, at the default
     rel_cost_tol: float = 1e-9
     abs_grad_tol: float = 1e-10  # stop ("gradient") once max |J^T r| is below it
 
@@ -456,11 +473,11 @@ def _solve_normal(system: LinearSystem, damping: float | None) -> np.ndarray | N
         else:
             H = system.normal_matrix.copy()
             H[0] += damping * np.where(H[0] > 0.0, H[0], 1.0)
-            factor = scipy.linalg.cholesky_banded(H, lower=True, check_finite=False)
+            factor = _band_cholesky(H)
     except np.linalg.LinAlgError:
         return None
-    delta = scipy.linalg.cho_solve_banded((factor, True), -system.gradient, check_finite=False)
-    if not np.all(np.isfinite(delta)):
+    delta, info = scipy.linalg.lapack.dpbtrs(factor, -system.gradient, lower=1, overwrite_b=1)
+    if info != 0 or not np.all(np.isfinite(delta)):
         return None
     return delta
 
@@ -479,13 +496,21 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     Two rules stop a solve as converged, with reason "cost":
       - the model rule, before a candidate is linearized: the undamped step
         delta (H delta = -g) has the forecast decrease -g^T delta = delta^T H
-        delta, and the solve stops at the current point, evaluated already,
-        when that is between 0 and _MODEL_TOL_RATIO * rel_cost_tol (1e-7 at
-        the default) times the cost. Only the undamped step is trusted for
-        this, since a damped step forecasts a small decrease because it is
-        short, not because the cost is near its minimum; and a negative
-        forecast means the step is no descent direction, a broken solve
-        rather than a converged one.
+        delta. H = J^T J is the information matrix that marginal_covariances
+        inverts, so delta^T H delta is the squared length of delta in
+        posterior standard deviations: no linear function a^T x moves by
+        more than sqrt(delta^T H delta) of its own sigma sqrt(a^T H^-1 a).
+        The solve stops at the current point, evaluated already, when that
+        is between 0 and tau = _MODEL_TOL_RATIO * rel_cost_tol, a fixed
+        chi^2 amount: 1e-3 at the default, a step of at most 3.2% of a
+        sigma. tau is not scaled by the cost, whose size follows the
+        graph's: at 1e-7 of the cost, a 5-step window (cost about 30) would
+        have to converge to 0.0017 sigma, a T=40 batch (about 280) to 0.005
+        sigma and a T=250 one (about 1984) only to 0.014 sigma. Only the
+        undamped step is trusted for this, since a damped step forecasts a
+        small decrease because it is short, not because the cost is near
+        its minimum; and a negative forecast means the step is no descent
+        direction, a broken solve rather than a converged one.
       - the actual rule, after an accepted step: the cost fell by at most
         rel_cost_tol times its previous value.
     The gradient ("gradient"), the cost floor ("cost_floor") and the
@@ -513,6 +538,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     trace = [cost]
     report = SolveReport(0, cost, cost, "max_iter", trace, chi2_initial=system.chi2_by_kind())
 
+    model_tol = _MODEL_TOL_RATIO * opts.rel_cost_tol  # tau, in chi^2
     warm = None  # index of the last rung that produced an accepted step
     for it in range(opts.max_iter):
         if cost <= _COST_FLOOR:
@@ -523,7 +549,6 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
             break
         undamped = _solve_normal(system, None)
         # the model rule: stop here, without linearizing x + undamped
-        model_tol = _MODEL_TOL_RATIO * opts.rel_cost_tol * cost
         if undamped is not None and 0.0 <= -float(system.gradient @ undamped) <= model_tol:
             report.reason = "cost"
             break
