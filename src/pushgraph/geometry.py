@@ -373,18 +373,23 @@ def signed_distance(shape: Shape2D, pose: PlanarPose, q) -> float:
     return float(signed_distances(shape, pose.as_array()[None], np.asarray(q, dtype=float)[None])[0])
 
 
-def outward_normal(shape: Shape2D, pose: PlanarPose, q) -> np.ndarray:
-    """Outward unit normal at a point q on (or near) the posed shape's boundary.
+def outward_normals(shape: Shape2D, pose: PlanarPose, q) -> np.ndarray:
+    """Outward unit normals (K, 2) of the faces that a point q on the posed shape's boundary touches.
 
-    A polygon's is the normal of the edge nearest q. A disc's points from
-    its center to q; at the center it is the body's +x.
+    A polygon's are those of the edges within 1e-9 of q's nearest edge,
+    nearest first (the lower index on a tie): one inside an edge, both
+    edges' at a corner. A disc's one points from its center to q; at the
+    center it is the body's +x.
     """
+    R = pose.rotation()
     if shape.kind == "disc":
         d = np.asarray(q, dtype=float) - pose.translation
         rho = math.hypot(d[0], d[1])
-        return pose.rotation()[:, 0] if rho < 1e-12 else d / rho
+        return (R[:, 0] if rho < 1e-12 else d / rho)[None]
     _, _, d2 = shape._project_edges(pose.inverse_transform_point(q)[None])
-    return pose.rotation() @ shape._edge_normals[np.argmin(d2[0])]
+    dist = np.sqrt(d2[0])
+    order = np.argsort(dist, kind="stable")
+    return np.array([R @ shape._edge_normals[i] for i in order[dist[order] <= dist[order[0]] + 1e-9]])
 
 
 def shapes_intersect(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b: PlanarPose) -> bool:

@@ -421,7 +421,6 @@ def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
 # only a step damped far beyond 1e2 may still lower the cost, and a ladder
 # ending at 1e2 would report such converged solves as stalls
 _DAMPINGS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)
-_COST_FLOOR = 1e-14  # a cost this small counts as solved outright
 # the model rule's chi^2 threshold is this many times rel_cost_tol: 1e-3 at
 # the default, a remaining step of at most sqrt(1e-3), about 3.2%, of a
 # posterior standard deviation in any direction (see gauss_newton)
@@ -438,7 +437,6 @@ class GaussNewtonOptions:
     # is at most sqrt(_MODEL_TOL_RATIO * this) posterior standard deviations
     # long: sqrt(1e-3), about 3.2% of a sigma, at the default
     rel_cost_tol: float = 1e-9
-    abs_grad_tol: float = 1e-10  # stop ("gradient") once max |J^T r| is below it
 
 
 @dataclass
@@ -454,12 +452,12 @@ class SolveReport:
 
     @property
     def converged(self) -> bool:
-        """Whether the stopping reason is a converged one.
+        """Whether the solve converged: reason "cost".
 
-        "cost", "gradient" and "cost_floor" are; "no_improving_step" (a
-        stall) and "max_iter" (the cap) are not.
+        The other two reasons are "no_improving_step" (a stall) and
+        "max_iter" (the cap).
         """
-        return self.reason in ("cost", "gradient", "cost_floor")
+        return self.reason == "cost"
 
 
 def _solve_normal(system: LinearSystem, damping: float | None) -> np.ndarray | None:
@@ -490,31 +488,32 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     cost the Levenberg ladder is walked until a decreasing step is found.
     Each candidate is scored by linearizing it, and an accepted candidate's
     system is the next iteration's linearization, so every point is
-    evaluated once. A solve that finds no improving step stops unconverged,
-    with reason "no_improving_step".
+    evaluated once.
 
-    Two rules stop a solve as converged, with reason "cost":
-      - the model rule, before a candidate is linearized: the undamped step
-        delta (H delta = -g) has the forecast decrease -g^T delta = delta^T H
-        delta. H = J^T J is the information matrix that marginal_covariances
-        inverts, so delta^T H delta is the squared length of delta in
-        posterior standard deviations: no linear function a^T x moves by
-        more than sqrt(delta^T H delta) of its own sigma sqrt(a^T H^-1 a).
-        The solve stops at the current point, evaluated already, when that
-        is between 0 and tau = _MODEL_TOL_RATIO * rel_cost_tol, a fixed
-        chi^2 amount: 1e-3 at the default, a step of at most 3.2% of a
-        sigma. tau is not scaled by the cost, whose size follows the
-        graph's: at 1e-7 of the cost, a 5-step window (cost about 30) would
-        have to converge to 0.0017 sigma, a T=40 batch (about 280) to 0.005
-        sigma and a T=250 one (about 1984) only to 0.014 sigma. Only the
-        undamped step is trusted for this, since a damped step forecasts a
-        small decrease because it is short, not because the cost is near
-        its minimum; and a negative forecast means the step is no descent
-        direction, a broken solve rather than a converged one.
-      - the actual rule, after an accepted step: the cost fell by at most
-        rel_cost_tol times its previous value.
-    The gradient ("gradient"), the cost floor ("cost_floor") and the
-    iteration cap ("max_iter") stop it too.
+    A solve ends in one of three ways, its report's reason:
+      - "cost", converged, by one of two rules:
+          - the model rule, before a candidate is linearized: the undamped
+            step delta (H delta = -g) has the forecast decrease -g^T delta =
+            delta^T H delta. H = J^T J is the information matrix that
+            marginal_covariances inverts, so delta^T H delta is the squared
+            length of delta in posterior standard deviations: no linear
+            function a^T x moves by more than sqrt(delta^T H delta) of its
+            own sigma sqrt(a^T H^-1 a). The solve stops at the current
+            point, evaluated already, when that is between 0 and tau =
+            _MODEL_TOL_RATIO * rel_cost_tol, a fixed chi^2 amount: 1e-3 at
+            the default, a step of at most 3.2% of a sigma. Only the
+            undamped step is trusted for this, since a damped step forecasts
+            a small decrease because it is short, not because the cost is
+            near its minimum; and a negative forecast means the step is no
+            descent direction, a broken solve rather than a converged one.
+            The forecast is at most the cost, so a cost below tau stops
+            here too.
+          - the actual rule, after an accepted step: the cost fell by at
+            most rel_cost_tol times its previous value. Where H is singular
+            there is no undamped step, and damped steps go on until this
+            rule ends the solve.
+      - "no_improving_step", stalled: no rung of the ladder lowers the cost.
+      - "max_iter", capped: max_iter steps were accepted.
 
     The solve iterates on one flat state vector: the initial values are
     flattened once, a candidate is x + delta with the angle slots wrapped
@@ -541,12 +540,6 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     model_tol = _MODEL_TOL_RATIO * opts.rel_cost_tol  # tau, in chi^2
     warm = None  # index of the last rung that produced an accepted step
     for it in range(opts.max_iter):
-        if cost <= _COST_FLOOR:
-            report.reason = "cost_floor"
-            break
-        if float(np.max(np.abs(system.gradient))) < opts.abs_grad_tol:
-            report.reason = "gradient"
-            break
         undamped = _solve_normal(system, None)
         # the model rule: stop here, without linearizing x + undamped
         if undamped is not None and 0.0 <= -float(system.gradient @ undamped) <= model_tol:

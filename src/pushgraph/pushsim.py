@@ -37,7 +37,7 @@ from .geometry import (
     closest_surface_point,
     cross2,
     deepest_penetration,
-    outward_normal,
+    outward_normals,
     rot2,
     shapes_intersect,
 )
@@ -395,8 +395,7 @@ def _run_push(obj_init: PlanarPose, obj_shape, ee_shape, params, ee0: PlanarPose
         u = p_next - p_cur
         unorm = float(np.linalg.norm(u))
         if unorm > 1e-13:
-            n_out = outward_normal(obj_shape, x_cur, p_cur)
-            if float(u @ n_out) > 1e-10 * unorm:
+            if np.all(outward_normals(obj_shape, x_cur, p_cur) @ u > 1e-10 * unorm):
                 contact_lost = True
                 steps_done = t
                 break
@@ -437,7 +436,7 @@ def simulate_push(ee_poses, obj_init: PlanarPose, obj_shape: Shape2D, ee_shape: 
 
     The path is translated rigidly so its first pose touches the object
     (approach resolution). The trajectory is truncated with contact_lost set
-    if the pusher ever retreats from the object at the contact point.
+    once the pusher retreats from every object face the contact touches.
     """
     ee_poses = np.asarray(ee_poses, dtype=float)
     if ee_poses.ndim != 2 or ee_poses.shape[1] != 3 or len(ee_poses) < 1:
@@ -548,7 +547,7 @@ def make_push_scene(obj_shape: Shape2D, ee_shape: Shape2D, direction: float = 0.
     perp = np.array([-d[1], d[0]])
     far = -3.0 * obj_shape.max_radius() * d + lateral_offset * perp
     p0 = closest_surface_point(obj_shape, obj_pose, far)
-    n = outward_normal(obj_shape, obj_pose, p0)
+    n = outward_normals(obj_shape, obj_pose, p0)[0]
     center = p0 + ee_shape.max_radius() * n
     return obj_pose, PlanarPose(center[0], center[1], direction)
 

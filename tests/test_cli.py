@@ -97,12 +97,14 @@ def test_combined_report_is_converged_by_its_reason():
     def report(reason):
         return SolveReport(1, 2.0, 1.0, reason)
 
-    for reason, converged in (("cost", True), ("gradient", True), ("cost_floor", True),
-                              ("no_improving_step", False), ("max_iter", False)):
+    for reason, converged in (("cost", True), ("no_improving_step", False), ("max_iter", False)):
         assert report(reason).converged is converged
-        combined = cli.combined_report([report("cost"), report(reason), report("gradient")])
+        combined = cli.combined_report([report("cost"), report(reason), report("cost")])
         assert combined.converged is converged
-        assert combined.reason == (reason if not converged else "gradient")
+        assert combined.reason == reason
+    # the first unconverged window names the run's reason
+    combined = cli.combined_report([report("cost"), report("max_iter"), report("no_improving_step")])
+    assert (combined.converged, combined.reason) == (False, "max_iter")
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -18,7 +18,7 @@ from pushgraph.geometry import (
     Shape2D,
     closest_surface_point,
     cross2,
-    outward_normal,
+    outward_normals,
     rot2,
     signed_distance,
 )
@@ -73,12 +73,13 @@ class TestLimitSurfaceConstants:
         assert params.f_max == pytest.approx(4.905, abs=1e-12)
 
     def test_unit_square_closed_form(self):
-        # mean |r| over the unit square: (sqrt(2) + asinh(1)) / 6
+        # mean |r| over the unit square: (sqrt(2) + asinh(1)) / 6; side a scales it by a
         expected = (math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))) / 6.0
         params = limit_surface_constants(Shape2D.box(1.0, 1.0), 0.3, 1.0)
-        assert params.c == pytest.approx(expected, abs=1e-9)
+        assert params.c == pytest.approx(expected, rel=1e-15)
         assert params.c == pytest.approx(0.3826, abs=1e-4)
         assert params.c == pytest.approx(grid_mean_radius(Shape2D.box(1.0, 1.0)), abs=1e-4)
+        assert limit_surface_constants(Shape2D.box(0.1, 0.1), 0.3, 1.0).c == pytest.approx(0.1 * expected, rel=1e-15)
 
     def test_c_scales_linearly_with_shape(self):
         for shape, tripled in ((Shape2D.disc(0.07), Shape2D.disc(0.21)),
@@ -304,6 +305,20 @@ class TestSimulatePush:
         assert traj.contact_lost
         assert len(traj) <= len(fwd) + 1
 
+    def test_mirror_image_corner_pushes_end_alike(self):
+        # headings +-0.3 start the contact on a box corner, where the two
+        # faces' distances tie; contact is lost only on retreat from both
+        box = Shape2D.box(0.12, 0.08)
+        params = limit_surface_constants(box, 0.3, 1.0)
+        trajs = []
+        for direction in (0.3, -0.3):
+            obj_pose, ee_pose = make_push_scene(box, PROBE, direction)
+            trajs.append(simulate_push(straight_path(ee_pose, 0.06, 4.0, 0.1), obj_pose, box, PROBE, params, 0.1))
+        up, down = trajs
+        np.testing.assert_array_equal(np.abs(up.contact_points[0]), [0.06, 0.04])
+        assert (len(up), up.contact_lost) == (len(down), down.contact_lost) == (40, False)
+        np.testing.assert_allclose(down.object_poses, up.object_poses * [1.0, -1.0, -1.0], rtol=0.0, atol=1e-13)
+
     def test_halving_dt_self_convergence(self):
         def final_pose(dt):
             traj = simulate_case("arc", offset=0.01, curvature=1.0, duration=2.0, dt=dt)
@@ -380,7 +395,7 @@ def benchmark_steps(draw):
     x0 = PlanarPose(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)), draw(headings))
     phi = draw(st.floats(-math.pi, math.pi))
     contact = closest_surface_point(shape, x0, x0.translation + 0.5 * np.array([math.cos(phi), math.sin(phi)]))
-    inward = rot2(draw(st.floats(-1.0, 1.0))) @ -outward_normal(shape, x0, contact)
+    inward = rot2(draw(st.floats(-1.0, 1.0))) @ -outward_normals(shape, x0, contact)[0]
     motion = np.array([*(draw(st.floats(1e-4, 0.01)) * inward), draw(st.floats(-0.05, 0.05))])
     e0 = PlanarPose(*(contact + 0.008 * inward), math.atan2(inward[1], inward[0]))
     return x0, e0, motion, contact, params
