@@ -357,9 +357,9 @@ class Flag(NamedTuple):
 SIM_FLAGS = {
     "shape": Flag("box:0.1x0.1", "object shape, box:WxH | disc:R | ellipse:AxB (m)"),
     "ee_shape": Flag("disc:0.008", "pusher shape (m)"),
-    "mu": Flag(0.3, "support friction coefficient (unitless)", _finite),
-    "mass": Flag(1.0, "object mass (kg)", _finite),
-    "gravity": Flag(9.81, "gravity (m/s^2)", _finite),
+    "mu": Flag(0.3, "support friction coefficient (unitless)", _positive),
+    "mass": Flag(1.0, "object mass (kg)", _positive),
+    "gravity": Flag(9.81, "gravity (m/s^2)", _positive),
     "path": Flag("straight", "pusher path family: straight | arc | random"),
     "curvature": Flag(1.0, "arc curvature (1/m)", _finite),
     "steer_amplitude": Flag(0.3, "random-path steering bound (rad)", _finite),

@@ -9,14 +9,17 @@ the normality condition, which makes simulated transitions satisfy the
 estimator's quasi-static factor identically.
 
 That leaves three equations in three unknowns, z = (fx, fy, kappa): the two
-landing coordinates and the ellipsoid equation. Each step solves them by
-damped Newton in plain floats: the Jacobian is analytic, the 3x3 step comes
-from its adjugate, and a step is halved until the residual norm falls. The
-start is the closed-form continuous-limit solution, so Newton takes the root
-that continues the sticking push; a root with kappa < 0 (the same motion
-under the opposite force) is mirrored to the pushing one. Where the damped
+landing coordinates and the ellipsoid equation, written in displacements
+about the step's start and relative to the contact's motion, so a 0.1 mm
+step is solved as precisely as a 1 cm one. Each step solves them by damped
+Newton in plain floats: the Jacobian is analytic, the 3x3 step comes from
+its adjugate, and a step is halved until the residual norm falls. The start
+is the closed-form continuous-limit solution, so Newton takes the root that
+continues the sticking push; a root with kappa < 0 (the same motion under
+the opposite force) is mirrored to the pushing one. Where the damped
 iteration stalls, as it can on steps that turn the object by a radian or
-more, Newton with whole steps is run from the same start.
+more, Newton with whole steps is run from the same start, and where that
+wanders off too, the motion is solved in growing parts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import DegenerateShape, NonConvergence, NoSolution
 from .geometry import (
@@ -79,35 +81,29 @@ class PushParams:
 
 
 def _polygon_mean_radius(shape: Shape2D) -> float:
-    """Mean distance from the centroid over the polygon area.
+    """Mean distance from the centroid over the polygon area, in closed form.
 
-    Fan decomposition about the (centroid) origin; each triangle contributes
-    an exact 1-D angular integral of R(phi)^3 / 3, evaluated adaptively.
+    Fan decomposition about the (centroid) origin: the triangle (0, a, b) of
+    the edge a -> b, with unit direction e, height h = a x e and ends
+    t_a = a . e, t_b = b . e along it, contributes
+    [h (|b| t_b - |a| t_a) + h^3 (asinh(t_b / h) - asinh(t_a / h))] / 6.
     """
-    verts = shape.vertices
-    total = 0.0
-    for i in range(len(verts)):
-        a = verts[i]
-        b = verts[(i + 1) % len(verts)]
-        edge = b - a
-        n = np.array([edge[1], -edge[0]])
-        n = n / np.linalg.norm(n)
-        h = float(n @ a)  # distance from origin to the edge line
-        phi_a = math.atan2(a[1], a[0])
-        span = math.atan2(cross2(a, b), float(a @ b))  # in (0, pi)
-
-        def integrand(u, phi_a=phi_a, n=n, h=h):
-            d = np.array([math.cos(phi_a + u), math.sin(phi_a + u)])
-            r_edge = h / float(n @ d)
-            return r_edge**3 / 3.0
-
-        val, _ = scipy.integrate.quad(integrand, 0.0, span, epsabs=1e-12, epsrel=1e-12)
-        total += val
-    return total / shape.area()
+    a = shape.vertices
+    b = np.roll(a, -1, axis=0)
+    e = b - a
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    h = cross2(a.T, e.T)
+    ta, tb = np.sum(a * e, axis=1), np.sum(b * e, axis=1)
+    ra, rb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    total = np.sum(h * (rb * tb - ra * ta) + h**3 * (np.arcsinh(tb / h) - np.arcsinh(ta / h))) / 6.0
+    return float(total) / shape.area()
 
 
 def limit_surface_constants(shape: Shape2D, mu_s: float, mass: float, gravity: float = 9.81) -> PushParams:
     """Friction limit-surface constants for a shape under uniform pressure."""
+    for name, value in (("mu_s", mu_s), ("mass", mass), ("gravity", gravity)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     area = shape.area()
     if area <= 1e-12:
         raise DegenerateShape("shape has zero support area")
@@ -152,36 +148,41 @@ def _continuous_guess(u, r_arm, params: PushParams):
     return (m * fx, m * fy), norm / m
 
 
-def _step_system(z, t0, theta0, qb, p1, fm2, tm2):
+def _step_system(z, a, u, fm2, tm2):
     """Residual of one step's equations at z = (fx, fy, kappa), and its Jacobian.
 
-    t0 and theta0 are the object pose at the start, qb the contact in the
-    object frame, p1 where the contact must land; fm2 = f_max^2 and
-    tm2 = tau_max^2. With t1 = t0 + kappa f / fm2, tau = (p1 - t1) x f and
-    dtheta = kappa tau / tm2, the residual is the landing error
-    t1 + R(theta0 + dtheta) qb - p1 and the ellipsoid value minus one.
-    Returns (r, J, (t1x, t1y, dtheta)) as plain floats; J is row-major.
+    In displacements about the start: a = p0 - t0 is the contact's arm from
+    the object's position and u = p1 - p0 the contact's motion; fm2 = f_max^2
+    and tm2 = tau_max^2. With the object's translation dt = kappa f / fm2,
+    tau = (a + u - dt) x f and its rotation dtheta = kappa tau / tm2, the
+    residual is the landing error (dt + (R(dtheta) - I) a - u) / |u|, so in
+    units of the step's own size, and the ellipsoid value minus one.
+    Returns (r, J, (dtx, dty, dtheta)) as plain floats; J is row-major.
     """
     fx, fy, kappa = z
-    t1x = t0[0] + kappa * fx / fm2
-    t1y = t0[1] + kappa * fy / fm2
-    dx, dy = p1[0] - t1x, p1[1] - t1y
-    tau = dx * fy - dy * fx
-    dtheta = kappa * tau / tm2
-    c, s = math.cos(theta0 + dtheta), math.sin(theta0 + dtheta)
-    vx, vy = c * qb[0] - s * qb[1], s * qb[0] + c * qb[1]  # R qb; d(R qb)/dtheta = (-vy, vx)
-    r = (t1x + vx - p1[0], t1y + vy - p1[1], (fx * fx + fy * fy) / fm2 + tau * tau / tm2 - 1.0)
-    # d tau / d(fx, fy); d tau / d kappa is zero, since d t1 / d kappa is parallel to f
+    ax, ay = a
+    ux, uy = u
+    w = 1.0 / math.hypot(ux, uy)
     ka = kappa / fm2
-    tau_fx = -ka * fy - dy
-    tau_fy = dx + ka * fx
+    dtx, dty = ka * fx, ka * fy
+    bx, by = ax + ux - dtx, ay + uy - dty  # p1 - t1: the arm at the end of the step
+    tau = bx * fy - by * fx
+    dtheta = kappa * tau / tm2
+    s = math.sin(dtheta)
+    cm1 = -2.0 * math.sin(0.5 * dtheta) ** 2  # cos(dtheta) - 1 without cancellation
+    vx, vy = ax + cm1 * ax - s * ay, ay + s * ax + cm1 * ay  # R(dtheta) a; its d/dtheta is (-vy, vx)
+    r = ((dtx + cm1 * ax - s * ay - ux) * w, (dty + s * ax + cm1 * ay - uy) * w,
+         (fx * fx + fy * fy) / fm2 + tau * tau / tm2 - 1.0)
+    # d tau / d(fx, fy); d tau / d kappa is zero, since d dt / d kappa is parallel to f
+    tau_fx = -ka * fy - by
+    tau_fy = bx + ka * fx
     th_fx, th_fy, th_k = kappa * tau_fx / tm2, kappa * tau_fy / tm2, tau / tm2
     J = (
-        (ka - vy * th_fx, -vy * th_fy, fx / fm2 - vy * th_k),
-        (vx * th_fx, ka + vx * th_fy, fy / fm2 + vx * th_k),
+        ((ka - vy * th_fx) * w, -vy * th_fy * w, (fx / fm2 - vy * th_k) * w),
+        (vx * th_fx * w, (ka + vx * th_fy) * w, (fy / fm2 + vx * th_k) * w),
         (2.0 * (fx / fm2 + tau * tau_fx / tm2), 2.0 * (fy / fm2 + tau * tau_fy / tm2), 0.0),
     )
-    return r, J, (t1x, t1y, dtheta)
+    return r, J, (dtx, dty, dtheta)
 
 
 def _solve3(J, r):
@@ -203,7 +204,8 @@ def _solve3(J, r):
 _NEWTON_MAX_ITER = 100
 _NEWTON_MAX_HALVINGS = 40
 _NEWTON_FLOOR = 1e-15  # max |r| at which a further step can gain nothing but rounding
-_STEP_TOL = 1e-9  # max |r| a step must reach to be accepted
+_STEP_TOL = 1e-9  # max |r| a step must reach to be accepted; landing rows are relative to |u|
+_MARCH_MIN_ADVANCE = 1e-3  # smallest advance of _march along the motion
 
 
 def _within(r, tol: float) -> bool:
@@ -241,53 +243,61 @@ def _newton(z, args, damped: bool):
     return z, r, motion
 
 
+def _march(z0, args):
+    """Damped Newton for the motion t u, t rising to 1, each solve started from
+    the last root with kappa scaled by t, the first from z0, which is exact as
+    t -> 0; so it follows the root that continues the push. The advance in t
+    doubles after a solve and halves after a failure. Returns (z, motion)."""
+    a, (ux, uy), fm2, tm2 = args
+    s, ds, (fx, fy, rate) = 0.0, 0.25, z0  # rate: kappa per unit of t
+    while ds >= _MARCH_MIN_ADVANCE:
+        t = min(1.0, s + ds)
+        z, r, motion = _newton((fx, fy, rate * t), (a, (t * ux, t * uy), fm2, tm2), damped=True)
+        if not _within(r, _STEP_TOL):
+            ds *= 0.5
+        elif t == 1.0:
+            return z, motion
+        else:
+            s, ds, (fx, fy, rate) = t, 2.0 * ds, (z[0], z[1], z[2] / t)
+    raise NonConvergence("inner step solve failed")
+
+
 def _solve_step(x0: PlanarPose, p0, p1, params: PushParams):
     """Solve one sticking step: find (f, kappa) and the resulting object pose.
 
     The twist is parameterized by limit-surface normality, so the motion
     constraint of the quasi-static factor holds identically; the solve only
-    enforces the material-point landing and the ellipsoid equation, three
-    equations in z = (fx, fy, kappa) (see _step_system for the residual and
-    its analytic Jacobian).
-
-    Damped Newton from the continuous-limit guess: each step solves the 3x3
-    system by its adjugate and is halved until the residual norm falls,
-    until max |r| is at rounding level (_NEWTON_FLOOR) or no halving lowers
-    the norm. Damped steps can stall where |r| has a local minimum, as on
-    some steps that turn the object by a radian or more; then Newton with
-    whole steps is run from the same guess. The result is accepted only
-    if max |r| <= 1e-9. Starting from the guess, Newton takes the root that
-    continues the sticking push, the nearest one; if it lands on the mirror
-    branch (kappa < 0: the same motion with the force reversed), the force
-    is reversed.
+    enforces the material-point landing and the ellipsoid equation in
+    z = (fx, fy, kappa), about the arm p0 - t0 and the motion p1 - p0 (see
+    _step_system). Damped Newton runs from the continuous-limit guess; where
+    it stalls at a local minimum of |r|, Newton with whole steps runs from
+    the same guess, and where that wanders off too, _march. A result is
+    accepted at max |r| <= _STEP_TOL, the landing error counted in units of
+    the motion. A root on the mirror branch (kappa < 0: the same motion with
+    the force reversed) is turned into the pushing one.
     """
-    c0, s0 = math.cos(x0.theta), math.sin(x0.theta)
-    arm = (float(p0[0]) - x0.x, float(p0[1]) - x0.y)
-    qb = (c0 * arm[0] + s0 * arm[1], c0 * arm[1] - s0 * arm[0])  # contact in the object frame
-    p1 = (float(p1[0]), float(p1[1]))
-    u = (p1[0] - x0.x - (c0 * qb[0] - s0 * qb[1]), p1[1] - x0.y - (s0 * qb[0] + c0 * qb[1]))  # p1 - p0
-
-    f_init, kappa_init = _continuous_guess(u, arm, params)
+    a = (float(p0[0]) - x0.x, float(p0[1]) - x0.y)
+    u = (float(p1[0]) - float(p0[0]), float(p1[1]) - float(p0[1]))
+    f_init, kappa_init = _continuous_guess(u, a, params)
     z0 = (*f_init, kappa_init)
-    args = ((x0.x, x0.y), x0.theta, qb, p1, params.f_max**2, params.tau_max**2)
+    args = (a, u, params.f_max**2, params.tau_max**2)
     z, r, motion = _newton(z0, args, damped=True)
     if not _within(r, _STEP_TOL):
         z, r, motion = _newton(z0, args, damped=False)
         if not _within(r, _STEP_TOL):
-            raise NonConvergence("inner step solve failed")
+            z, motion = _march(z0, args)
     fx, fy, kappa = z
     if kappa < 0.0:
         fx, fy = -fx, -fy  # mirror branch: same motion, opposite force; pick pushing
-    t1x, t1y, dtheta = motion
-    return PlanarPose(t1x, t1y, x0.theta + dtheta), np.array([fx, fy])
+    dtx, dty, dtheta = motion
+    return PlanarPose(x0.x + dtx, x0.y + dty, x0.theta + dtheta), np.array([fx, fy])
 
 
 def _advect_contact(ee_pose: PlanarPose, ee_motion, contact):
-    """New ee pose and the contact material point carried along with it."""
+    """The contact material point carried along with the ee pose increment ee_motion."""
     motion = np.asarray(ee_motion, dtype=float)
     ee_new = PlanarPose(ee_pose.x + motion[0], ee_pose.y + motion[1], ee_pose.theta + motion[2])
-    p_body = ee_pose.inverse_transform_point(contact)
-    return ee_new, ee_new.transform_point(p_body)
+    return ee_new.transform_point(ee_pose.inverse_transform_point(contact))
 
 
 def quasi_static_step(obj_pose: PlanarPose, ee_pose: PlanarPose, ee_motion, contact, params: PushParams):
@@ -300,7 +310,7 @@ def quasi_static_step(obj_pose: PlanarPose, ee_pose: PlanarPose, ee_motion, cont
     the object in place with zero force.
     """
     contact = np.asarray(contact, dtype=float)
-    _, p_new = _advect_contact(ee_pose, ee_motion, contact)
+    p_new = _advect_contact(ee_pose, ee_motion, contact)
     if float(np.linalg.norm(p_new - contact)) < 1e-13:
         return obj_pose, np.zeros(2)
     return _solve_step(obj_pose, contact, p_new, params)
@@ -319,7 +329,6 @@ class GroundTruthTrajectory:
     ee_shape: Shape2D
     params: PushParams
     contact_lost: bool = False
-    reprojection_warnings: int = 0
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -381,7 +390,6 @@ def _run_push(obj_init: PlanarPose, obj_shape, ee_shape, params, ee0: PlanarPose
     p_arr[0] = contact
 
     contact_lost = False
-    reproj_warn = 0
     steps_done = T
     x_cur = obj_init
     e_cur = ee0
@@ -391,7 +399,7 @@ def _run_push(obj_init: PlanarPose, obj_shape, ee_shape, params, ee0: PlanarPose
         motion = np.array(
             [e_next.x - e_cur.x, e_next.y - e_cur.y, angle_diff(e_next.theta, e_cur.theta)]
         )
-        _, p_next = _advect_contact(e_cur, motion, p_cur)
+        p_next = _advect_contact(e_cur, motion, p_cur)
         u = p_next - p_cur
         unorm = float(np.linalg.norm(u))
         if unorm > 1e-13:
@@ -407,8 +415,6 @@ def _run_push(obj_init: PlanarPose, obj_shape, ee_shape, params, ee0: PlanarPose
         # keep the tracked contact on both surfaces; sticking keeps drift tiny
         proj_obj = closest_surface_point(obj_shape, x_cur, p_next)
         proj_ee = closest_surface_point(ee_shape, e_cur, p_next)
-        if float(np.linalg.norm(proj_obj - proj_ee)) > 1e-6:
-            reproj_warn += 1
         p_cur = 0.5 * (proj_obj + proj_ee)
         obj_arr[t] = x_cur.as_array()
         ee_arr[t] = e_cur.as_array()
@@ -426,7 +432,6 @@ def _run_push(obj_init: PlanarPose, obj_shape, ee_shape, params, ee0: PlanarPose
         ee_shape=ee_shape,
         params=params,
         contact_lost=contact_lost,
-        reprojection_warnings=reproj_warn,
     )
 
 

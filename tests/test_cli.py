@@ -195,7 +195,7 @@ def test_malformed_shape_spec_exits_2(tmp_path, capsys, flag, spec):
 @pytest.mark.parametrize("flag, value", [
     ("--dt", 0), ("--dt", -0.1), ("--dt", "nan"), ("--dur", -1), ("--dur", 0), ("--dur", "inf"),
     ("--mu", "nan"), ("--speed", "nan"), ("--offset", "nan"), ("--curvature", "inf"),
-    ("--steer-amplitude", "nan"), ("--mass", "inf"),
+    ("--steer-amplitude", "nan"), ("--mass", "inf"), ("--mu", 0), ("--mass", 0), ("--gravity", 0),
 ])
 def test_bad_simulate_number_exits_2(tmp_path, capsys, flag, value):
     out = tmp_path / "sim.json"
