@@ -398,20 +398,20 @@ def load_trajectory(path) -> MeasuredTrajectory:
     return trajectory_from_dict(data)
 
 
-def import_mit_log(data, plane: Plane3 | None = None) -> MeasuredTrajectory:
+def import_mit_log(data) -> MeasuredTrajectory:
     """Adapter for MIT-pushing-style logs.
 
     Expects a dict (or path to a JSON file) with columns
     ``object_pose`` [[t, x, y, theta], ...], ``tip_pose`` [[t, x, y, z], ...],
     and optionally ``ft_wrench`` [[t, fx, fy, mz], ...]. Tip poses carry no
-    orientation; they are projected into the plane with yaw 0. Streams are
+    orientation; they are projected into the xy plane with yaw 0. Streams are
     linearly interpolated onto the object-pose timestamps. Shape and friction
     metadata are not part of these logs and must be attached by the caller.
     """
     if not isinstance(data, dict):
         with open(data) as fh:
             data = json.load(fh)
-    plane = plane if plane is not None else Plane3.xy()
+    plane = Plane3.xy()
     try:
         obj = np.asarray(data["object_pose"], dtype=float)
         tip = np.asarray(data["tip_pose"], dtype=float)
@@ -429,19 +429,17 @@ def import_mit_log(data, plane: Plane3 | None = None) -> MeasuredTrajectory:
         return np.column_stack([np.interp(ts, src[:, 0], src[:, c]) for c in cols])
 
     tip_xyz = interp_cols(tip, (1, 2, 3))
+    force_xy = interp_cols(wrench, (1, 2)) if wrench is not None else None
     steps = []
     for i, t in enumerate(ts):
         tip_pose = Pose3(tip_xyz[i], np.array([1.0, 0.0, 0.0, 0.0]))
-        alpha = None
-        if wrench is not None:
-            alpha = interp_cols(wrench, (1, 2))[i]
         steps.append(
             TrajectoryStep(
                 t=float(t),
                 y=PlanarPose(obj[i, 1], obj[i, 2], obj[i, 3]),
                 z=project_to_plane(tip_pose, plane),
                 w=None,
-                alpha=alpha,
+                alpha=None if force_xy is None else force_xy[i],
             )
         )
     return MeasuredTrajectory(steps=steps, plane=plane)

@@ -16,10 +16,9 @@ Newton in plain floats: the Jacobian is analytic, the 3x3 step comes from
 its adjugate, and a step is halved until the residual norm falls. The start
 is the closed-form continuous-limit solution, so Newton takes the root that
 continues the sticking push; a root with kappa < 0 (the same motion under
-the opposite force) is mirrored to the pushing one. Where the damped
-iteration stalls, as it can on steps that turn the object by a radian or
-more, Newton with whole steps is run from the same start, and where that
-wanders off too, the motion is solved in growing parts.
+the opposite force) is mirrored to the pushing one. The whole motion is
+tried first; where Newton stalls on it, as it can on steps that turn the
+object by a radian or more, the motion is solved in growing parts.
 """
 
 from __future__ import annotations
@@ -213,13 +212,12 @@ def _within(r, tol: float) -> bool:
     return abs(r[0]) <= tol and abs(r[1]) <= tol and abs(r[2]) <= tol
 
 
-def _newton(z, args, damped: bool):
-    """Newton iteration on _step_system(z, *args) from z; returns (z, r, motion) at the end.
+def _newton(z, args):
+    """Damped Newton iteration on _step_system(z, *args) from z; returns (z, r, motion) at the end.
 
-    Each step is halved until the residual norm falls when damped, and taken
-    whole otherwise. The iteration stops once max |r| is at rounding level,
-    the Jacobian is singular or the residual is not finite, or (damped) when
-    no halving lowers the norm.
+    Each step is halved until the residual norm falls. The iteration stops
+    once max |r| is at rounding level, the Jacobian is singular or the
+    residual is not finite, or when no halving lowers the norm.
     """
     r, J, motion = _step_system(z, *args)
     norm2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
@@ -234,7 +232,7 @@ def _newton(z, args, damped: bool):
             trial = (z[0] - scale * delta[0], z[1] - scale * delta[1], z[2] - scale * delta[2])
             r_t, J_t, motion_t = _step_system(trial, *args)
             norm2_t = r_t[0] * r_t[0] + r_t[1] * r_t[1] + r_t[2] * r_t[2]
-            if norm2_t < norm2 or not damped:
+            if norm2_t < norm2:
                 break
             scale *= 0.5
         else:
@@ -246,13 +244,14 @@ def _newton(z, args, damped: bool):
 def _march(z0, args):
     """Damped Newton for the motion t u, t rising to 1, each solve started from
     the last root with kappa scaled by t, the first from z0, which is exact as
-    t -> 0; so it follows the root that continues the push. The advance in t
-    doubles after a solve and halves after a failure. Returns (z, motion)."""
+    t -> 0; so it follows the root that continues the push. The first try is
+    the whole motion, t = 1; the advance in t halves after a failure and
+    doubles after a solve. Returns (z, motion)."""
     a, (ux, uy), fm2, tm2 = args
-    s, ds, (fx, fy, rate) = 0.0, 0.25, z0  # rate: kappa per unit of t
+    s, ds, (fx, fy, rate) = 0.0, 1.0, z0  # rate: kappa per unit of t
     while ds >= _MARCH_MIN_ADVANCE:
         t = min(1.0, s + ds)
-        z, r, motion = _newton((fx, fy, rate * t), (a, (t * ux, t * uy), fm2, tm2), damped=True)
+        z, r, motion = _newton((fx, fy, rate * t), (a, (t * ux, t * uy), fm2, tm2))
         if not _within(r, _STEP_TOL):
             ds *= 0.5
         elif t == 1.0:
@@ -269,23 +268,16 @@ def _solve_step(x0: PlanarPose, p0, p1, params: PushParams):
     constraint of the quasi-static factor holds identically; the solve only
     enforces the material-point landing and the ellipsoid equation in
     z = (fx, fy, kappa), about the arm p0 - t0 and the motion p1 - p0 (see
-    _step_system). Damped Newton runs from the continuous-limit guess; where
-    it stalls at a local minimum of |r|, Newton with whole steps runs from
-    the same guess, and where that wanders off too, _march. A result is
-    accepted at max |r| <= _STEP_TOL, the landing error counted in units of
-    the motion. A root on the mirror branch (kappa < 0: the same motion with
-    the force reversed) is turned into the pushing one.
+    _step_system). _march solves them from the continuous-limit guess, with
+    the whole motion first and in growing parts where Newton stalls on it. A
+    result is accepted at max |r| <= _STEP_TOL, the landing error counted in
+    units of the motion. A root on the mirror branch (kappa < 0: the same
+    motion with the force reversed) is turned into the pushing one.
     """
     a = (float(p0[0]) - x0.x, float(p0[1]) - x0.y)
     u = (float(p1[0]) - float(p0[0]), float(p1[1]) - float(p0[1]))
     f_init, kappa_init = _continuous_guess(u, a, params)
-    z0 = (*f_init, kappa_init)
-    args = (a, u, params.f_max**2, params.tau_max**2)
-    z, r, motion = _newton(z0, args, damped=True)
-    if not _within(r, _STEP_TOL):
-        z, r, motion = _newton(z0, args, damped=False)
-        if not _within(r, _STEP_TOL):
-            z, motion = _march(z0, args)
+    z, motion = _march((*f_init, kappa_init), (a, u, params.f_max**2, params.tau_max**2))
     fx, fy, kappa = z
     if kappa < 0.0:
         fx, fy = -fx, -fy  # mirror branch: same motion, opposite force; pick pushing
@@ -486,8 +478,7 @@ def servo_push(obj_init: PlanarPose, obj_shape: Shape2D, ee_shape: Shape2D, para
     return _run_push(obj_init, obj_shape, ee_shape, params, ee0, contact, next_pose, T, dt)
 
 
-def benchmark_scenario(seed: int, duration: float = 4.0, dt: float = 0.1,
-                       speed: float | None = None) -> GroundTruthTrajectory:
+def benchmark_scenario(seed: int, duration: float = 4.0, dt: float = 0.1) -> GroundTruthTrajectory:
     """Deterministic mixed-shape, mixed-steering push for benchmark trials.
 
     Shapes, friction, speed (<= 10 cm/s), initial geometry, and the steering
@@ -506,8 +497,7 @@ def benchmark_scenario(seed: int, duration: float = 4.0, dt: float = 0.1,
     mu = rng.uniform(0.25, 0.45)
     mass = rng.uniform(0.6, 1.2)
     params = limit_surface_constants(obj_shape, mu, mass)
-    if speed is None:
-        speed = rng.uniform(0.05, 0.08)
+    speed = rng.uniform(0.05, 0.08)
     T = max(1, round(duration / dt))
     steer = steering_profile(T, dt, seed=seed + 10_000, amplitude=rng.uniform(0.2, 0.35))
     gt = servo_push(
@@ -517,7 +507,7 @@ def benchmark_scenario(seed: int, duration: float = 4.0, dt: float = 0.1,
     return gt
 
 
-def steering_profile(T: int, dt: float, seed: int = 0, amplitude: float = 0.25) -> np.ndarray:
+def steering_profile(T: int, dt: float, seed: int, amplitude: float) -> np.ndarray:
     """Per-step steer angles for servo pushes: a random walk, deterministic per seed.
 
     The walk starts uniform in [-amplitude, amplitude], takes Gaussian steps

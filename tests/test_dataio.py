@@ -206,6 +206,22 @@ class TestMITAdapter:
         with pytest.raises(ParseError):
             import_mit_log({"object_pose": [[0, 1, 2, 3]]})
 
+    def test_each_column_is_interpolated_once(self, monkeypatch):
+        # 3 tip columns and 2 force columns, whatever the log's length
+        interp = np.interp
+        counts = []
+        for n in (11, 101):
+            calls = []
+            monkeypatch.setattr(np, "interp", lambda *args: calls.append(1) or interp(*args))
+            ts = np.linspace(0.0, 1.0, n)
+            traj = import_mit_log({"object_pose": [[t, 0.1 * t, 0.02, 0.3 * t] for t in ts],
+                                   "tip_pose": [[t, 0.1 * t - 0.06, 0.025, 0.41] for t in ts],
+                                   "ft_wrench": [[t, 1.5 * t, 0.2, 0.01] for t in ts]})
+            np.testing.assert_allclose([s.alpha for s in traj.steps], np.column_stack([1.5 * ts, np.full(n, 0.2)]),
+                                       rtol=0, atol=1e-15)
+            counts.append(len(calls))
+        assert counts == [5, 5]
+
 
 class TestNoise:
     def test_zero_sigma_identity(self):

@@ -409,14 +409,14 @@ def benchmark_steps(draw):
                      draw(st.floats(1e-4, 0.01)), draw(st.floats(-0.05, 0.05)))
 
 
-def seeded_steps(n, seed):
+def seeded_steps(n, seed, max_length=0.01, max_spin=0.05):
     """n steps from benchmark_steps' ranges drawn by numpy, the motion's length
-    log-uniform over 0.1 mm to 1 cm."""
+    log-uniform over 0.1 mm to max_length and the spin up to max_spin."""
     rng = np.random.default_rng(seed)
     return [make_step(SCENE_SHAPES[rng.integers(len(SCENE_SHAPES))], rng.uniform(0.25, 0.45),
                       rng.uniform(0.6, 1.2), PlanarPose(*rng.uniform(-0.5, 0.5, 2), rng.uniform(-math.pi, math.pi)),
                       rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0),
-                      math.exp(rng.uniform(math.log(1e-4), math.log(0.01))), rng.uniform(-0.05, 0.05))
+                      math.exp(rng.uniform(math.log(1e-4), math.log(max_length))), rng.uniform(-max_spin, max_spin))
             for _ in range(n)]
 
 
@@ -523,55 +523,95 @@ def test_mirror_branch_returns_the_pushing_force(monkeypatch):
     assert float(f_m @ motion[:2]) > 0.0  # kappa > 0: the force does positive work
 
 
-def test_stalled_damped_newton_falls_back_to_whole_steps(monkeypatch):
-    # an 11 cm step on a 6 cm disc that turns it by 1.2 rad: halved steps
-    # stall at a local minimum of |r|, whole steps reach hybr's root
+def spy_on_newton(monkeypatch):
+    """The (z, args) of every _newton call from now on."""
+    calls = []
+    newton = pushsim._newton
+
+    def spy(z, args):
+        calls.append((z, args))
+        return newton(z, args)
+
+    monkeypatch.setattr(pushsim, "_newton", spy)
+    return calls
+
+
+def test_stalled_step_is_solved_in_parts_along_the_motion(monkeypatch):
+    # an 11 cm step on a 6 cm disc that turns it by 1.2 rad: Newton stalls at a
+    # local minimum of |r| on the whole motion, so the motion is solved in parts
     disc = Shape2D.disc(0.06)
     step = (PlanarPose(-0.3911686573891682, 0.19822261732171254, -1.7818232999255073),
             PlanarPose(-0.34989853055157216, 0.1665875634920011, 1.4486562924988764),
             np.array([0.013575629040231615, 0.11059480991778882, 0.0]),
             np.array([-0.3435492802688651, 0.16172063213358395]),
             limit_surface_constants(disc, 0.40269727616795836, 1.0953392107070132))
-    passes = []
-    newton = pushsim._newton
-
-    def spy(z, args, damped):
-        passes.append(damped)
-        return newton(z, args, damped)
-
-    monkeypatch.setattr(pushsim, "_newton", spy)
+    calls = spy_on_newton(monkeypatch)
     x1, f = quasi_static_step(*step)
-    assert passes == [True, False]
+    u = pushsim._advect_contact(step[1], step[2], step[3]) - step[3]
+    assert calls[0][1][1] == tuple(u) and len(calls) > 2
     x1_ref, f_ref = hybr_step(*step)
     assert abs(x1.theta - step[0].theta) > 1.0
     np.testing.assert_allclose(x1.as_array(), x1_ref.as_array(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-12)
 
 
-def test_wandering_newton_falls_back_to_a_march_along_the_motion(monkeypatch):
-    # a 12 cm step on a 6 cm disc that turns it by 1.5 rad: halved steps
-    # stall and whole steps wander off, so the motion is solved in parts
+def test_wandering_newton_falls_back_to_a_march_along_the_motion():
+    # a 12 cm step on a 6 cm disc that turns it by 1.5 rad: Newton stalls on
+    # the whole motion, so the motion is solved in parts
     params = limit_surface_constants(Shape2D.disc(0.06), 0.43396694982173845, 0.649738589544278)
     x0 = PlanarPose(-0.21281763920855534, 0.1134319484186127, -0.36978006776967076)
     e0 = PlanarPose(-0.21985430287415944, 0.1669485008804993, -0.6741464287724752)
     motion = np.array([0.09711584313009691, -0.07759803135913744, -1.3525716890672204])
     contact = np.array([-0.22610422336241684, 0.1719423464818831])
-    passes = []
-    newton = pushsim._newton
-
-    def spy(z, args, damped):
-        passes.append(damped)
-        return newton(z, args, damped)
-
-    monkeypatch.setattr(pushsim, "_newton", spy)
     x1, f = quasi_static_step(x0, e0, motion, contact, params)
-    assert passes[:2] == [True, False] and len(passes) > 2 and all(passes[2:])
     p1 = pushsim._advect_contact(e0, motion, contact)
     np.testing.assert_allclose(x1.transform_point(x0.inverse_transform_point(contact)), p1, rtol=0, atol=1e-12)
     assert params.ellipsoid_value(f, cross2(p1 - x1.translation, f)) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(quasi_static_residual(x0.as_array(), x1.as_array(), [*p1, *f], params.c, 1.0))) <= 1e-9
     assert float(f @ (p1 - contact)) > 0.0  # the pushing root, not its mirror
     assert math.remainder(x1.theta - x0.theta, 2 * math.pi) == pytest.approx(-1.53, abs=0.01)
+
+
+def continuation_step(x0, e0, motion, contact, params, parts=400):
+    """The step solved along its motion in `parts` equal parts: Newton on
+    _step_system for the motion t u at t = k / parts, each solve started from
+    the last root with kappa scaled by t, the first from the continuous-limit
+    guess. Returns the object pose and the force."""
+    u = pushsim._advect_contact(e0, motion, contact) - contact
+    a = contact - x0.translation
+    f, kappa = pushsim._continuous_guess(u, a, params)
+    z, rate = np.array(f), kappa
+    for k in range(1, parts + 1):
+        t = k / parts
+        args = (tuple(a), tuple(t * u), params.f_max**2, params.tau_max**2)
+        z = np.array([z[0], z[1], rate * t])
+        for _ in range(50):
+            r, J, motion_t = pushsim._step_system(tuple(z), *args)
+            if np.max(np.abs(r)) <= 1e-15:
+                break
+            z = z - np.linalg.solve(J, r)
+        assert np.max(np.abs(r)) <= 1e-12
+        rate = z[2] / t
+    return PlanarPose(x0.x + motion_t[0], x0.y + motion_t[1], x0.theta + motion_t[2]), z[:2]
+
+
+def test_large_steps_end_on_the_root_that_continues_the_push(monkeypatch):
+    # up to 15 cm and 1.5 rad of pusher spin: on the steps that Newton cannot
+    # solve whole, the result must be the continuation's root, not one picked
+    # by rounding
+    calls = spy_on_newton(monkeypatch)
+    fallbacks = []
+    for step in seeded_steps(1000, seed=5, max_length=0.15, max_spin=1.5):
+        before = len(calls)
+        x1, f = quasi_static_step(*step)
+        if len(calls) > before + 1:
+            fallbacks.append((step, x1, f))
+    assert len(fallbacks) >= 10
+    for step, x1, f in fallbacks:
+        x1_ref, f_ref = continuation_step(*step)
+        np.testing.assert_allclose([x1.x, x1.y], [x1_ref.x, x1_ref.y], rtol=0, atol=1e-9)
+        assert abs(math.remainder(x1.theta - x1_ref.theta, 2 * math.pi)) <= 1e-9
+        np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-9)
 
 
 def test_nan_contact_raises_nonconvergence():
