@@ -251,7 +251,8 @@ def run_benchmark_trial(cfg: dict, trial: int) -> list[dict]:
 
 
 def run_benchmark(cfg: dict) -> tuple[list[dict], list[dict]]:
-    """All trials plus aggregate mean/std rows per model."""
+    """All trials plus aggregate mean/std rows per model, each over a column's
+    finite values, and NaN where there are none (a channel never measured)."""
     trials = range(cfg["trials"])
     if cfg["jobs"] > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
@@ -265,11 +266,12 @@ def run_benchmark(cfg: dict) -> tuple[list[dict], list[dict]]:
     numeric = [k for k in _columns(rows) if k not in ("trial", "model", "seed", "error")]
     for model in cfg["models"].split(","):
         sub = [r for r in rows if r["model"] == model and not r.get("failed")]
-        for stat, fn in (("mean", np.nanmean), ("std", np.nanstd)):
+        for stat, fn in (("mean", np.mean), ("std", np.std)):
             agg = {"trial": -1 if stat == "mean" else -2, "model": model, "seed": -1}
             for k in numeric:
-                vals = [r.get(k, math.nan) for r in sub]
-                agg[k] = float(fn(np.asarray(vals, dtype=float))) if sub else math.nan
+                vals = np.asarray([r.get(k, math.nan) for r in sub], dtype=float)
+                vals = vals[np.isfinite(vals)]
+                agg[k] = float(fn(vals)) if len(vals) else math.nan
             aggregates.append(agg)
     return rows, aggregates
 

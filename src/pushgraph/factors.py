@@ -8,7 +8,9 @@ Pose variables are (x, y, theta) arrays; contact/force variables are
 (px, py, fx, fy) arrays. Angle residuals always use the shortest arc.
 
 Each factor class has one kernel that evaluates a block of N factors of
-that class at once, with numpy over the rows (see Factor).
+that class at once, with numpy over the rows (see Factor). The contact
+and intersection kernels take their shape queries and those queries'
+Jacobians from geometry, for every pair of shapes.
 graphcore.linearize groups a graph's factors into such blocks and calls
 each kernel once per linearization; that serves the Gauss-Newton steps
 and their cost, the marginal covariances and the fixed-lag smoother's
@@ -219,17 +221,6 @@ class ContactSurfaceFactor(Factor):
         return g - p, [dg_dpose, j_pf]
 
 
-def _lstsq_rows(M: np.ndarray, rhs: np.ndarray, rcond: float) -> np.ndarray:
-    """np.linalg.lstsq(M[n], rhs[n], rcond) for every row n.
-
-    The minimum-norm least-squares solution; singular values at or below
-    rcond times the largest count as zero.
-    """
-    U, s, Vt = np.linalg.svd(M)
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
-    return Vt.transpose(0, 2, 1) @ (inv[:, :, None] * (U.transpose(0, 2, 1) @ rhs))
-
-
 class _ShapePairFactor(Factor):
     """A factor between the object pose and the end-effector pose."""
 
@@ -250,10 +241,8 @@ class SurfaceGapFactor(_ShapePairFactor):
     with the intersection factor) identically zero under penetration, where S
     takes over.
 
-    A disc pusher, the pusher of every benchmark scene and the CLI default,
-    takes the closed form of disc_pusher_gap: one closest-point query at its
-    centre. A polygon pusher has no such form, since its closest point turns
-    with it and moves along its edges, so it takes implicit_gap.
+    The gap and its Jacobians are geometry.closest_pairs' own, for every
+    pair of shapes.
     """
 
     kind = "c_objee"
@@ -264,49 +253,9 @@ class SurfaceGapFactor(_ShapePairFactor):
         r, jx, je = np.zeros((len(x), 2)), np.zeros((len(x), 2, 3)), np.zeros((len(x), 2, 3))
         apart = ~shapes_intersect_many(obj_shape, x, ee_shape, e)
         if apart.any():
-            gap = SurfaceGapFactor.disc_pusher_gap if ee_shape.kind == "disc" else SurfaceGapFactor.implicit_gap
-            r[apart], jx[apart], je[apart] = gap(obj_shape, ee_shape, x[apart], e[apart])
+            a, b, jx[apart], je[apart] = closest_pairs(obj_shape, x[apart], ee_shape, e[apart])
+            r[apart] = a - b
         return r, [jx, je]
-
-    @staticmethod
-    def disc_pusher_gap(obj_shape, ee_shape, x, e):
-        """Gap a - b and its Jacobians for a disc pusher, rows separated.
-
-        a is the object's boundary point closest to the pusher centre c and
-        b = c + r_e n with n = (a - c) / rho, rho = |a - c|. With d = a - c,
-        dr/dd = K = I - (r_e / rho)(I - n n^T), and d moves with the object
-        pose by dG/dpose and with c by dG/dq - I; the disc's angle leaves it.
-        """
-        c = e[:, :2]
-        a, dg_dq, dg_dpose = closest_points_with_jacobians(obj_shape, x, c)
-        d = a - c
-        rho = np.hypot(d[:, 0], d[:, 1])
-        n = d / rho[:, None]
-        K = EYE2 - (ee_shape.radius / rho)[:, None, None] * (EYE2 - n[:, :, None] * n[:, None, :])
-        je = np.zeros((len(x), 2, 3))
-        je[:, :, :2] = K @ (dg_dq - EYE2)
-        return a - (c + ee_shape.radius * n), K @ dg_dpose, je
-
-    @staticmethod
-    def implicit_gap(obj_shape, ee_shape, x, e):
-        """Gap a - b and its Jacobians for any pusher shape, rows separated.
-
-        Implicit differentiation of the fixed point a = G_x(b), b = G_e(a).
-        At exact tangency the system loses rank along the sliding direction,
-        so it takes a truncated least-squares solve (a subgradient choice).
-        """
-        a, b = closest_pairs(obj_shape, x, ee_shape, e)
-        _, A, Pa = closest_points_with_jacobians(obj_shape, x, b)
-        _, B, Pb = closest_points_with_jacobians(ee_shape, e, a)
-        M = _repeat(np.eye(4), len(a))
-        M[:, :2, 2:] = -A
-        M[:, 2:, :2] = -B
-        rhs = np.zeros((len(a), 4, 6))
-        rhs[:, :2, :3] = Pa
-        rhs[:, 2:, 3:] = Pb
-        dab = _lstsq_rows(M, rhs, rcond=1e-9)
-        dr = dab[:, :2] - dab[:, 2:]
-        return a - b, dr[:, :, :3], dr[:, :, 3:]
 
 
 class IntersectionFactor(_ShapePairFactor):

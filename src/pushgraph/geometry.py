@@ -8,7 +8,9 @@ Each shape query (closest point, signed distance, overlap, closest pair)
 is one kernel over arrays of poses and points, row by row. The factors
 call it on blocks of rows; the query of the same name on PlanarPose
 objects is its one-row call, so the simulator's ground truth and the
-factors share one geometry.
+factors share one geometry. The row-wise queries the factors differentiate
+return their Jacobians with their values: closest_points_with_jacobians
+its point, closest_pairs the gap between its pair.
 """
 
 from __future__ import annotations
@@ -414,7 +416,7 @@ def deepest_penetration(obj_shape: Shape2D, obj_pose: PlanarPose, ee_shape: Shap
 
 def closest_pair(shape_a: Shape2D, pose_a: PlanarPose, shape_b: Shape2D, pose_b: PlanarPose):
     """Closest boundary points (a, b) between two separated convex shapes."""
-    a, b = closest_pairs(shape_a, pose_a.as_array()[None], shape_b, pose_b.as_array()[None])
+    a, b, _, _ = closest_pairs(shape_a, pose_a.as_array()[None], shape_b, pose_b.as_array()[None])
     return a[0], b[0]
 
 
@@ -504,43 +506,70 @@ def shapes_intersect_many(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2
     return np.all(overlap > 0.0, axis=1)
 
 
-def closest_pairs(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2D, poses_b: np.ndarray):
-    """Closest boundary points a, b (N, 2) between two separated convex shapes.
+def _point_jacobian(p: np.ndarray, poses: np.ndarray) -> np.ndarray:
+    """Jacobians (N, 2, 3) of points p (N, 2) fixed in the bodies at poses: [I, skew(p - t)]."""
+    jac = np.empty((len(p), 2, 3))
+    jac[:, :, :2] = EYE2
+    jac[:, :, 2] = skew_many(p - poses[:, :2])
+    return jac
 
-    Closed form whenever a disc is involved. Two separated convex polygons
-    are nearest at a vertex of one of them, so for a polygon pair it is the
-    nearest of each vertex against the other shape's boundary. Parallel
-    facing edges tie along their overlap; there the pair in front of b's
-    center is kept, so a flat pusher touches where it was aimed. Callers
-    must handle the overlapping case themselves.
+
+def closest_pairs(shape_a: Shape2D, poses_a: np.ndarray, shape_b: Shape2D, poses_b: np.ndarray):
+    """Closest boundary points a, b (N, 2) between two separated convex shapes,
+    and the Jacobians ja, jb (N, 2, 3) of the gap a - b wrt poses_a and poses_b.
+
+    Each pair is a chain of at most two closest-point queries G, so its
+    Jacobians are the chain rule through them, with K = I - dG_b/dq at a:
+      - disc b: a = G_a(c_b), b = c_b + r_b n on the ray to its center and
+        K = I - (r_b / rho)(I - n n^T); the disc's angle leaves the gap. A
+        disc a against a polygon b swaps the arguments.
+      - two polygons are nearest at a vertex of one of them: a vertex a and
+        b = G_b(a) give ja = K [I, skew(a - t_a)] and jb = -dG_b/dpose, a
+        vertex of b the mirror case. Parallel facing edges tie along their
+        overlap; there the pair in front of b's center, a = G_a(c_b) and
+        b = G_b(a), is kept, so a flat pusher touches where it was aimed.
+    Callers must handle the overlapping case themselves.
     """
     if shape_b.kind == "disc":
         # min over the disc is attained along the ray to its center
         c = poses_b[:, :2]
-        a = closest_points_with_jacobians(shape_a, poses_a, c)[0]
+        a, dg_dq, dg_dpose = closest_points_with_jacobians(shape_a, poses_a, c)
         d = a - c
         rho = np.hypot(d[:, 0], d[:, 1])
-        center = rho < 1e-12
-        n = d / np.where(center, 1.0, rho)[:, None]
-        n[center] = (1.0, 0.0)
-        return a, c + shape_b.radius * n
+        n = d / rho[:, None]
+        K = EYE2 - (shape_b.radius / rho)[:, None, None] * (EYE2 - n[:, :, None] * n[:, None, :])
+        jb = np.zeros((len(a), 2, 3))
+        jb[:, :, :2] = K @ (dg_dq - EYE2)
+        return a, c + shape_b.radius * n, K @ dg_dpose, jb
     if shape_a.kind == "disc":
-        b, a = closest_pairs(shape_b, poses_b, shape_a, poses_a)
-        return a, b
+        b, a, jb, ja = closest_pairs(shape_b, poses_b, shape_a, poses_a)
+        return a, b, -ja, -jb
+    rows = np.arange(len(poses_a))
+    ea, eb = len(shape_a.vertices), len(shape_b.vertices)
     va, vb = _to_world(poses_a, shape_a.vertices), _to_world(poses_b, shape_b.vertices)
-    on_a = closest_points_with_jacobians(shape_a, np.repeat(poses_a, vb.shape[1], axis=0),
-                                         vb.reshape(-1, 2))[0].reshape(vb.shape)
-    on_b = closest_points_with_jacobians(shape_b, np.repeat(poses_b, va.shape[1], axis=0),
-                                         va.reshape(-1, 2))[0].reshape(va.shape)
-    a = np.concatenate([va, on_a], axis=1)  # (N, Ea + Eb, 2)
-    b = np.concatenate([on_b, vb], axis=1)
+    # row n * eb + k projects vertex k of b onto a, row n * ea + k vertex k of a onto b
+    on_a, a_dq, a_dpose = closest_points_with_jacobians(shape_a, np.repeat(poses_a, eb, axis=0),
+                                                        vb.reshape(-1, 2))
+    on_b, b_dq, b_dpose = closest_points_with_jacobians(shape_b, np.repeat(poses_b, ea, axis=0),
+                                                        va.reshape(-1, 2))
+    a = np.concatenate([va, on_a.reshape(vb.shape)], axis=1)  # (N, Ea + Eb, 2)
+    b = np.concatenate([on_b.reshape(va.shape), vb], axis=1)
     i = np.argmin(np.einsum("nkj,nkj->nk", a - b, a - b), axis=1)
-    rows = np.arange(len(a))
     a, b = a[rows, i], b[rows, i]
-    a0 = closest_points_with_jacobians(shape_a, poses_a, poses_b[:, :2])[0]
-    b0 = closest_points_with_jacobians(shape_b, poses_b, a0)[0]
-    front = (np.linalg.norm(a0 - b0, axis=1) <= np.linalg.norm(a - b, axis=1) + 1e-12)[:, None]
-    return np.where(front, a0, a), np.where(front, b0, b)
+    of_a = (i < ea)[:, None, None]
+    k_b = rows * ea + np.minimum(i, ea - 1)
+    k_a = rows * eb + np.maximum(i - ea, 0)
+    ja = np.where(of_a, (EYE2 - b_dq[k_b]) @ _point_jacobian(a, poses_a), a_dpose[k_a])
+    jb = np.where(of_a, -b_dpose[k_b], (a_dq[k_a] - EYE2) @ _point_jacobian(b, poses_b))
+    a0, a0_dq, a0_dpose = closest_points_with_jacobians(shape_a, poses_a, poses_b[:, :2])
+    b0, b0_dq, b0_dpose = closest_points_with_jacobians(shape_b, poses_b, a0)
+    K = EYE2 - b0_dq
+    jb0 = -b0_dpose
+    jb0[:, :, :2] = K @ (a0_dq - EYE2)
+    front = np.linalg.norm(a0 - b0, axis=1) <= np.linalg.norm(a - b, axis=1) + 1e-12
+    f2, f3 = front[:, None], front[:, None, None]
+    return (np.where(f2, a0, a), np.where(f2, b0, b), np.where(f3, K @ a0_dpose, ja),
+            np.where(f3, jb0, jb))
 
 
 def deepest_ee_points(obj_shape: Shape2D, obj_poses: np.ndarray, ee_shape: Shape2D,

@@ -66,7 +66,7 @@ from .factors import (
     QuasiStaticFactor,
     SurfaceGapFactor,
 )
-from .geometry import PlanarPose, angle_diff, wrap_angle, wrap_angles
+from .geometry import PlanarPose, angle_diff, closest_points_with_jacobians, wrap_angle, wrap_angles
 
 
 class Role(str, enum.Enum):
@@ -854,8 +854,11 @@ def _initial_pf(prev_pf: np.ndarray, step: TrajectoryStep) -> np.ndarray:
 
 
 def initial_values(traj: MeasuredTrajectory) -> dict[VariableKey, np.ndarray]:
-    """Initialization from projected measurements with gap extrapolation."""
-    T = len(traj)
+    """Initialization from projected measurements with gap extrapolation.
+
+    A step without w starts its contact at the object's boundary point
+    nearest the pusher centre, at that step's initial poses.
+    """
     xs = _initial_pose_track([_planar_or_none(s.y) for s in traj.steps])
     es = _initial_pose_track([_planar_or_none(s.z) for s in traj.steps])
     init: dict[VariableKey, np.ndarray] = {}
@@ -865,6 +868,12 @@ def initial_values(traj: MeasuredTrajectory) -> dict[VariableKey, np.ndarray]:
         init[ee_key(t)] = es[t]
         pf = _initial_pf(pf, step)
         init[pf_key(t)] = pf
+    blind = [t for t, step in enumerate(traj.steps) if step.w is None]
+    if blind:
+        starts = closest_points_with_jacobians(traj.object_shape, np.array([xs[t] for t in blind]),
+                                               np.array([es[t][:2] for t in blind]))[0]
+        for t, p in zip(blind, starts):
+            init[pf_key(t)][:2] = p
     return init
 
 
@@ -925,7 +934,9 @@ class FixedLagSmoother:
     answer equals the batch answer bit for bit. Under occlusion the initial
     values differ: the batch sees the whole trajectory and interpolates
     across a gap, while the smoother is causal and extrapolates from its
-    own estimates.
+    own estimates. So without w, only the first step starts its contact
+    at the object's boundary point nearest the pusher centre, as every
+    such step of the batch does; later steps carry the previous estimate.
     """
 
     def __init__(self, model, traj_template: MeasuredTrajectory, config: GraphConfig | None = None,
@@ -963,7 +974,10 @@ class FixedLagSmoother:
             z = np.zeros(3) if prev is None else _extrapolate_pose(prev, prev2)
         self.estimates[obj_key(t)] = y
         self.estimates[ee_key(t)] = z
-        self.estimates[pf_key(t)] = _initial_pf(self.estimates.get(pf_key(t - 1), np.zeros(4)), step)
+        pf = _initial_pf(self.estimates.get(pf_key(t - 1), np.zeros(4)), step)
+        if step.w is None and pf_key(t - 1) not in self.estimates:
+            pf[:2] = closest_points_with_jacobians(self.template.object_shape, y[None], z[None, :2])[0][0]
+        self.estimates[pf_key(t)] = pf
 
     def update(self, step: TrajectoryStep):
         """Ingest one timestep of measurements; `estimates` holds the result."""

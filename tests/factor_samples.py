@@ -105,7 +105,7 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
                 if signed_distance(shape_x, px, pe.translation) > PROBE.radius + 1e-4:
                     return SurfaceGapFactor("a", "b", shape_x, PROBE, ISO2), [qx, qe]
     if kind == "c_objee_poly_ee":
-        # the implicit-differentiation path: a polygon pusher
+        # a polygon pusher, whose pair closest_pairs picks among vertex chains
         shape_x = [BOX, DISC][rng.integers(2)]
         while True:
             qx = pose(0.05)
@@ -114,9 +114,9 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
             if shapes_intersect(shape_x, px, TOOL, pe):
                 continue
             a, b = closest_pair(shape_x, px, TOOL, pe)
-            # implicit_gap differentiates the fixed point a = G_x(b),
-            # b = G_e(a): keep pairs that are one to 1e-12, clear of
-            # contact and of the feature switches where the pair jumps
+            # closest_pairs differentiates its pair's chain of closest-point
+            # queries: keep mutual pairs (a = G_x(b), b = G_e(a) to 1e-12),
+            # clear of contact and of the feature switches where the pair jumps
             converged = (np.linalg.norm(closest_surface_point(shape_x, px, b) - a) < 1e-12
                          and np.linalg.norm(closest_surface_point(TOOL, pe, a) - b) < 1e-12)
             if (converged and np.linalg.norm(a - b) > 1e-4 and clear_of_feature_edges(shape_x, px, b)

@@ -444,3 +444,17 @@ def test_config_values_are_converted_like_flags(tmp_path):
     echo = dataio.load_trajectory(out).config
     assert len(dataio.load_trajectory(out)) == 5
     assert (echo["dur"], echo["dt"], echo["seed"]) == (0.5, 0.1, 4)
+
+
+def test_benchmark_aggregates_skip_a_channel_never_measured(tmp_path):
+    out = tmp_path / "blind.csv"
+    assert run("benchmark", "--trials", 2, "--dur", 0.6, "--occlude", "0:1", "--occlude-channels", "w",
+               "--out", out) == 0
+    header, *lines = _table_rows(out)[1:]
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    aggregates = [row for row in rows if row["trial"] in ("-1", "-2")]
+    assert aggregates
+    for row in aggregates:
+        for stat in ("rmse", "mae"):
+            assert np.isnan(float(row[f"raw_{stat}_contact"]))
+            assert np.isfinite(float(row[f"est_{stat}_contact"]))

@@ -371,7 +371,7 @@ class TestRowWiseQueries:
                         for x, y in zip(pa, pb)]
                 np.testing.assert_array_equal(hit, want)
                 assert hit.any() and not hit.all()
-                a, b = closest_pairs(sa, pa[~hit], sb, pb[~hit])
+                a, b, _, _ = closest_pairs(sa, pa[~hit], sb, pb[~hit])
                 for n, (x, y) in enumerate(zip(pa[~hit], pb[~hit])):
                     wa, wb = closest_pair(sa, PlanarPose.from_array(x), sb, PlanarPose.from_array(y))
                     np.testing.assert_allclose(a[n], wa, atol=1e-12)
@@ -513,7 +513,7 @@ class TestKernelsAgainstOracles:
         pb = np.array([pa[0] + reach * math.cos(heading), pa[1] + reach * math.sin(heading), theta_b])
         overlap, margin = brute_force_overlap(sa, pa, sb, pb)
         assume(not overlap and margin > 1e-9)
-        a, b = (x[0] for x in closest_pairs(sa, pa[None], sb, pb[None]))
+        a, b = (x[0] for x in closest_pairs(sa, pa[None], sb, pb[None])[:2])
         np.testing.assert_allclose(closest_points_with_jacobians(sa, pa[None], b[None])[0][0], a, rtol=0, atol=1e-12)
         np.testing.assert_allclose(closest_points_with_jacobians(sb, pb[None], a[None])[0][0], b, rtol=0, atol=1e-12)
         ca = boundary_cloud(sa, PlanarPose.from_array(pa), 600)
@@ -522,3 +522,36 @@ class TestKernelsAgainstOracles:
         gap = float(np.linalg.norm(a - b))
         assert gap <= sampled + 1e-12
         assert sampled <= gap + (cloud_spacing(ca) + cloud_spacing(cb)) / 2.0 + 1e-12
+
+    def test_gap_jacobians_match_central_differences(self):
+        # every ordered pair of the oracle shapes and two pushers, a 1x3 cm
+        # box and an 8 mm disc; half the angles within 1e-3 of +-pi
+        shapes = ORACLE_SHAPES + [Shape2D.box(0.01, 0.03), Shape2D.disc(0.008)]
+        rng = np.random.default_rng(23)
+        n, h = 200, 1e-7
+        branches = {"front": 0, "vertex of a": 0, "vertex of b": 0}
+        for sa in shapes:
+            for sb in shapes:
+                theta = [np.where(np.arange(n) % 2, wrap_angles(math.pi + rng.uniform(-1e-3, 1e-3, n)),
+                                  rng.uniform(-math.pi, math.pi, n)) for _ in range(2)]
+                pa = np.column_stack([rng.uniform(-0.03, 0.03, (n, 2)), theta[0]])
+                pb = np.column_stack([rng.uniform(-0.15, 0.15, (n, 2)), theta[1]])
+                apart = ~shapes_intersect_many(sa, pa, sb, pb)
+                pa, pb = pa[apart], pb[apart]
+                a, b, ja, jb = closest_pairs(sa, pa, sb, pb)
+                numeric = np.empty((len(pa), 2, 6))
+                for k, bump in enumerate(h * np.eye(6)):
+                    hi = closest_pairs(sa, pa + bump[:3], sb, pb + bump[3:])
+                    lo = closest_pairs(sa, pa - bump[:3], sb, pb - bump[3:])
+                    numeric[:, :, k] = ((hi[0] - hi[1]) - (lo[0] - lo[1])) / (2.0 * h)
+                scale = np.maximum(1.0, np.max(np.abs(numeric), axis=(1, 2)))
+                err = np.max(np.abs(np.concatenate([ja, jb], axis=2) - numeric), axis=(1, 2)) / scale
+                assert np.max(err) <= 1e-6
+                if sa.kind == sb.kind == "polygon":
+                    a0 = closest_points_with_jacobians(sa, pa, pb[:, :2])[0]
+                    front = np.all(a == a0, axis=1) & np.all(b == closest_points_with_jacobians(sb, pb, a)[0], axis=1)
+                    at_a = [np.min(np.linalg.norm(world_vertices(sa, x) - p, axis=1)) < 1e-12 for x, p in zip(pa, a)]
+                    branches["front"] += int(front.sum())
+                    branches["vertex of a"] += int(np.sum(~front & at_a))
+                    branches["vertex of b"] += int(np.sum(~front & ~np.array(at_a)))
+        assert all(count > 0 for count in branches.values()), branches

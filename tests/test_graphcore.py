@@ -14,11 +14,19 @@ from pushgraph.dataio import (
     from_ground_truth,
     inject_noise,
 )
-from pushgraph import graphcore
+from pushgraph import cli, graphcore
 from pushgraph.errors import EmptyTrajectory, MissingShapeConfig, SingularSystem
 from pushgraph import factors
 from pushgraph.factors import PriorFactor, NoiseModel
-from pushgraph.geometry import PlanarPose, Plane3, Shape2D, wrap_angle, wrap_angles
+from pushgraph.geometry import (
+    PlanarPose,
+    Plane3,
+    Shape2D,
+    closest_surface_point,
+    signed_distance,
+    wrap_angle,
+    wrap_angles,
+)
 from pushgraph.graphcore import (
     FactorGraph,
     FixedLagSmoother,
@@ -150,6 +158,42 @@ class TestBuildGraph:
         t = 3
         np.testing.assert_allclose(graph.initial[obj_key(t)], traj.steps[t].y.as_array())
         np.testing.assert_allclose(graph.initial[pf_key(t)][:2], traj.steps[t].w)
+
+    def test_unmeasured_contact_starts_on_the_object_boundary(self):
+        noisy = inject_noise(center_push_trajectory(duration=1.0, offset=0.01), NoiseSpec(seed=3))
+        traj = apply_occlusion(noisy, (0.0, 1.0), channels=("w",))
+
+        def on_boundary_facing_the_pusher(values, t):
+            x, e, p = values[obj_key(t)], values[ee_key(t)], values[pf_key(t)][:2]
+            np.testing.assert_allclose(p, closest_surface_point(BOX, PP.from_array(x), e[:2]), rtol=0, atol=1e-15)
+            assert abs(signed_distance(BOX, PP.from_array(x), p)) < 1e-12
+
+        # batch: every step without w starts at its own surface point
+        init = build_graph("QS", traj).initial
+        for t in range(len(traj)):
+            on_boundary_facing_the_pusher(init, t)
+        # smoother: the first step starts there, later ones carry its estimate
+        smoother = FixedLagSmoother("QS", traj)
+        smoother.update(traj.steps[0])
+        on_boundary_facing_the_pusher(smoother.estimates, 0)
+        smoother.update(traj.steps[1])
+        np.testing.assert_array_equal(smoother.estimates[pf_key(1)][:2], smoother.estimates[pf_key(0)][:2])
+
+    def test_no_contact_qs_batch_on_benchmark_scenes(self):
+        # the first five scenes of the default benchmark, default noise, w dropped at every step
+        contact, x_trans = [], []
+        for i in range(5):
+            seed = cli.trial_seed(0, i)
+            traj = from_ground_truth(benchmark_scenario(seed, duration=4.0))
+            blind = cli.run_corrupt({**cli.CORRUPT_DEFAULTS, "seed": seed, "occlude": "0:1",
+                                     "occlude_channels": "w"}, traj)
+            values, _, _ = solve_batch("QS", blind)
+            m = compute_metrics(values_to_arrays(values, len(blind), blind.timestamps), traj.truth_arrays())
+            contact.append(m.channels["contact"].rmse)
+            x_trans.append(m.channels["x_trans"].rmse)
+        # started at the world origin the means were 0.459 and 0.238
+        assert np.mean(contact) <= 0.40
+        assert np.mean(x_trans) <= 0.21
 
     def test_occluded_initialization_extrapolates(self):
         traj = apply_occlusion(center_push_trajectory(duration=2.0), (0.3, 0.6))
