@@ -266,8 +266,12 @@ def _shape_from_json(obj):
     return Shape2D.polygon(obj["vertices"])
 
 
-def _vec(x):
-    return None if x is None else np.asarray(x, dtype=float)
+def _vector(value, sizes: tuple, where: str) -> np.ndarray:
+    """value as a vector of one of the given lengths, or a ParseError naming where it is."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1 or len(v) not in sizes:
+        raise ParseError(f"{where} must hold {' or '.join(map(str, sizes))} numbers, got {value!r}")
+    return v
 
 
 def _all_finite(obj) -> bool:
@@ -340,22 +344,23 @@ def trajectory_from_dict(data: dict) -> MeasuredTrajectory:
             for channel in ("t", "y", "z", "w", "alpha", "truth"):
                 if not _all_finite(s.get(channel)):
                     raise ParseError(f"step {i}: channel {channel!r} is not finite")
+            vectors = {ch: None if s.get(ch) is None else _vector(s[ch], sizes, f"step {i}: channel {ch!r}")
+                       for ch, sizes in (("w", (2,)), ("alpha", (2, 3)))}
             truth = None
             if s.get("truth") is not None:
                 tr = s["truth"]
                 truth = StepTruth(
                     x=_pose_from_json(tr["x"], plane),
                     e=_pose_from_json(tr["e"], plane),
-                    p=np.array(tr["p"], dtype=float),
-                    f=np.array(tr["f"], dtype=float),
+                    p=_vector(tr["p"], (2,), f"step {i}: truth 'p'"),
+                    f=_vector(tr["f"], (2,), f"step {i}: truth 'f'"),
                 )
             steps.append(
                 TrajectoryStep(
                     t=float(s["t"]),
                     y=_pose_from_json(s.get("y"), plane),
                     z=_pose_from_json(s.get("z"), plane),
-                    w=_vec(s.get("w")),
-                    alpha=_vec(s.get("alpha")),
+                    **vectors,
                     truth=truth,
                 )
             )
@@ -387,15 +392,18 @@ def save_trajectory(traj: MeasuredTrajectory, path) -> None:
         raise IoError(str(exc)) from exc
 
 
-def load_trajectory(path) -> MeasuredTrajectory:
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc)) from exc
-    return trajectory_from_dict(data)
+
+
+def load_trajectory(path) -> MeasuredTrajectory:
+    return trajectory_from_dict(_read_json(path))
 
 
 def import_mit_log(data) -> MeasuredTrajectory:
@@ -407,19 +415,21 @@ def import_mit_log(data) -> MeasuredTrajectory:
     orientation; they are projected into the xy plane with yaw 0. Streams are
     linearly interpolated onto the object-pose timestamps. Shape and friction
     metadata are not part of these logs and must be attached by the caller.
+    As in load_trajectory, a path that cannot be read raises IoError, and a
+    file that is not JSON, or a log without these (N, 4) columns, ParseError.
     """
     if not isinstance(data, dict):
-        with open(data) as fh:
-            data = json.load(fh)
+        data = _read_json(data)
     plane = Plane3.xy()
     try:
         obj = np.asarray(data["object_pose"], dtype=float)
         tip = np.asarray(data["tip_pose"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ParseError("MIT-style log needs object_pose and tip_pose columns") from exc
-    if obj.ndim != 2 or obj.shape[1] != 4 or tip.ndim != 2 or tip.shape[1] != 4:
-        raise ParseError("object_pose/tip_pose must be (N, 4) arrays")
-    wrench = np.asarray(data["ft_wrench"], dtype=float) if "ft_wrench" in data else None
+        wrench = np.asarray(data["ft_wrench"], dtype=float) if "ft_wrench" in data else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError("MIT-style log needs numeric object_pose, tip_pose and (if any) ft_wrench columns") from exc
+    for name, column in (("object_pose", obj), ("tip_pose", tip), ("ft_wrench", wrench)):
+        if column is not None and (column.ndim != 2 or column.shape[1] != 4):
+            raise ParseError(f"{name} must be an (N, 4) array, got shape {column.shape}")
 
     ts = obj[:, 0]
     if np.any(np.diff(ts) <= 0):

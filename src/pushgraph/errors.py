@@ -10,12 +10,11 @@ class DegenerateProjection(PushGraphError):
     """Body x-axis is (anti)parallel to the plane normal; planar yaw undefined."""
 
 
-# factors
-class NonPositiveTimestep(PushGraphError):
-    """A finite-difference factor was given dt <= 0."""
-
-
 # graphcore
+class NonPositiveTimestep(PushGraphError):
+    """A step was not after the previous one, so its finite-difference factors would take dt <= 0."""
+
+
 class EmptyTrajectory(PushGraphError):
     """Graph construction needs at least two timesteps."""
 

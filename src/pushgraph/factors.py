@@ -7,27 +7,30 @@ velocity smoothness (V), quasi-static pushing dynamics (D), and unary priors.
 Pose variables are (x, y, theta) arrays; contact/force variables are
 (px, py, fx, fy) arrays. Angle residuals always use the shortest arc.
 
-Each factor class has one kernel that evaluates a block of N factors of
-that class at once, with numpy over the rows (see Factor). The contact
-and intersection kernels take their shape queries and those queries'
-Jacobians from geometry, for every pair of shapes.
-graphcore.linearize groups a graph's factors into such blocks and calls
-each kernel once per linearization; that serves the Gauss-Newton steps
-and their cost, the marginal covariances and the fixed-lag smoother's
-marginalization. A factor's own residual_and_jacobians(*vals) is the
-one-row call of the same kernel, so numeric_jacobian, the
-central-difference reference for the analytic Jacobians, checks the code
-that linearize runs.
+A factor is a row of a Block: its keys, its constants and its inverse
+sigmas. add_row appends it to the block of its kernel, kind, shared
+constants and residual dim, and a block keeps its rows in the order they
+were appended. Each kernel class evaluates all the rows of a block at once,
+with numpy over the rows (see Factor). The contact and intersection
+kernels take their shape queries and those queries' Jacobians from
+geometry, for every pair of shapes.
+graphcore.linearize calls each block's kernel once per linearization; that
+serves the Gauss-Newton steps and their cost, the marginal covariances and
+the fixed-lag smoother's marginalization. evaluate_row is the same kernel
+call on a block of one row, so numeric_jacobian, the central-difference
+reference for the analytic Jacobians, checks the code that linearize runs.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import NonPositiveTimestep
 from .geometry import (
     EYE2,
-    Shape2D,
     closest_pairs,
     closest_points_with_jacobians,
     deepest_ee_points,
@@ -62,10 +65,6 @@ class NoiseModel:
     def isotropic(cls, dim: int, sigma: float) -> "NoiseModel":
         return cls(np.full(dim, sigma, dtype=float))
 
-    @property
-    def dim(self) -> int:
-        return len(self.sigmas)
-
     def whiten(self, r: np.ndarray) -> np.ndarray:
         return r * self.inv_sigmas
 
@@ -85,58 +84,76 @@ def quasi_static_residual(xp, xc, pf, c: float, dt: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# factor objects
+# factor rows
+# ---------------------------------------------------------------------------
+
+
+class Row(NamedTuple):
+    keys: tuple  # the variables it touches, in its kernel's order
+    consts: tuple  # its own constants
+    inv_sigmas: np.ndarray  # its whitening
+    seq: int  # its place among all rows ever appended, which every graph keeps
+
+
+_ROW_SEQ = itertools.count()
+
+
+@dataclass
+class Block:
+    """Factor rows of one kernel, kind, shared constants and residual dim.
+
+    The rows keep the order they were appended in, and a graph orders its
+    blocks by their first rows' seq.
+    """
+
+    kernel: type
+    kind: str
+    shared: tuple  # constants every row shares: its shapes, or a boundary prior's key dims
+    rows: list[Row] = field(default_factory=list)
+
+    def constants(self) -> tuple:
+        """The kernel's consts: the shared ones, then each row constant stacked over the rows."""
+        return self.shared + tuple(np.array(column) for column in zip(*(row.consts for row in self.rows)))
+
+
+def add_row(blocks: dict, kernel: type, keys: tuple, consts: tuple, inv_sigmas: np.ndarray,
+            shared: tuple = (), kind: str | None = None):
+    """Append a factor row to the block of blocks with its kernel, kind, shared constants and residual dim.
+
+    kind defaults to the kernel's.
+    """
+    kind = kind or kernel.kind
+    signature = (kernel, kind, shared, len(inv_sigmas))
+    block = blocks.get(signature)
+    if block is None:
+        block = blocks[signature] = Block(kernel, kind, shared)
+    block.rows.append(Row(keys, consts, inv_sigmas, next(_ROW_SEQ)))
+
+
+# ---------------------------------------------------------------------------
+# kernels
 # ---------------------------------------------------------------------------
 
 
 class Factor:
-    """Residual block over an ordered tuple of variables.
+    """A factor type's math, evaluated over all the rows of a block at once.
 
-    keys are opaque hashables owned by the graph container; values are raw
-    arrays (poses dim 3, contact/force dim 4). Each subclass has one kernel
-    that evaluates N factors of the same block at once:
+    Kernels have no instances:
 
-      stack(factors) -> consts, the factors' constants along a leading row axis
       evaluate(consts, *vals) -> (residuals (N, d), [Jacobian (N, d, dim_k) per key])
 
-    with vals[k] the (N, dim_k) values of the k-th key. Factors share a
-    block when their class, kind, residual dim d and block_signature()
-    agree, and the block takes its key dims from its first factor: a class
-    whose factors can differ in the number or dims of their keys puts those
-    in its block signature. A
-    constant_jacobian class splits its kernel into residuals(consts, *vals)
-    and constant_jacobians(consts), which depend on the constants alone.
-    residual_and_jacobians(*vals) is the one-row call of the same kernel.
+    with consts the block's constants() and vals[k] the (N, dim_k) values
+    of the rows' k-th key. A constant_jacobian kernel splits evaluate into
+    residuals(consts, *vals) and constant_jacobians(consts), which depend on
+    the constants alone. kind is the kind of the rows add_row is given none for.
     """
 
     kind = "base"
     constant_jacobian = False
 
-    def __init__(self, keys, noise: NoiseModel):
-        self.keys = tuple(keys)
-        self.noise = noise
-
-    @property
-    def dim(self) -> int:
-        return self.noise.dim
-
-    def block_signature(self) -> tuple:
-        """What factors of one class must share to be evaluated together."""
-        return ()
-
-    @classmethod
-    def stack(cls, factors) -> tuple:
-        """The block's constants; by default the shared block signature."""
-        return factors[0].block_signature()
-
     @classmethod
     def evaluate(cls, consts, *vals):
         return cls.residuals(consts, *vals), cls.constant_jacobians(consts)
-
-    def residual_and_jacobians(self, *vals):
-        """This factor's residual and Jacobians at raw variable arrays."""
-        r, jacs = self.evaluate(self.stack([self]), *(np.asarray(v, dtype=float)[None] for v in vals))
-        return r[0], [j[0] for j in jacs]
 
 
 def _repeat(matrix: np.ndarray, n: int) -> np.ndarray:
@@ -144,46 +161,25 @@ def _repeat(matrix: np.ndarray, n: int) -> np.ndarray:
 
 
 class PriorFactor(Factor):
-    """Unary anchor, residual v - anchor (theta wrapped when wrap_index is set).
+    """Unary anchor, residual v - anchor with the components wrap marks wrapped.
 
-    Gauge fixing for the first timestep; the measurement factors are priors
-    on the measured values with their own kind.
+    Row constants (anchor, wrap). Gauge fixing for the first timestep; the
+    pose measurements are priors on the measured poses with kind "m_pose".
     """
 
     kind = "prior"
     constant_jacobian = True
 
-    def __init__(self, key, anchor, noise, wrap_index: int | None = None):
-        super().__init__((key,), noise)
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.wrap_index = wrap_index  # theta component for pose anchors
-
-    @classmethod
-    def stack(cls, factors):
-        anchor = np.array([f.anchor for f in factors])
-        wrap = np.zeros(anchor.shape, dtype=bool)
-        for row, f in enumerate(factors):
-            if f.wrap_index is not None:
-                wrap[row, f.wrap_index] = True
-        return anchor, wrap if wrap.any() else None
-
     @staticmethod
     def residuals(consts, v):
         anchor, wrap = consts
         r = v - anchor
-        return r if wrap is None else np.where(wrap, wrap_angles(r), r)
+        return np.where(wrap, wrap_angles(r), r)
 
     @staticmethod
     def constant_jacobians(consts):
         anchor = consts[0]
         return [_repeat(np.eye(anchor.shape[1]), len(anchor))]
-
-
-class PoseMeasurementFactor(PriorFactor):
-    kind = "m_pose"
-
-    def __init__(self, key, meas, noise):
-        super().__init__(key, meas, noise, wrap_index=2)
 
 
 class ContactForceMeasurementFactor(PriorFactor):
@@ -199,17 +195,10 @@ class ContactForceMeasurementFactor(PriorFactor):
 class ContactSurfaceFactor(Factor):
     """C factor tying the contact point to one body's surface.
 
-    Variables: (owner pose, contact/force state). kind is "c_object" or
-    "c_ee" depending on the owner.
+    Variables: (owner pose, contact/force state); shared constant: the
+    owner's shape. Its rows' kind is "c_object" or "c_ee" depending on the
+    owner.
     """
-
-    def __init__(self, pose_key, pf_key, shape: Shape2D, noise, kind: str):
-        super().__init__((pose_key, pf_key), noise)
-        self.shape = shape
-        self.kind = kind
-
-    def block_signature(self):
-        return (self.shape,)
 
     @staticmethod
     def evaluate(consts, pose, pf):
@@ -221,25 +210,14 @@ class ContactSurfaceFactor(Factor):
         return g - p, [dg_dpose, j_pf]
 
 
-class _ShapePairFactor(Factor):
-    """A factor between the object pose and the end-effector pose."""
-
-    def __init__(self, obj_key, ee_key, obj_shape, ee_shape, noise):
-        super().__init__((obj_key, ee_key), noise)
-        self.obj_shape = obj_shape
-        self.ee_shape = ee_shape
-
-    def block_signature(self):
-        return (self.obj_shape, self.ee_shape)
-
-
-class SurfaceGapFactor(_ShapePairFactor):
+class SurfaceGapFactor(Factor):
     """C factor between the object and end-effector surfaces.
 
-    Residual is the gap vector between the closest boundary points of the two
-    shapes; zero at touching contact and (by the open-set convention shared
-    with the intersection factor) identically zero under penetration, where S
-    takes over.
+    Variables: (object pose, end-effector pose); shared constants: the
+    object and end-effector shapes. Residual is the gap vector between the
+    closest boundary points of the two shapes; zero at touching contact and
+    (by the open-set convention shared with the intersection factor)
+    identically zero under penetration, where S takes over.
 
     The gap and its Jacobians are geometry.closest_pairs' own, for every
     pair of shapes.
@@ -258,12 +236,13 @@ class SurfaceGapFactor(_ShapePairFactor):
         return r, [jx, je]
 
 
-class IntersectionFactor(_ShapePairFactor):
+class IntersectionFactor(Factor):
     """S factor penalizing object / end-effector overlap.
 
-    Penetration penalty: g_delta - delta when overlapping, else zero, with
-    delta the deepest end-effector boundary point and g_delta its
-    projection onto the object boundary.
+    Variables and shared constants as SurfaceGapFactor's. Penetration
+    penalty: g_delta - delta when overlapping, else zero, with delta the
+    deepest end-effector boundary point and g_delta its projection onto the
+    object boundary.
     """
 
     kind = "s"
@@ -285,21 +264,13 @@ class IntersectionFactor(_ShapePairFactor):
 
 
 class ConstantVelocityFactor(Factor):
-    """V factor: finite-difference velocity mismatch over a pose triple."""
+    """V factor: finite-difference velocity mismatch over a pose triple.
+
+    Row constants (dt1, dt2), the two time steps.
+    """
 
     kind = "v"
     constant_jacobian = True
-
-    def __init__(self, key_a, key_b, key_c, dt1, dt2, noise):
-        if dt1 <= 0.0 or dt2 <= 0.0:
-            raise NonPositiveTimestep(f"dt1={dt1}, dt2={dt2}")
-        super().__init__((key_a, key_b, key_c), noise)
-        self.dt1 = float(dt1)
-        self.dt2 = float(dt2)
-
-    @classmethod
-    def stack(cls, factors):
-        return np.array([f.dt1 for f in factors]), np.array([f.dt2 for f in factors])
 
     @staticmethod
     def residuals(consts, a, b, c):
@@ -321,23 +292,14 @@ class QuasiStaticFactor(Factor):
     """D factor: limit-surface motion constraint in cross-multiplied form.
 
     Variables: previous and current object poses and the contact/force
-    state. r = v*tau - c^2*omega*f with v, omega the finite-difference
-    object twist and tau the moment of f applied at the contact point about
-    the object origin (its center of mass). Smooth at omega = 0 and
-    tau = 0, unlike the ratio form, and zero exactly on quasi-static
-    transitions.
+    state; row constants (c, dt). r = v*tau - c^2*omega*f with v, omega the
+    finite-difference object twist and tau the moment of f applied at the
+    contact point about the object origin (its center of mass). Smooth at
+    omega = 0 and tau = 0, unlike the ratio form, and zero exactly on
+    quasi-static transitions.
     """
 
     kind = "d"
-
-    def __init__(self, key_prev, key_cur, pf_key, c, dt, noise):
-        super().__init__((key_prev, key_cur, pf_key), noise)
-        self.c = float(c)
-        self.dt = float(dt)
-
-    @classmethod
-    def stack(cls, factors):
-        return np.array([f.c for f in factors]), np.array([f.dt for f in factors])
 
     @staticmethod
     def evaluate(consts, xp, xc, pf):
@@ -365,8 +327,17 @@ class QuasiStaticFactor(Factor):
         return v * tau[:, None] - (c2 * omega)[:, None] * f, [j_prev, j_cur, j_pf]
 
 
-def numeric_jacobian(factor: Factor, values, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a factor, reference for analytic ones.
+def evaluate_row(block: Block, *vals):
+    """The residual and Jacobians of a block of one row at raw variable arrays.
+
+    The kernel call linearize makes, on one row.
+    """
+    r, jacs = block.kernel.evaluate(block.constants(), *(np.asarray(v, dtype=float)[None] for v in vals))
+    return r[0], [j[0] for j in jacs]
+
+
+def numeric_jacobian(block: Block, values, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of a block of one row, reference for analytic ones.
 
     values is a sequence of variable arrays in key order; the result stacks
     per-variable blocks horizontally.
@@ -374,7 +345,7 @@ def numeric_jacobian(factor: Factor, values, step: float = 1e-6) -> np.ndarray:
     values = [np.asarray(v, dtype=float).copy() for v in values]
 
     def residual(vals):
-        return factor.residual_and_jacobians(*vals)[0]
+        return evaluate_row(block, *vals)[0]
 
     r0 = residual(values)
     blocks = []
@@ -390,6 +361,6 @@ def numeric_jacobian(factor: Factor, values, step: float = 1e-6) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def analytic_jacobian(factor: Factor, values) -> np.ndarray:
+def analytic_jacobian(block: Block, values) -> np.ndarray:
     """Stacked analytic Jacobian in the same layout as numeric_jacobian."""
-    return np.hstack(factor.residual_and_jacobians(*[np.asarray(v, dtype=float) for v in values])[1])
+    return np.hstack(evaluate_row(block, *values)[1])

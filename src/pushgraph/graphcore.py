@@ -16,22 +16,22 @@ blocks that forms only the covariance blocks on and next to the diagonal.
 The incremental path is a fixed-lag smoother that marginalizes old timesteps
 into a square-root boundary prior (a QR factorization of the absorbed
 factors' whitened system) and re-optimizes the window.
-Both paths assemble a timestep the same way: `_step_factors` gives every
-factor whose newest variable is at t (the gauge priors at t = 0, then the
-measurements, then C, S, D and V). `build_graph` calls it over the whole
+Both paths assemble a timestep the same way: `_step_rows` appends the row
+of every factor whose newest variable is at t (the gauge priors at t = 0,
+then the measurements, then C, S, D and V) to the block of its kernel,
+kind and shapes (factors.Block). `build_graph` calls it over the whole
 trajectory, the smoother once per update, so only the initial values
-differ between the two. Every graph, the batch, a window or the factors a
-window marginalizes, is FactorGraph(factors, initial): its variables are
-the keys its factors touch.
+differ between the two. Every graph, the batch, a window or the rows a
+window marginalizes, is FactorGraph(blocks, initial): its variables are
+the keys its rows touch.
 `linearize` is the one place factors are evaluated: it serves the
 Gauss-Newton candidates (their cost is the squared norm of the whitened
 residual it assembles), the marginal covariances and the smoother's
 marginalization. The marginals at a solve's answer reuse the solve's
 final system and its band factor, and linearize only at other values.
-`linearize` groups a graph's factors into blocks of one class, kind,
-residual dim and signature and calls each class's kernel once per block,
-over all its timesteps; blocks with constant Jacobians are whitened once
-per graph and after that only their residuals are evaluated.
+`linearize` calls each block's kernel once, over all its rows; blocks
+with constant Jacobians are whitened once per graph and after that only
+their residuals are evaluated.
 The state is one flat vector in variable_index order. `linearize` takes
 it, and `gauss_newton` iterates on it: a candidate is x + delta with the
 angle slots wrapped through a mask kept in the graph's layout, and a
@@ -42,9 +42,9 @@ only at the entry and the exit of a solve.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -53,18 +53,19 @@ import numpy as np
 import scipy.linalg
 
 from .dataio import MeasuredTrajectory, TrajectoryArrays, TrajectoryStep
-from .errors import EmptyTrajectory, MissingShapeConfig, NonFiniteCost, SingularSystem
+from .errors import EmptyTrajectory, MissingShapeConfig, NonFiniteCost, NonPositiveTimestep, SingularSystem
 from .factors import (
+    Block,
     ConstantVelocityFactor,
     ContactForceMeasurementFactor,
     ContactSurfaceFactor,
     Factor,
     IntersectionFactor,
     NoiseModel,
-    PoseMeasurementFactor,
     PriorFactor,
     QuasiStaticFactor,
     SurfaceGapFactor,
+    add_row,
 )
 from .geometry import PlanarPose, angle_diff, closest_points_with_jacobians, wrap_angle, wrap_angles
 
@@ -119,41 +120,25 @@ def retract(x: np.ndarray, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
 class LinearizedPriorFactor(Factor):
     """Gaussian prior on the boundary variables left by marginalization.
 
-    Holds rows of the square-root information form: residual =
-    r0 + sqrt_info @ (x (-) anchor), already whitened (unit noise). Its
+    Rows of the square-root information form: residual = r0 + sqrt_info @
+    (x (-) anchor), already whitened (unit noise), with the components that
+    wrap marks wrapped. Row constants (anchor, wrap, r0, sqrt_info) over the
+    keys' concatenated values; shared constant: the keys' dims. Its
     Jacobian is sqrt_info, split into one column block per key.
     """
 
     kind = "linearized_prior"
     constant_jacobian = True
 
-    def __init__(self, keys, anchors, r0, sqrt_info):
-        super().__init__(keys, NoiseModel(np.ones(len(r0))))
-        self.anchors = [np.asarray(a, dtype=float) for a in anchors]
-        self.r0 = np.asarray(r0, dtype=float)
-        self.sqrt_info = np.asarray(sqrt_info, dtype=float)
-
-    def block_signature(self):
-        # its keys are the boundary a marginalization left, any number of any dims
-        return tuple(len(a) for a in self.anchors)
-
-    @classmethod
-    def stack(cls, factors):
-        anchors = np.array([np.concatenate(f.anchors) for f in factors])
-        wrap = np.array([np.concatenate([_ANGLES[k.role] for k in f.keys]) for f in factors])
-        ends = np.cumsum([len(a) for a in factors[0].anchors])[:-1]
-        return (anchors, wrap, np.array([f.r0 for f in factors]),
-                np.array([f.sqrt_info for f in factors]), ends)
-
     @staticmethod
     def residuals(consts, *vals):
-        anchors, wrap, r0, sqrt_info, _ = consts
+        _, anchors, wrap, r0, sqrt_info = consts
         d = np.concatenate(vals, axis=1) - anchors
         return r0 + np.einsum("nij,nj->ni", sqrt_info, np.where(wrap, wrap_angles(d), d))
 
     @staticmethod
     def constant_jacobians(consts):
-        return np.split(consts[3], consts[4], axis=2)
+        return np.split(consts[4], np.cumsum(consts[0])[:-1], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +147,19 @@ class LinearizedPriorFactor(Factor):
 
 
 class FactorGraph:
-    """A fixed set of factors; its variables are the keys they touch.
+    """Blocks of factor rows; its variables are the keys the rows touch.
 
-    Variables are in timestep-major order, and `initial`, if given, is
-    copied for each of them. The layout linearize uses is built on first
-    use and kept, since a graph does not change after it is built.
+    The graph keeps the rows its blocks hold now, and puts the blocks in
+    the order of their first rows. Variables are in timestep-major order,
+    and `initial`, if given, is copied for each of them. The layout
+    linearize uses is built on first use and kept, since a graph does not
+    change after it is built.
     """
 
-    def __init__(self, factors: Iterable[Factor], initial: dict | None = None):
-        self.factors: list[Factor] = list(factors)
-        keys = sorted({key for f in self.factors for key in f.keys}, key=_key_sort)
+    def __init__(self, blocks: Iterable[Block], initial: dict | None = None):
+        self.blocks: list[Block] = sorted((Block(b.kernel, b.kind, b.shared, b.rows[:]) for b in blocks if b.rows),
+                                          key=lambda b: b.rows[0].seq)
+        keys = sorted({key for b in self.blocks for row in b.rows for key in row.keys}, key=_key_sort)
         self.dims: dict[VariableKey, int] = {key: key_dim(key) for key in keys}
         self.initial: dict[VariableKey, np.ndarray] = (
             {} if initial is None else {key: np.array(initial[key], dtype=float) for key in keys})
@@ -201,8 +189,8 @@ class FactorGraph:
 
     def counts_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for f in self.factors:
-            out[f.kind] = out.get(f.kind, 0) + 1
+        for b in self.blocks:
+            out[b.kind] = out.get(b.kind, 0) + len(b.rows)
         return out
 
     @cached_property
@@ -212,12 +200,12 @@ class FactorGraph:
 
 
 @dataclass
-class _Block:
-    """Factors of one class and signature, evaluated by one kernel call."""
+class _BlockLayout:
+    """A block's rows as linearize evaluates them, by one kernel call."""
 
-    kernel: type  # the factors' class
+    kernel: type
     kind: str
-    consts: tuple  # kernel.stack(factors)
+    consts: tuple  # the block's constants()
     gather: list  # per key, (N, dim) positions of its values in the state vector
     inv_sigmas: np.ndarray  # (N, d) whitening
     rows: slice  # its N * d residual rows, factor by factor
@@ -233,7 +221,7 @@ class _LinearizeCache:
     index: dict
     theta: np.ndarray  # marks the state vector's angle slots, wrapped on update
     shape: tuple[int, int]
-    blocks: list[_Block]  # with a constant Jacobian only the residual is evaluated
+    blocks: list[_BlockLayout]  # with a constant Jacobian only the residual is evaluated
     bandwidth: int  # largest column distance within one factor
     band_positions: np.ndarray  # _band_positions of the blocks whose Jacobian is relinearized
     columns: np.ndarray  # every block's columns, raveled block by block
@@ -248,14 +236,14 @@ class _LinearizeCache:
         return _band(self, [(b, b.jacobian) for b in constant], _band_positions(constant, self.shape[1]))
 
 
-def _band_positions(blocks: list[_Block], n: int) -> np.ndarray:
+def _band_positions(blocks: list[_BlockLayout], n: int) -> np.ndarray:
     """Flat position in band storage of every lower pair of the blocks, block by block."""
     # H[i, j] with i >= j sits at [i - j, j] of the (bandwidth + 1, n) band
     return _concat([((b.columns[:, :, None] - b.columns[:, None, :]) * n + b.columns[:, None, :])[b.lower]
                     for b in blocks], int)
 
 
-def _band(layout: _LinearizeCache, blocks: list[tuple[_Block, np.ndarray]], positions: np.ndarray) -> np.ndarray:
+def _band(layout: _LinearizeCache, blocks: list[tuple[_BlockLayout, np.ndarray]], positions: np.ndarray) -> np.ndarray:
     """J^T J of (block, whitened Jacobian) pairs in lower band storage, shape (bandwidth + 1, n)."""
     bw, n = layout.bandwidth, layout.shape[1]
     pairs = [np.einsum("ndi,ndj->nij", J, J)[b.lower] for b, J in blocks]
@@ -271,33 +259,26 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
     index = graph.variable_index()
     offset_of = {key: off for key, (off, _) in index.items()}.__getitem__
     n = graph.total_dim
-    dim_at = np.zeros(n, dtype=np.intp)  # the dim of the key that starts at each offset
-    if index:
-        dim_at[list(map(offset_of, index))] = list(graph.dims.values())
-    groups: dict = {}
-    for f in graph.factors:
-        groups.setdefault((type(f), f.kind, len(f.noise.sigmas), f.block_signature()), []).append(f)
     blocks = []
     bandwidth = 0
     m = 0
-    for (cls, kind, d, _), factors in groups.items():
-        N = len(factors)
-        dims = [graph.dims[k] for k in factors[0].keys]  # the same for the whole block (see Factor)
-        keys = itertools.chain.from_iterable(map(operator.attrgetter("keys"), factors))
-        offsets = np.fromiter(map(offset_of, keys), dtype=np.intp).reshape(N, len(dims))
-        if (dim_at[offsets] != dims).any():
-            raise ValueError(f"{cls.__name__} factors of one block differ in their key dims; "
-                             "its block_signature must tell them apart")
+    for block in graph.blocks:
+        N = len(block.rows)
+        dims = [key_dim(k) for k in block.rows[0].keys]  # the same for every row of a block
+        keys = itertools.chain.from_iterable(row.keys for row in block.rows)
+        offsets = np.fromiter(map(offset_of, keys), dtype=np.intp, count=N * len(dims)).reshape(N, len(dims))
         gather = [offsets[:, i, None] + np.arange(dim) for i, dim in enumerate(dims)]
         columns = np.concatenate(gather, axis=1)
         diff = columns[:, :, None] - columns[:, None, :]  # row minus column of each pair
         lower = diff >= 0
         bandwidth = max(bandwidth, int(diff.max()))
-        inv_sigmas = np.concatenate([f.noise.inv_sigmas for f in factors]).reshape(N, d)
-        consts = cls.stack(factors)
+        inv_sigmas = np.array([row.inv_sigmas for row in block.rows])
+        d = inv_sigmas.shape[1]
+        cls, consts = block.kernel, block.constants()
         jacobian = (np.concatenate(cls.constant_jacobians(consts), axis=2) * inv_sigmas[:, :, None]
                     if cls.constant_jacobian else None)
-        blocks.append(_Block(cls, kind, consts, gather, inv_sigmas, slice(m, m + N * d), columns, lower, jacobian))
+        blocks.append(_BlockLayout(cls, block.kind, consts, gather, inv_sigmas, slice(m, m + N * d), columns, lower,
+                                   jacobian))
         m += N * d
     return _LinearizeCache(
         index=index,
@@ -721,6 +702,10 @@ class GraphConfig:
         return NoiseModel([self.sigma_contact, self.sigma_contact, self.sigma_force, self.sigma_force])
 
     @cached_property
+    def weak_noise(self) -> NoiseModel:
+        return NoiseModel.isotropic(4, self.sigma_weak)
+
+    @cached_property
     def surface_noise(self) -> NoiseModel:
         return NoiseModel.isotropic(2, self.sigma_surface)
 
@@ -786,54 +771,50 @@ def _initial_pose_track(measured: list) -> list[np.ndarray]:
     return filled
 
 
-def _step_factors(model: GraphModel, traj: MeasuredTrajectory, config: GraphConfig, t: int,
-                  step: TrajectoryStep, times, init: dict) -> list[Factor]:
-    """Every factor whose newest variable is at t, in the one order both builders use.
+def _step_rows(blocks: dict, model: GraphModel, traj: MeasuredTrajectory, config: GraphConfig, t: int,
+               step: TrajectoryStep, times, init: dict):
+    """Append the row of every factor whose newest variable is at t, in the order build_graph and the smoother share.
 
     The gauge priors (at t = 0 only, anchored at init) come first, then the
     measurement factors, then C, S, D and V; dt is times[t] - times[t-1].
+    A dt that is not positive raises NonPositiveTimestep before any row is
+    appended.
     """
+    if t >= 1 and not times[t] > times[t - 1]:
+        raise NonPositiveTimestep(f"step {t} at t = {times[t]} is not after the previous step at t = {times[t - 1]}")
     obj_shape, ee_shape = traj.object_shape, traj.ee_shape
-    factors: list[Factor] = []
+    x, e, pf = obj_key(t), ee_key(t), pf_key(t)
+    add = functools.partial(add_row, blocks)
     if t == 0:
-        factors += [
-            PriorFactor(obj_key(0), init[obj_key(0)], config.object_pose_noise, wrap_index=2),
-            PriorFactor(ee_key(0), init[ee_key(0)], config.ee_pose_noise, wrap_index=2),
-            PriorFactor(pf_key(0), init[pf_key(0)], config.pf_noise),
-        ]
-    y = _planar_or_none(step.y)
-    z = _planar_or_none(step.z)
-    if y is not None:
-        factors.append(PoseMeasurementFactor(obj_key(t), y, config.object_pose_noise))
-    if z is not None:
-        factors.append(PoseMeasurementFactor(ee_key(t), z, config.ee_pose_noise))
+        for key, noise in ((x, config.object_pose_noise), (e, config.ee_pose_noise), (pf, config.pf_noise)):
+            add(PriorFactor, (key,), (init[key], _ANGLES[key.role]), noise.inv_sigmas)
+    for key, meas, noise in ((x, step.y, config.object_pose_noise), (e, step.z, config.ee_pose_noise)):
+        if meas is not None:
+            add(PriorFactor, (key,), (meas.as_array(), _ANGLES[key.role]), noise.inv_sigmas, kind="m_pose")
     # unmeasured components: zero anchor, weak sigma
     meas = np.zeros(4)
-    sigmas = np.full(4, config.sigma_weak)
+    inv_sigmas = config.weak_noise.inv_sigmas.copy()
     if step.w is not None:
         meas[:2] = step.w
-        sigmas[:2] = config.sigma_contact
+        inv_sigmas[:2] = config.pf_noise.inv_sigmas[:2]
     if step.alpha is not None:
         meas[2:] = np.asarray(step.alpha, dtype=float)[:2]
-        sigmas[2:] = config.sigma_force
-    factors += [
-        ContactForceMeasurementFactor(pf_key(t), meas, NoiseModel(sigmas)),
-        ContactSurfaceFactor(obj_key(t), pf_key(t), obj_shape, config.surface_noise, "c_object"),
-        ContactSurfaceFactor(ee_key(t), pf_key(t), ee_shape, config.surface_noise, "c_ee"),
-        SurfaceGapFactor(obj_key(t), ee_key(t), obj_shape, ee_shape, config.surface_noise),
-    ]
+        inv_sigmas[2:] = config.pf_noise.inv_sigmas[2:]
+    add(ContactForceMeasurementFactor, (pf,), (meas, _ANGLES[Role.CONTACT_FORCE]), inv_sigmas)
+    surface = config.surface_noise.inv_sigmas
+    add(ContactSurfaceFactor, (x, pf), (), surface, (obj_shape,), kind="c_object")
+    add(ContactSurfaceFactor, (e, pf), (), surface, (ee_shape,), kind="c_ee")
+    add(SurfaceGapFactor, (x, e), (), surface, (obj_shape, ee_shape))
     if model in (GraphModel.SDF, GraphModel.QS):
-        factors.append(IntersectionFactor(obj_key(t), ee_key(t), obj_shape, ee_shape,
-                                          config.intersection_noise))
+        add(IntersectionFactor, (x, e), (), config.intersection_noise.inv_sigmas, (obj_shape, ee_shape))
     if model is GraphModel.QS and t >= 1:
-        factors.append(QuasiStaticFactor(obj_key(t - 1), obj_key(t), pf_key(t), traj.params.c,
-                                         times[t] - times[t - 1], config.qs_noise))
+        add(QuasiStaticFactor, (obj_key(t - 1), x, pf), (traj.params.c, times[t] - times[t - 1]),
+            config.qs_noise.inv_sigmas)
     if t >= 2:
         dt1, dt2 = times[t - 1] - times[t - 2], times[t] - times[t - 1]
-        noise = config.vel_noise(dt1, dt2)
-        factors.append(ConstantVelocityFactor(obj_key(t - 2), obj_key(t - 1), obj_key(t), dt1, dt2, noise))
-        factors.append(ConstantVelocityFactor(ee_key(t - 2), ee_key(t - 1), ee_key(t), dt1, dt2, noise))
-    return factors
+        inv_sigmas = config.vel_noise(dt1, dt2).inv_sigmas
+        for key in (obj_key, ee_key):
+            add(ConstantVelocityFactor, (key(t - 2), key(t - 1), key(t)), (dt1, dt2), inv_sigmas)
 
 
 def _check_metadata(model: GraphModel, traj: MeasuredTrajectory):
@@ -886,9 +867,10 @@ def build_graph(model, traj: MeasuredTrajectory, config: GraphConfig | None = No
     config = config or GraphConfig.from_trajectory(traj)
     times = traj.timestamps
     init = initial_values(traj)
-    factors = [f for t, step in enumerate(traj.steps)
-               for f in _step_factors(model, traj, config, t, step, times, init)]
-    return FactorGraph(factors, init)
+    blocks: dict = {}
+    for t, step in enumerate(traj.steps):
+        _step_rows(blocks, model, traj, config, t, step, times, init)
+    return FactorGraph(blocks.values(), init)
 
 
 def values_to_arrays(values: dict, T: int, timestamps) -> TrajectoryArrays:
@@ -917,19 +899,20 @@ class FixedLagSmoother:
     """Incremental estimation over a sliding window of recent timesteps.
 
     Timesteps older than the lag are marginalized at the current
-    linearization point: the factors that touch them are linearized, their
+    linearization point: the rows that touch them are linearized, their
     whitened system [J r] is QR-factored with the old variables first, and
-    the rows of R below the old block become a LinearizedPriorFactor on the
-    boundary variables (square-root information, as in iSAM2). The window
-    is re-optimized after every `batch_every` timesteps, measured or not;
-    `batch_every <= lag` makes every timestep part of an optimized window
-    before it is marginalized.
+    the rows of R below the old block become one LinearizedPriorFactor row
+    on the boundary variables (square-root information, as in iSAM2). The
+    window is re-optimized after every `batch_every` timesteps, measured or
+    not; `batch_every <= lag` makes every timestep part of an optimized
+    window before it is marginalized.
 
-    Each update appends the factors of _step_factors, as build_graph does.
-    A window is the graph of the active factors; every step has factors on
-    its three variables, so its variables are the whole (role, t) grid from
-    first_active_t on. With lag >= T and batch_every = T the one window is
-    the batch graph, factor for factor in the same order. On a fully
+    Each update appends the rows of _step_rows to the smoother's blocks, as
+    build_graph does, and marginalization takes the rows it absorbs out of
+    them. A window is the graph of the active rows; every step has factors
+    on its three variables, so its variables are the whole (role, t) grid
+    from first_active_t on. With lag >= T and batch_every = T the one window
+    is the batch graph, row for row in the same order. On a fully
     measured trajectory its initial values are the batch's too, and the
     answer equals the batch answer bit for bit. Under occlusion the initial
     values differ: the batch sees the whole trajectory and interpolates
@@ -955,13 +938,14 @@ class FixedLagSmoother:
 
         self.timestamps: list[float] = []
         self.estimates: dict[VariableKey, np.ndarray] = {}
-        self.active_factors: list[Factor] = []
+        self.blocks: dict = {}  # the active rows, as add_row appends them
         self.first_active_t = 0
         self.reports: list[SolveReport] = []  # one per window optimization
 
     # -- construction helpers ------------------------------------------------
 
-    def _init_new_variables(self, t: int, step: TrajectoryStep):
+    def _new_variables(self, t: int, step: TrajectoryStep) -> dict[VariableKey, np.ndarray]:
+        """Initial values of step t's variables, from its measurements or the estimates before it."""
         y = _planar_or_none(step.y)
         z = _planar_or_none(step.z)
         if y is None:
@@ -972,20 +956,23 @@ class FixedLagSmoother:
             prev = self.estimates.get(ee_key(t - 1))
             prev2 = self.estimates.get(ee_key(t - 2))
             z = np.zeros(3) if prev is None else _extrapolate_pose(prev, prev2)
-        self.estimates[obj_key(t)] = y
-        self.estimates[ee_key(t)] = z
         pf = _initial_pf(self.estimates.get(pf_key(t - 1), np.zeros(4)), step)
         if step.w is None and pf_key(t - 1) not in self.estimates:
             pf[:2] = closest_points_with_jacobians(self.template.object_shape, y[None], z[None, :2])[0][0]
-        self.estimates[pf_key(t)] = pf
+        return {obj_key(t): y, ee_key(t): z, pf_key(t): pf}
 
     def update(self, step: TrajectoryStep):
-        """Ingest one timestep of measurements; `estimates` holds the result."""
+        """Ingest one timestep of measurements; `estimates` holds the result.
+
+        A step that is not after the previous one raises NonPositiveTimestep
+        and leaves the smoother as it was.
+        """
         t = len(self.timestamps)
-        self.timestamps.append(float(step.t))
-        self._init_new_variables(t, step)
-        self.active_factors += _step_factors(self.model, self.template, self.config, t, step, self.timestamps,
-                                             self.estimates)
+        times = [*self.timestamps, float(step.t)]
+        new = self._new_variables(t, step)
+        _step_rows(self.blocks, self.model, self.template, self.config, t, step, times, new)
+        self.timestamps = times
+        self.estimates.update(new)
         if t >= 1 and (t + 1) % self.batch_every == 0:
             self._optimize()
 
@@ -1004,15 +991,20 @@ class FixedLagSmoother:
         window_start = max(self.first_active_t, T - self.lag)
         if window_start > self.first_active_t:
             self._marginalize_upto(window_start)
-        values, report = gauss_newton(FactorGraph(self.active_factors, self.estimates), None, self.opts)
+        values, report = gauss_newton(FactorGraph(self.blocks.values(), self.estimates), None, self.opts)
         self.reports.append(report)
         self.estimates.update(values)
 
     def _marginalize_upto(self, new_start: int):
-        # every active factor touching a timestep before new_start is absorbed;
+        # every active row touching a timestep before new_start is absorbed;
         # the variables it also touches at or after new_start form the boundary
-        absorbed = FactorGraph(f for f in self.active_factors if any(k.t < new_start for k in f.keys))
-        kept = [f for f in self.active_factors if all(k.t >= new_start for k in f.keys)]
+        absorbed, kept = [], {}
+        for signature, b in self.blocks.items():
+            old = [any(k.t < new_start for k in row.keys) for row in b.rows]
+            absorbed.append(Block(b.kernel, b.kind, b.shared, list(itertools.compress(b.rows, old))))
+            if not all(old):
+                kept[signature] = Block(b.kernel, b.kind, b.shared, [row for row, o in zip(b.rows, old) if not o])
+        absorbed = FactorGraph(absorbed)
         # timestep-major ordering puts the old variables first; the rows of
         # R below the old block are the boundary's square-root information
         system = linearize(absorbed, absorbed.state_vector(self.estimates))
@@ -1023,11 +1015,12 @@ class FixedLagSmoother:
         diag = np.abs(np.diag(R[:n_old, :n_old]))
         if R.shape[0] < n_old or diag.min() <= 1e-12 * diag.max():
             raise SingularSystem("marginalized block is singular")
-        anchors = [self.estimates[k] for k in boundary]
-        kept.append(LinearizedPriorFactor(boundary, anchors, r0=R[n_old:n, n],
-                                          sqrt_info=R[n_old:n, n_old:n]))
+        prior = (np.concatenate([self.estimates[k] for k in boundary]),
+                 np.concatenate([_ANGLES[k.role] for k in boundary]), R[n_old:n, n], R[n_old:n, n_old:n])
+        add_row(kept, LinearizedPriorFactor, tuple(boundary), prior, np.ones(len(prior[2])),
+                (tuple(map(key_dim, boundary)),))
         # marginalized estimates stay in self.estimates as frozen history
-        self.active_factors = kept
+        self.blocks = kept
         self.first_active_t = new_start
 
     # -- reporting ------------------------------------------------------------

@@ -9,11 +9,11 @@ from pushgraph.factors import (
     ContactForceMeasurementFactor,
     ContactSurfaceFactor,
     IntersectionFactor,
-    NoiseModel,
-    PoseMeasurementFactor,
     PriorFactor,
     QuasiStaticFactor,
     SurfaceGapFactor,
+    add_row,
+    evaluate_row,
 )
 from pushgraph.geometry import (
     PlanarPose,
@@ -24,7 +24,7 @@ from pushgraph.geometry import (
     signed_distance,
     wrap_angle,
 )
-from pushgraph.graphcore import LinearizedPriorFactor, obj_key, pf_key
+from pushgraph.graphcore import _ANGLES, LinearizedPriorFactor, ee_key, key_dim, obj_key, pf_key
 
 BOX = Shape2D.box(0.1, 0.1)
 PROBE = Shape2D.disc(0.01)
@@ -36,12 +36,35 @@ PENTAGON = Shape2D.polygon(
 S_PROBE = Shape2D.disc(0.02)
 TOOL = Shape2D.box(0.03, 0.02)
 
-ISO2 = NoiseModel.isotropic(2, 1.0)
-ISO3 = NoiseModel.isotropic(3, 1.0)
-ISO4 = NoiseModel.isotropic(4, 1.0)
-
 ALL_KINDS = ["prior", "m_pose", "m_contactforce", "c_object", "c_ee", "c_objee",
              "c_objee_poly_ee", "s", "s_poly_ee", "v", "d", "linearized_prior"]
+
+
+def one_row(kernel, keys, consts, d, shared=(), kind=None):
+    """A block holding one row of the kernel, with unit sigmas."""
+    blocks = {}
+    add_row(blocks, kernel, keys, consts, np.ones(d), shared, kind)
+    (block,) = blocks.values()
+    return block
+
+
+def add_prior(blocks, key, anchor, sigmas):
+    """Append a prior row on key, its angle wrapped, as build_graph does."""
+    add_row(blocks, PriorFactor, (key,), (np.asarray(anchor, dtype=float), _ANGLES[key.role]),
+            1.0 / np.asarray(sigmas, dtype=float))
+
+
+def add_boundary_prior(blocks, keys, anchors, r0, sqrt_info):
+    """Append a linearized prior row on keys, as marginalization does."""
+    add_row(blocks, LinearizedPriorFactor, tuple(keys),
+            (np.concatenate(anchors), np.concatenate([_ANGLES[k.role] for k in keys]), np.asarray(r0, dtype=float),
+             np.asarray(sqrt_info, dtype=float)),
+            np.ones(len(r0)), (tuple(map(key_dim, keys)),))
+
+
+def prior_row(key, anchor, kind=None, kernel=PriorFactor):
+    """A one-row block of a unary prior on key with unit sigmas."""
+    return one_row(kernel, (key,), (np.asarray(anchor, dtype=float), _ANGLES[key.role]), key_dim(key), kind=kind)
 
 
 def away_from_seam(rng):
@@ -72,28 +95,39 @@ def clear_of_feature_edges(shape, pose, q, margin=0.02):
     return bool(np.all((np.abs(t[closest]) > margin) & (np.abs(t[closest] - 1.0) > margin)))
 
 
-def make_factor_sample(kind, rng, theta=away_from_seam):
-    """One (factor, values) pair at a smooth configuration of the given kind.
+def gap_row(obj_shape, ee_shape):
+    return one_row(SurfaceGapFactor, (obj_key(0), ee_key(0)), (), 2, (obj_shape, ee_shape))
 
-    theta draws every pose angle of the sample.
+
+def intersection_row(obj_shape, ee_shape):
+    return one_row(IntersectionFactor, (obj_key(0), ee_key(0)), (), 2, (obj_shape, ee_shape))
+
+
+def velocity_row(dt1, dt2):
+    return one_row(ConstantVelocityFactor, (obj_key(0), obj_key(1), obj_key(2)), (dt1, dt2), 3)
+
+
+def make_factor_sample(kind, rng, theta=away_from_seam):
+    """One (block, values) pair at a smooth configuration of the given kind.
+
+    The block holds one row, with unit sigmas, on keys in timestep-major
+    order; theta draws every pose angle of the sample.
     """
     def pose(scale=0.5):
         return random_smooth_pose(rng, scale, theta)
 
     if kind == "prior":
-        return PriorFactor("k", pose(), ISO3, wrap_index=2), [pose()]
+        return prior_row(obj_key(0), pose()), [pose()]
     if kind == "m_pose":
-        return PoseMeasurementFactor("k", pose(), ISO3), [pose()]
+        return prior_row(ee_key(0), pose(), "m_pose"), [pose()]
     if kind == "m_contactforce":
-        return (
-            ContactForceMeasurementFactor("k", rng.normal(size=4), ISO4),
-            [rng.normal(size=4)],
-        )
+        return prior_row(pf_key(0), rng.normal(size=4), kernel=ContactForceMeasurementFactor), [rng.normal(size=4)]
     if kind in ("c_object", "c_ee"):
         shape = [BOX, DISC, PENTAGON][rng.integers(3)]
         q = pose(0.05)
         pf = np.concatenate([rng.uniform(-0.12, 0.12, size=2), rng.normal(size=2)])
-        return ContactSurfaceFactor("a", "b", shape, ISO2, kind), [q, pf]
+        owner = obj_key(0) if kind == "c_object" else ee_key(0)
+        return one_row(ContactSurfaceFactor, (owner, pf_key(0)), (), 2, (shape,), kind), [q, pf]
     if kind == "c_objee":
         shape_x = [BOX, DISC][rng.integers(2)]
         while True:
@@ -103,7 +137,7 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
             if not shapes_intersect(shape_x, px, PROBE, pe):
                 # stay clear of the contact boundary so differentiation is valid
                 if signed_distance(shape_x, px, pe.translation) > PROBE.radius + 1e-4:
-                    return SurfaceGapFactor("a", "b", shape_x, PROBE, ISO2), [qx, qe]
+                    return gap_row(shape_x, PROBE), [qx, qe]
     if kind == "c_objee_poly_ee":
         # a polygon pusher, whose pair closest_pairs picks among vertex chains
         shape_x = [BOX, DISC][rng.integers(2)]
@@ -121,7 +155,7 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
                          and np.linalg.norm(closest_surface_point(TOOL, pe, a) - b) < 1e-12)
             if (converged and np.linalg.norm(a - b) > 1e-4 and clear_of_feature_edges(shape_x, px, b)
                     and clear_of_feature_edges(TOOL, pe, a)):
-                return SurfaceGapFactor("a", "b", shape_x, TOOL, ISO2), [qx, qe]
+                return gap_row(shape_x, TOOL), [qx, qe]
     if kind == "s":
         shape_x = [BOX, DISC][rng.integers(2)]
         probe = S_PROBE
@@ -132,7 +166,7 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
             sd = signed_distance(shape_x, px, pe.translation)
             # interior penetration, away from both tangency and full immersion
             if probe.radius * 0.15 < probe.radius - sd < probe.radius * 0.85:
-                return IntersectionFactor("a", "b", shape_x, probe, ISO2), [qx, qe]
+                return intersection_row(shape_x, probe), [qx, qe]
     if kind == "s_poly_ee":
         tool = TOOL
         while True:
@@ -141,8 +175,8 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
             px, pe = PlanarPose.from_array(qx), PlanarPose.from_array(qe)
             if not shapes_intersect(BOX, px, tool, pe):
                 continue
-            fac = IntersectionFactor("a", "b", BOX, tool, ISO2)
-            if np.linalg.norm(fac.residual_and_jacobians(qx, qe)[0]) < 2e-3:
+            block = intersection_row(BOX, tool)
+            if np.linalg.norm(evaluate_row(block, qx, qe)[0]) < 2e-3:
                 continue
             # the sampled deepest point must win with margin, otherwise the
             # surrogate is at an argmin tie and not differentiable
@@ -150,16 +184,14 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
             world = samples @ pe.rotation().T + pe.translation
             sds = np.sort([signed_distance(BOX, px, w) for w in world])
             if sds[1] - sds[0] > 5e-5:
-                return fac, [qx, qe]
+                return block, [qx, qe]
     if kind == "v":
         dt1, dt2 = rng.uniform(0.05, 0.5, size=2)
-        return (
-            ConstantVelocityFactor("a", "b", "c", dt1, dt2, ISO3),
-            [pose() for _ in range(3)],
-        )
+        return velocity_row(dt1, dt2), [pose() for _ in range(3)]
     if kind == "d":
         return (
-            QuasiStaticFactor("a", "b", "c", rng.uniform(0.02, 0.1), rng.uniform(0.02, 0.2), ISO2),
+            one_row(QuasiStaticFactor, (obj_key(0), obj_key(1), pf_key(1)),
+                    (rng.uniform(0.02, 0.1), rng.uniform(0.02, 0.2)), 2),
             [
                 pose(0.3),
                 pose(0.3),
@@ -169,8 +201,9 @@ def make_factor_sample(kind, rng, theta=away_from_seam):
     if kind == "linearized_prior":
         # fewer rows than columns, as when the absorbed factors leave the
         # boundary only partly constrained
-        anchors = [pose(), rng.normal(size=4)]
-        factor = LinearizedPriorFactor([obj_key(3), pf_key(3)], anchors,
-                                       r0=rng.normal(size=5), sqrt_info=rng.normal(size=(5, 7)))
-        return factor, [pose(), rng.normal(size=4)]
+        blocks = {}
+        add_boundary_prior(blocks, [obj_key(3), pf_key(3)], [pose(), rng.normal(size=4)],
+                           r0=rng.normal(size=5), sqrt_info=rng.normal(size=(5, 7)))
+        (block,) = blocks.values()
+        return block, [pose(), rng.normal(size=4)]
     raise ValueError(kind)

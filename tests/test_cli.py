@@ -249,6 +249,20 @@ def test_malformed_input_exits_2(tmp_path, text):
         assert run(command, "--in", bad, *extra) == 2
 
 
+@pytest.mark.parametrize("channel, value", [("w", [0.1]), ("w", [0.1, 0.2, 0.3]), ("alpha", [1.0]),
+                                            ("alpha", [1.0, 2.0, 0.5, 0.1])])
+def test_vector_of_the_wrong_length_exits_2(noisy_file, tmp_path, capsys, channel, value):
+    data = json.loads(noisy_file.read_text())
+    data["steps"][3][channel] = value
+    bad, out = tmp_path / "short.json", tmp_path / "estimate.csv"
+    bad.write_text(json.dumps(data))
+    assert run("estimate", "--in", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"step 3: channel '{channel}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["QS", "CP"])
 def test_non_finite_measurement_exits_2(noisy_file, tmp_path, model):
     data = json.loads(noisy_file.read_text())

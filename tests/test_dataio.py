@@ -26,7 +26,7 @@ from pushgraph.dataio import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
-from pushgraph.errors import LengthMismatch, NonMonotonicTimestamps, ParseError, SchemaVersionError
+from pushgraph.errors import IoError, LengthMismatch, NonMonotonicTimestamps, ParseError, SchemaVersionError
 from pushgraph.geometry import PlanarPose, Plane3, Pose3, Shape2D, embed_in_plane, project_to_plane
 from pushgraph.pushsim import limit_surface_constants
 
@@ -164,6 +164,32 @@ class TestSchema:
         with pytest.raises(ParseError, match=f"step 3: channel '{channel}'"):
             load_trajectory(file)
 
+    @pytest.mark.parametrize("path, value", [
+        (("w",), [0.1]),
+        (("w",), [0.1, 0.2, 0.3]),
+        (("alpha",), [1.0]),
+        (("alpha",), [1.0, 2.0, 0.5, 0.1]),
+        (("truth", "p"), [0.1]),
+        (("truth", "f"), [1.0, 2.0, 3.0]),
+    ])
+    def test_vector_of_the_wrong_length_rejected_at_load(self, tmp_path, path, value):
+        # numpy would broadcast a 1-entry w or alpha into the contact/force state
+        data = trajectory_to_dict(random_trajectory(np.random.default_rng(2), missing_prob=0.0))
+        target = data["steps"][3]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(data))
+        name = f"channel '{path[0]}'" if len(path) == 1 else f"truth '{path[1]}'"
+        with pytest.raises(ParseError, match=f"step 3: {name}"):
+            load_trajectory(file)
+
+    def test_three_entry_alpha_loads(self):
+        data = trajectory_to_dict(random_trajectory(np.random.default_rng(2), missing_prob=0.0))
+        data["steps"][3]["alpha"] = [1.0, 2.0, 0.05]
+        np.testing.assert_array_equal(trajectory_from_dict(data).steps[3].alpha, [1.0, 2.0, 0.05])
+
     def test_from_ground_truth_has_measurements_and_truth(self):
         from pushgraph.pushsim import make_push_scene, simulate_push, straight_path
 
@@ -205,6 +231,19 @@ class TestMITAdapter:
     def test_bad_log_rejected(self):
         with pytest.raises(ParseError):
             import_mit_log({"object_pose": [[0, 1, 2, 3]]})
+        log = {**self.make_log(), "ft_wrench": [[t, 1.0] for t in np.linspace(0.0, 1.0, 11)]}
+        with pytest.raises(ParseError, match="ft_wrench"):
+            import_mit_log(log)
+
+    def test_unreadable_or_non_json_file_fails_as_load_trajectory_does(self, tmp_path):
+        with pytest.raises(IoError):
+            import_mit_log(tmp_path / "missing.json")
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        with pytest.raises(ParseError):
+            import_mit_log(garbled)
+        garbled.write_text(json.dumps(self.make_log()))
+        assert len(import_mit_log(garbled)) == 11
 
     def test_each_column_is_interpolated_once(self, monkeypatch):
         # 3 tip columns and 2 force columns, whatever the log's length

@@ -8,18 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushgraph.errors import NonPositiveTimestep
 from pushgraph.factors import (
-    ConstantVelocityFactor,
     ContactForceMeasurementFactor,
     ContactSurfaceFactor,
-    IntersectionFactor,
     NoiseModel,
-    PoseMeasurementFactor,
-    PriorFactor,
-    QuasiStaticFactor,
     SurfaceGapFactor,
+    add_row,
     analytic_jacobian,
+    evaluate_row,
     numeric_jacobian,
     quasi_static_residual,
 )
@@ -31,7 +27,7 @@ from pushgraph.geometry import (
     shapes_intersect,
     signed_distance,
 )
-from pushgraph.graphcore import FactorGraph, linearize, obj_key, pf_key
+from pushgraph.graphcore import FactorGraph, VariableKey, linearize, obj_key, pf_key
 
 from factor_samples import (
     ALL_KINDS,
@@ -39,14 +35,16 @@ from factor_samples import (
     DISC,
     PENTAGON,
     PROBE,
-    ISO2,
-    ISO3,
-    ISO4,
     S_PROBE,
     TOOL,
     away_from_seam,
+    gap_row,
+    intersection_row,
     make_factor_sample,
     near_seam,
+    one_row,
+    prior_row,
+    velocity_row,
 )
 
 SQUARE = Shape2D.box(2.0, 2.0)
@@ -58,23 +56,24 @@ def rel_err(analytic, numeric):
 
 
 def m_pose_residual(state, meas):
-    factor = PoseMeasurementFactor("k", meas, ISO3)
-    return factor.residual_and_jacobians(np.asarray(state, dtype=float))[0]
+    return evaluate_row(prior_row(obj_key(0), meas, "m_pose"), state)[0]
 
 
 def c_residual(shape, pose, p):
-    factor = ContactSurfaceFactor("x", "pf", shape, ISO2, "c_object")
-    return factor.residual_and_jacobians(pose.as_array(), np.array([p[0], p[1], 0.0, 0.0]))[0]
+    block = one_row(ContactSurfaceFactor, (obj_key(0), pf_key(0)), (), 2, (shape,), "c_object")
+    return evaluate_row(block, pose.as_array(), np.array([p[0], p[1], 0.0, 0.0]))[0]
 
 
 def s_residual(obj_shape, obj_pose, ee_shape, ee_pose):
-    factor = IntersectionFactor("x", "e", obj_shape, ee_shape, ISO2)
-    return factor.residual_and_jacobians(obj_pose.as_array(), ee_pose.as_array())[0]
+    return evaluate_row(intersection_row(obj_shape, ee_shape), obj_pose.as_array(), ee_pose.as_array())[0]
 
 
 def v_residual(a, b, c, dt1, dt2):
-    return ConstantVelocityFactor("a", "b", "c", dt1, dt2, ISO3).residual_and_jacobians(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float))[0]
+    return evaluate_row(velocity_row(dt1, dt2), a, b, c)[0]
+
+
+def m_contactforce_row(meas):
+    return prior_row(pf_key(0), meas, kernel=ContactForceMeasurementFactor)
 
 
 class TestMeasurementResidual:
@@ -82,8 +81,7 @@ class TestMeasurementResidual:
         pose = np.array([0.4, -0.2, 1.1])
         np.testing.assert_allclose(m_pose_residual(pose, pose), np.zeros(3))
         pf = np.array([1.0, 0.0, 0.0, 2.0])
-        factor = ContactForceMeasurementFactor("k", pf, ISO4)
-        np.testing.assert_allclose(factor.residual_and_jacobians(pf)[0], np.zeros(4))
+        np.testing.assert_allclose(evaluate_row(m_contactforce_row(pf), pf)[0], np.zeros(4))
 
     def test_theta_shortest_arc(self):
         r = m_pose_residual([0, 0, 3.1], [0, 0, -3.1])
@@ -91,15 +89,13 @@ class TestMeasurementResidual:
         assert abs(r[2]) < 0.1
 
     def test_contactforce_subtraction(self):
-        factor = ContactForceMeasurementFactor("k", np.array([1.1, 0.0, 0.0, 1.5]), ISO4)
-        r = factor.residual_and_jacobians(np.array([1.0, 0.0, 0.0, 2.0]))[0]
+        r = evaluate_row(m_contactforce_row([1.1, 0.0, 0.0, 1.5]), np.array([1.0, 0.0, 0.0, 2.0]))[0]
         np.testing.assert_allclose(r, [-0.1, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_prior_matches_measurement_convention(self):
         state = np.array([0.1, 0.0, 3.1])
         anchor = np.array([0.0, 0.0, -3.1])
-        prior = PriorFactor("k", anchor, ISO3, wrap_index=2)
-        r = prior.residual_and_jacobians(state)[0]
+        r = evaluate_row(prior_row(obj_key(0), anchor), state)[0]
         np.testing.assert_allclose(r, m_pose_residual(state, anchor))
         np.testing.assert_allclose(r[:2], [0.1, 0.0])
 
@@ -169,10 +165,6 @@ class TestConstVelocityResidual:
             c = b + vel * dt2
             r = v_residual(a, b, c, dt1, dt2)
             np.testing.assert_allclose(r, np.zeros(3), atol=1e-12)
-
-    def test_nonpositive_timestep(self):
-        with pytest.raises(NonPositiveTimestep):
-            ConstantVelocityFactor("a", "b", "c", 0.0, 1.0, ISO3)
 
 
 class TestQuasiStaticResidual:
@@ -255,11 +247,11 @@ def test_analytic_jacobian_matches_numeric(kind):
     rng = np.random.default_rng(abs(zlib.crc32(kind.encode())))
     worst = 0.0
     for _ in range(100):
-        factor, values = make_factor_sample(kind, rng)
-        jacs = factor.residual_and_jacobians(*values)[1]
-        assert [j.shape for j in jacs] == [(factor.dim, len(v)) for v in values]
-        num = numeric_jacobian(factor, values)
-        ana = analytic_jacobian(factor, values)
+        block, values = make_factor_sample(kind, rng)
+        jacs = evaluate_row(block, *values)[1]
+        assert [j.shape for j in jacs] == [(len(block.rows[0].inv_sigmas), len(v)) for v in values]
+        num = numeric_jacobian(block, values)
+        ana = analytic_jacobian(block, values)
         worst = max(worst, rel_err(ana, num))
     assert worst < 1e-5, f"{kind}: worst relative error {worst:.2e}"
 
@@ -269,8 +261,8 @@ def test_analytic_jacobian_matches_numeric(kind):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_analytic_jacobian_matches_numeric_at_theta_seam(kind, seed):
     # every pose angle within 1e-3 of +-pi, so bumps and differences cross the seam
-    factor, values = make_factor_sample(kind, np.random.default_rng(seed), theta=near_seam)
-    err = rel_err(analytic_jacobian(factor, values), numeric_jacobian(factor, values))
+    block, values = make_factor_sample(kind, np.random.default_rng(seed), theta=near_seam)
+    err = rel_err(analytic_jacobian(block, values), numeric_jacobian(block, values))
     assert err < 1e-5, f"{kind}: relative error {err:.2e}"
 
 
@@ -282,17 +274,15 @@ def test_fused_residual_matches_residual(kind):
     rng = np.random.default_rng(abs(zlib.crc32(kind.encode())))
     for theta in (away_from_seam, near_seam):
         for _ in range(5):
-            factor, values = make_factor_sample(kind, rng, theta)
-            r, jacs = factor.residual_and_jacobians(*values)
-            # graph keys in sample order; the roles keep the pose/pf split
-            factor.keys = tuple(obj_key(t) if len(v) == 3 else pf_key(t) for t, v in enumerate(values))
-            graph = FactorGraph([factor])
-            system = linearize(graph, graph.state_vector(dict(zip(factor.keys, values))))
-            w = factor.noise.whiten(r)
+            block, values = make_factor_sample(kind, rng, theta)
+            (row,) = block.rows
+            r, jacs = evaluate_row(block, *values)
+            graph = FactorGraph([block])
+            system = linearize(graph, graph.state_vector(dict(zip(row.keys, values))))
+            w = r * row.inv_sigmas
             np.testing.assert_array_equal(system.residual, w)
             assert system.cost == w @ w
-            np.testing.assert_array_equal(
-                system.jacobian, np.hstack([factor.noise.whiten_jacobian(j) for j in jacs]))
+            np.testing.assert_array_equal(system.jacobian, np.hstack([j * row.inv_sigmas[:, None] for j in jacs]))
 
 
 def _block_edge_samples(kind, rng):
@@ -309,19 +299,19 @@ def _block_edge_samples(kind, rng):
             if kind in ("c_objee", "c_objee_poly_ee"):
                 qe = qx + [0.01, -0.01, 0.5]
                 ee = PROBE if kind == "c_objee" else TOOL
-                out.append((SurfaceGapFactor("a", "b", shape_x, ee, ISO2), [qx, qe]))
+                out.append((gap_row(shape_x, ee), [qx, qe]))
             if kind == "s":
                 qe = qx + [0.5, 0.3, 0.2]
-                out.append((IntersectionFactor("a", "b", shape_x, S_PROBE, ISO2), [qx, qe]))
+                out.append((intersection_row(shape_x, S_PROBE), [qx, qe]))
     if kind == "s_poly_ee":
         for _ in range(3):
             qx = pose()
-            out.append((IntersectionFactor("a", "b", BOX, TOOL, ISO2), [qx, qx + [-0.4, 0.2, 1.0]]))
+            out.append((intersection_row(BOX, TOOL), [qx, qx + [-0.4, 0.2, 1.0]]))
     if kind in ("c_object", "c_ee"):
         for _ in range(3):
             q = pose()
             pf = np.concatenate([q[:2], rng.normal(size=2)])
-            out.append((ContactSurfaceFactor("a", "b", DISC, ISO2, kind), [q, pf]))
+            out.append((one_row(ContactSurfaceFactor, (obj_key(0), pf_key(0)), (), 2, (DISC,), kind), [q, pf]))
     return out
 
 
@@ -348,22 +338,24 @@ def test_block_rows_match_one_row_calls(kind):
     # rows alternate within a block
     for k, sample in enumerate(_block_edge_samples(kind, rng)):
         samples.insert(4 * k + 1, sample)
-    values, expected = {}, []
-    t = 0
-    for factor, vals in samples:
-        r, jacs = factor.residual_and_jacobians(*vals)
-        factor.keys = tuple(obj_key(t + j) if len(v) == 3 else pf_key(t + j) for j, v in enumerate(vals))
-        t += len(vals)
-        values.update(zip(factor.keys, vals))
-        expected.append((factor, factor.noise.whiten(r), [factor.noise.whiten_jacobian(j) for j in jacs]))
-    graph = FactorGraph(factor for factor, _ in samples)
+    # each sample's row, moved 4 timesteps past the previous one's, joins
+    # the block of its kernel, kind and shapes
+    blocks, values, expected = {}, {}, []
+    for i, (block, vals) in enumerate(samples):
+        (row,) = block.rows
+        r, jacs = evaluate_row(block, *vals)
+        keys = tuple(VariableKey(k.role, k.t + 4 * i) for k in row.keys)
+        add_row(blocks, block.kernel, keys, row.consts, row.inv_sigmas, block.shared, block.kind)
+        values.update(zip(keys, vals))
+        expected.append((keys, r * row.inv_sigmas, [j * row.inv_sigmas[:, None] for j in jacs]))
+    graph = FactorGraph(blocks.values())
     system = linearize(graph, graph.state_vector(values))
     n = graph.total_dim
     owner = np.empty(n, dtype=int)
     want_r, want_J = [], []
-    for i, (factor, w, wjacs) in enumerate(expected):
+    for i, (keys, w, wjacs) in enumerate(expected):
         J = np.zeros((len(w), n))
-        for key, wj in zip(factor.keys, wjacs):
+        for key, wj in zip(keys, wjacs):
             off, dim = system.index[key]
             owner[off : off + dim] = i
             J[:, off : off + dim] = wj
@@ -374,12 +366,12 @@ def test_block_rows_match_one_row_calls(kind):
     assert got.keys() == want.keys()
     for key in want:
         np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12)
-    # the blocks are shared: fewer kernel calls than factors
+    # the blocks are shared: fewer kernel calls than rows
     assert len(graph.layout.blocks) < len(samples) // 2
     if kind in ("c_objee", "c_objee_poly_ee", "s", "s_poly_ee"):
         assert None in want and len(want) > 1  # zero and nonzero rows in one block
     if kind in ("c_object", "c_ee"):
-        shapes = {f.shape for f, _ in samples}
+        shapes = {block.shared[0] for block, _ in samples}
         assert {BOX, DISC, PENTAGON} <= shapes
 
 
@@ -408,17 +400,17 @@ def test_gap_residual_joins_the_closest_pair(kind):
     rng = np.random.default_rng(13)
     for theta in (away_from_seam, near_seam):
         for _ in range(10):
-            factor, (qx, qe) = make_factor_sample(kind, rng, theta)
-            a, b = closest_pair(factor.obj_shape, PlanarPose.from_array(qx), factor.ee_shape,
-                                PlanarPose.from_array(qe))
-            np.testing.assert_allclose(factor.residual_and_jacobians(qx, qe)[0], a - b, rtol=0, atol=1e-12)
+            block, (qx, qe) = make_factor_sample(kind, rng, theta)
+            obj_shape, ee_shape = block.shared
+            a, b = closest_pair(obj_shape, PlanarPose.from_array(qx), ee_shape, PlanarPose.from_array(qe))
+            np.testing.assert_allclose(evaluate_row(block, qx, qe)[0], a - b, rtol=0, atol=1e-12)
 
 
 def test_polygon_pusher_jacobian_at_near_parallel_edges():
     # the flat-pusher-on-flat-face case: the TOOL edge 5e-4 rad off the box edge
-    factor = SurfaceGapFactor("a", "b", BOX, TOOL, ISO2)
+    block = gap_row(BOX, TOOL)
     values = [np.array([0.04505, -0.03558, -3.1407]), np.array([-0.05645, -0.023, -3.14094])]
-    err = rel_err(analytic_jacobian(factor, values), numeric_jacobian(factor, values))
+    err = rel_err(analytic_jacobian(block, values), numeric_jacobian(block, values))
     assert err < 1e-5, f"relative error {err:.2e}"
 
 
@@ -435,32 +427,36 @@ def test_disc_pusher_jacobian_near_contact(shape):
     r, (_, je) = SurfaceGapFactor.evaluate((shape, PROBE), x, e)
     np.testing.assert_allclose(np.linalg.norm(r, axis=1), gaps, rtol=1e-6)
     assert np.all(je[:, :, 2] == 0.0)  # a disc's angle does not move the gap
-    factor = SurfaceGapFactor("a", "b", shape, PROBE, ISO2)
+    block = gap_row(shape, PROBE)
     for qx, qe, gap in zip(x, e, gaps):
         # central differences that stay on the separated side
-        num = numeric_jacobian(factor, [qx, qe], step=min(gap / 10.0, 1e-6))
-        err = rel_err(analytic_jacobian(factor, [qx, qe]), num)
+        num = numeric_jacobian(block, [qx, qe], step=min(gap / 10.0, 1e-6))
+        err = rel_err(analytic_jacobian(block, [qx, qe]), num)
         assert err < 1e-5, f"gap {gap:.2e}: relative error {err:.2e}"
 
 
 def test_measurement_jacobian_is_identity():
-    fac = PoseMeasurementFactor("k", np.array([0.1, 0.2, 0.3]), ISO3)
-    np.testing.assert_allclose(analytic_jacobian(fac, [np.array([1.0, 2.0, 0.5])]), np.eye(3))
+    block = prior_row(obj_key(0), [0.1, 0.2, 0.3], "m_pose")
+    np.testing.assert_allclose(analytic_jacobian(block, [np.array([1.0, 2.0, 0.5])]), np.eye(3))
 
 
 def test_const_velocity_jacobian_pattern():
-    fac = ConstantVelocityFactor("a", "b", "c", 1.0, 1.0, ISO3)
     vals = [np.zeros(3), np.ones(3) * 0.1, np.ones(3) * 0.3]
-    jac = analytic_jacobian(fac, vals)
+    jac = analytic_jacobian(velocity_row(1.0, 1.0), vals)
     expected = np.hstack([-np.eye(3), 2 * np.eye(3), -np.eye(3)])
     np.testing.assert_allclose(jac, expected, atol=1e-12)
 
 
 def test_partial_contactforce_measurement():
     # contact point measured, force not: zero anchor and weak sigma on the force
-    fac = ContactForceMeasurementFactor("k", np.array([0.5, 0.6, 0.0, 0.0]),
-                                        NoiseModel([1.0, 1.0, 1e3, 1e3]))
-    r = fac.residual_and_jacobians(np.array([1.0, 1.0, 9.0, 9.0]))[0]
+    block = m_contactforce_row([0.5, 0.6, 0.0, 0.0])
+    r = evaluate_row(block, np.array([1.0, 1.0, 9.0, 9.0]))[0]
     np.testing.assert_allclose(r, [0.5, 0.4, 9.0, 9.0])
-    np.testing.assert_allclose(fac.noise.whiten(r), [0.5, 0.4, 9e-3, 9e-3])
-    np.testing.assert_allclose(analytic_jacobian(fac, [np.zeros(4)]), np.eye(4))
+    np.testing.assert_allclose(analytic_jacobian(block, [np.zeros(4)]), np.eye(4))
+    # linearize whitens the row by its own sigmas
+    blocks = {}
+    (row,) = block.rows
+    add_row(blocks, ContactForceMeasurementFactor, row.keys, row.consts, NoiseModel([1.0, 1.0, 1e3, 1e3]).inv_sigmas)
+    graph = FactorGraph(blocks.values())
+    system = linearize(graph, np.array([1.0, 1.0, 9.0, 9.0]))
+    np.testing.assert_allclose(system.residual, [0.5, 0.4, 9e-3, 9e-3])

@@ -15,9 +15,9 @@ from pushgraph.dataio import (
     inject_noise,
 )
 from pushgraph import cli, graphcore
-from pushgraph.errors import EmptyTrajectory, MissingShapeConfig, SingularSystem
+from pushgraph.errors import EmptyTrajectory, MissingShapeConfig, NonPositiveTimestep, SingularSystem
 from pushgraph import factors
-from pushgraph.factors import PriorFactor, NoiseModel
+from pushgraph.factors import Block, ConstantVelocityFactor, NoiseModel, add_row, evaluate_row
 from pushgraph.geometry import (
     PlanarPose,
     Plane3,
@@ -58,6 +58,8 @@ from pushgraph.pushsim import (
     straight_path,
 )
 
+from factor_samples import add_boundary_prior, add_prior
+
 BOX = Shape2D.box(0.1, 0.1)
 PROBE = Shape2D.disc(0.008)
 PARAMS = limit_surface_constants(BOX, 0.3, 1.0)
@@ -74,13 +76,43 @@ def dense_normal_matrix(band):
     return H + np.tril(H, -1).T
 
 
+def prior_graph(priors, initial=None):
+    """A graph of prior rows, each (key, anchor, sigmas)."""
+    blocks = {}
+    for key, anchor, sigmas in priors:
+        add_prior(blocks, key, anchor, sigmas)
+    return FactorGraph(blocks.values(), initial)
+
+
+def add_velocity(blocks, ts, dt1, dt2, sigmas):
+    """Append a V row over the object poses at the timesteps ts."""
+    add_row(blocks, ConstantVelocityFactor, tuple(map(obj_key, ts)), (dt1, dt2), NoiseModel(sigmas).inv_sigmas)
+
+
+def velocity_chain(T, sigmas, dt2=0.1, priors=(0,), prior_sigmas=np.ones(3)):
+    """Rows of priors on the object poses at the given timesteps and of V over T poses."""
+    blocks = {}
+    for t in priors:
+        add_prior(blocks, obj_key(t), np.zeros(3), prior_sigmas)
+    for t in range(1, T - 1):
+        add_velocity(blocks, (t - 1, t, t + 1), 0.1, dt2, sigmas)
+    return blocks
+
+
+def with_wide_v(graph):
+    """The graph plus a V row over timesteps 0, 3 and 7, which couples columns 72 apart."""
+    extra = {}
+    add_velocity(extra, (0, 3, 7), 0.3, 0.4, np.full(3, 0.1))
+    return FactorGraph([*graph.blocks, *extra.values()], graph.initial)
+
+
 def unconstrained_x1_graph(x0):
-    """A prior on x0 and a factor on (x0, x1) whose Jacobian for x1 is zero; x1 starts at 0."""
-    sqrt_info = np.hstack([np.eye(3), np.zeros((3, 3))])
-    return FactorGraph([PriorFactor(obj_key(0), np.zeros(3), NoiseModel.isotropic(3, 1.0), wrap_index=2),
-                        LinearizedPriorFactor([obj_key(0), obj_key(1)], [np.zeros(3), np.zeros(3)],
-                                              np.zeros(3), sqrt_info)],
-                       {obj_key(0): x0, obj_key(1): np.zeros(3)})
+    """A prior on x0 and a row on (x0, x1) whose Jacobian for x1 is zero; x1 starts at 0."""
+    blocks = {}
+    add_prior(blocks, obj_key(0), np.zeros(3), np.ones(3))
+    add_boundary_prior(blocks, [obj_key(0), obj_key(1)], [np.zeros(3), np.zeros(3)], np.zeros(3),
+                       np.hstack([np.eye(3), np.zeros((3, 3))]))
+    return FactorGraph(blocks.values(), {obj_key(0): x0, obj_key(1): np.zeros(3)})
 
 
 def center_push_trajectory(duration=3.0, dt=0.1, speed=0.05, offset=0.0, kind="straight", seed=0):
@@ -241,8 +273,9 @@ class TestBuildGraph:
         cfg = GraphConfig.from_trajectory(traj)
         graph = build_graph("QS", traj, cfg)
         noises: dict = {}
-        for f in graph.factors:
-            noises.setdefault((f.kind, f.keys[0].role), []).append(f.noise)
+        for b in graph.blocks:
+            for row in b.rows:
+                noises.setdefault((b.kind, row.keys[0].role), []).append(row.inv_sigmas)
         shared = {("c_object", graphcore.Role.OBJECT): cfg.surface_noise,
                   ("c_ee", graphcore.Role.EE): cfg.surface_noise,
                   ("c_objee", graphcore.Role.OBJECT): cfg.surface_noise,
@@ -252,8 +285,8 @@ class TestBuildGraph:
                   ("m_pose", graphcore.Role.EE): cfg.ee_pose_noise}
         for group, noise in shared.items():
             assert len(noises[group]) > 1
-            assert all(n is noise for n in noises[group]), group
-        assert build_graph("CP", traj, cfg).factors[0].noise is cfg.object_pose_noise
+            assert all(n is noise.inv_sigmas for n in noises[group]), group
+        assert build_graph("CP", traj, cfg).blocks[0].rows[0].inv_sigmas is cfg.object_pose_noise.inv_sigmas
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.sigma_qs = 1e-3
 
@@ -274,8 +307,9 @@ class TestFactorGraph:
         assert "layout" not in vars(graph)  # built on first use
         assert list(graph.variable_index()) == grid(0, len(traj))
         assert graph.initial.keys() == graph.dims.keys()
-        # timestep-major whatever order the factors come in
-        assert list(FactorGraph(reversed(graph.factors)).variable_index()) == grid(0, len(traj))
+        # timestep-major whatever order the rows come in
+        reversed_rows = [Block(b.kernel, b.kind, b.shared, b.rows[::-1]) for b in reversed(graph.blocks)]
+        assert list(FactorGraph(reversed_rows).variable_index()) == grid(0, len(traj))
 
     def test_window_variables_are_the_grid(self, monkeypatch):
         traj = inject_noise(center_push_trajectory(duration=2.0), NoiseSpec(seed=2))
@@ -302,7 +336,7 @@ class TestFactorGraph:
         smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
         for step in traj.steps[:12]:
             smoother.update(step)
-        active = list(smoother.active_factors)
+        active = [row for b in smoother.blocks.values() for row in b.rows]
         real_linearize = graphcore.linearize
         graphs = []
 
@@ -313,8 +347,12 @@ class TestFactorGraph:
         monkeypatch.setattr(graphcore, "linearize", recorded)
         smoother._marginalize_upto(7)
         (absorbed,) = graphs
-        assert absorbed.factors == [f for f in active if any(k.t < 7 for k in f.keys)]
-        touched = {k for f in absorbed.factors for k in f.keys}
+        rows = [row for b in absorbed.blocks for row in b.rows]
+        assert {row.seq for row in rows} == {row.seq for row in active if any(k.t < 7 for k in row.keys)}
+        # in the order they were appended, block by block
+        assert all(b.rows == sorted(b.rows, key=lambda row: row.seq) for b in absorbed.blocks)
+        assert [b.rows[0].seq for b in absorbed.blocks] == sorted(b.rows[0].seq for b in absorbed.blocks)
+        touched = {k for row in rows for k in row.keys}
         assert list(absorbed.dims) == [k for k in grid(5, 12) if k in touched]
         # the boundary is what old factors reach: V reaches x_8 and e_8, no factor pf_8
         assert {k for k in touched if k.t >= 7} == {obj_key(7), ee_key(7), pf_key(7), obj_key(8), ee_key(8)}
@@ -328,20 +366,14 @@ class TestLinearize:
     def test_single_prior_normal_matrix(self):
         key = obj_key(0)
         cov = np.diag([0.04, 0.09, 0.25])
-        graph = FactorGraph([PriorFactor(key, np.zeros(3), NoiseModel([0.2, 0.3, 0.5]), wrap_index=2)],
-                            {key: np.zeros(3)})
+        graph = prior_graph([(key, np.zeros(3), [0.2, 0.3, 0.5])], {key: np.zeros(3)})
         system = linearize(graph, graph.state_vector(graph.initial))
         np.testing.assert_allclose(dense_normal_matrix(system.normal_matrix), np.linalg.inv(cov), atol=1e-12)
 
     def test_v_chain_block_tridiagonal(self):
-        from pushgraph.factors import ConstantVelocityFactor
-
         T = 8
-        graph = FactorGraph(
-            [PriorFactor(obj_key(0), np.zeros(3), NoiseModel.isotropic(3, 1.0), wrap_index=2)]
-            + [ConstantVelocityFactor(obj_key(t - 1), obj_key(t), obj_key(t + 1), 0.1, 0.1,
-                                      NoiseModel.isotropic(3, 1.0)) for t in range(1, T - 1)],
-            {obj_key(t): np.array([0.1 * t, 0.0, 0.0]) for t in range(T)})
+        graph = FactorGraph(velocity_chain(T, np.ones(3)).values(),
+                            {obj_key(t): np.array([0.1 * t, 0.0, 0.0]) for t in range(T)})
         band = linearize(graph, graph.state_vector(graph.initial)).normal_matrix
         # couplings extend at most two block-steps away: 8 columns, as a band
         assert band.shape == (9, 3 * T)
@@ -368,12 +400,7 @@ class TestLinearize:
         graph = build_graph("QS", inject_noise(center_push_trajectory(duration=1.0),
                                                NoiseSpec(seed=2, sigma_x_rot=0.05, sigma_e_rot=0.05)))
         if not chain:
-            # one V factor over timesteps 0, 3 and 7 couples columns 72 apart
-            from pushgraph.factors import ConstantVelocityFactor
-
-            graph = FactorGraph(graph.factors + [ConstantVelocityFactor(obj_key(0), obj_key(3), obj_key(7), 0.3, 0.4,
-                                                                        NoiseModel.isotropic(3, 0.1))],
-                                graph.initial)
+            graph = with_wide_v(graph)
         system = linearize(graph, graph.state_vector(graph.initial))
         assert system.normal_matrix.shape[0] - 1 == (22 if chain else 72)
         J, r = system.jacobian, system.residual
@@ -384,27 +411,19 @@ class TestLinearize:
         step = graphcore._solve_normal(system, None)
         assert np.max(np.abs(step - want)) <= 1e-9 * np.max(np.abs(want))
 
-    def test_block_takes_key_dims_its_signature_tells_apart(self, monkeypatch):
+    def test_boundary_priors_on_keys_of_other_dims_get_their_own_blocks(self):
         # boundary priors of 3 rows each, on a pose (dim 3) and on a contact-force key (dim 4)
-        priors = [LinearizedPriorFactor([key], [np.zeros(dim)], np.zeros(3), np.eye(3, dim))
-                  for key, dim in ((obj_key(0), 3), (pf_key(0), 4))]
-        initial = {obj_key(0): np.zeros(3), pf_key(0): np.zeros(4)}
-        layout = FactorGraph(priors, initial).layout
+        blocks = {}
+        for key, dim in ((obj_key(0), 3), (pf_key(0), 4)):
+            add_boundary_prior(blocks, [key], [np.zeros(dim)], np.zeros(3), np.eye(3, dim))
+        layout = FactorGraph(blocks.values(), {obj_key(0): np.zeros(3), pf_key(0): np.zeros(4)}).layout
         assert [[g.shape[1] for g in b.gather] for b in layout.blocks] == [[3], [4]]
-        # a class that let them share a block would read the second key with the first one's dim
-        monkeypatch.setattr(LinearizedPriorFactor, "block_signature", lambda self: ())
-        with pytest.raises(ValueError, match="differ in their key dims"):
-            FactorGraph(priors, initial).layout
 
     def test_cached_constant_band_is_not_aliased(self):
-        from pushgraph.factors import ConstantVelocityFactor
-
         qs = build_graph("QS", inject_noise(center_push_trajectory(duration=1.0),
                                             NoiseSpec(seed=2, sigma_x_rot=0.05, sigma_e_rot=0.05)))
-        chain = FactorGraph(  # a prior and V factors: constant Jacobians only
-            [PriorFactor(obj_key(0), np.zeros(3), NoiseModel.isotropic(3, 1.0), wrap_index=2)]
-            + [ConstantVelocityFactor(obj_key(t - 1), obj_key(t), obj_key(t + 1), 0.1, 0.1,
-                                      NoiseModel.isotropic(3, 0.1)) for t in range(1, 5)],
+        chain = FactorGraph(  # a prior and V rows: constant Jacobians only
+            velocity_chain(6, np.full(3, 0.1)).values(),
             {obj_key(t): np.array([0.1 * t, 0.02 * t**2, 0.1]) for t in range(6)})
         for graph in (qs, chain):
             first = linearize(graph, graph.state_vector(graph.initial))
@@ -422,7 +441,7 @@ class TestRetract:
         rng = np.random.default_rng(3)
         keys = [k for t in range(6) for k in (obj_key(t), ee_key(t), pf_key(t))]
         dims = [graphcore.key_dim(k) for k in keys]
-        graph = FactorGraph(PriorFactor(k, np.zeros(dim), NoiseModel.isotropic(dim, 1.0)) for k, dim in zip(keys, dims))
+        graph = prior_graph((k, np.zeros(dim), np.ones(dim)) for k, dim in zip(keys, dims))
         index = graph.variable_index()
         values = {k: rng.uniform(-3.2, 3.2, dim) for k, (_, dim) in index.items()}
         delta = rng.normal(scale=2.0, size=graph.total_dim)
@@ -440,8 +459,7 @@ class TestRetract:
 class TestGaussNewton:
     def test_linear_graph_one_iteration(self):
         key = obj_key(0)
-        graph = FactorGraph([PriorFactor(key, np.array([1.0, 2.0, 0.0]), NoiseModel.isotropic(3, 0.1), wrap_index=2)],
-                            {key: np.array([5.0, -3.0, 0.2])})
+        graph = prior_graph([(key, [1.0, 2.0, 0.0], np.full(3, 0.1))], {key: np.array([5.0, -3.0, 0.2])})
         values, report = gauss_newton(graph)
         np.testing.assert_allclose(values[key], [1.0, 2.0, 0.0], atol=1e-12)
         assert report.iterations <= 2
@@ -450,8 +468,7 @@ class TestGaussNewton:
     def test_each_point_is_evaluated_once(self, monkeypatch):
         # two priors that disagree: linear, with a nonzero optimal cost
         key = obj_key(0)
-        graph = FactorGraph([PriorFactor(key, np.array([1.0, 2.0, 0.0]), NoiseModel.isotropic(3, 0.1), wrap_index=2),
-                             PriorFactor(key, np.array([1.2, 1.9, 0.1]), NoiseModel.isotropic(3, 0.2), wrap_index=2)],
+        graph = prior_graph([(key, [1.0, 2.0, 0.0], np.full(3, 0.1)), (key, [1.2, 1.9, 0.1], np.full(3, 0.2))],
                             {key: np.array([5.0, -3.0, 0.2])})
         real_linearize = graphcore.linearize
         calls = []
@@ -495,24 +512,29 @@ class TestGaussNewton:
             assert "normal_matrix" not in vars(system) and "gradient" not in vars(system)
         assert "normal_matrix" in vars(systems[0])
 
-    def test_estimation_never_calls_a_factor_method(self, monkeypatch):
-        # linearize evaluates whole blocks; the per-factor entry point is
-        # for tests and numeric Jacobians only
-        def refuse(self, *vals):
-            raise AssertionError(f"{type(self).__name__}.residual_and_jacobians called")
+    def test_linearize_calls_each_kernel_once_per_block(self, monkeypatch):
+        # every kernel call evaluates all the rows of one block, block by block
+        calls = []
 
-        for cls in (factors.Factor, PriorFactor, factors.PoseMeasurementFactor,
-                    factors.ContactForceMeasurementFactor, factors.ContactSurfaceFactor,
-                    factors.SurfaceGapFactor, factors.IntersectionFactor,
-                    factors.ConstantVelocityFactor, factors.QuasiStaticFactor,
+        def recording(kernel):
+            return staticmethod(lambda consts, *vals: calls.append(len(vals[0])) or kernel(consts, *vals))
+
+        for cls in (factors.PriorFactor, factors.ContactSurfaceFactor, factors.SurfaceGapFactor,
+                    factors.IntersectionFactor, factors.ConstantVelocityFactor, factors.QuasiStaticFactor,
                     LinearizedPriorFactor):
-            monkeypatch.setattr(cls, "residual_and_jacobians", refuse)
+            name = "residuals" if cls.constant_jacobian else "evaluate"
+            monkeypatch.setattr(cls, name, recording(cls.__dict__[name].__func__))
+        real_linearize = graphcore.linearize
+        graphs = []
+        monkeypatch.setattr(graphcore, "linearize", lambda graph, x: graphs.append(graph) or real_linearize(graph, x))
         traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
                             NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
         _, report = gauss_newton(build_graph("QS", traj))
         assert report.converged
         _, smoother = solve_incremental("QS", traj, lag=5, batch_every=5)
         assert smoother.first_active_t > 0
+        assert any(b.kernel is LinearizedPriorFactor for g in graphs for b in g.blocks)
+        assert calls == [len(b.rows) for g in graphs for b in g.blocks]
 
     def test_singular_step_is_rejected_and_damping_recovers(self):
         graph = unconstrained_x1_graph(np.array([5.0, -3.0, 0.2]))
@@ -524,8 +546,7 @@ class TestGaussNewton:
 
     def test_stalled_solve_is_not_converged(self, monkeypatch):
         key = obj_key(0)
-        graph = FactorGraph([PriorFactor(key, np.array([1.0, 2.0, 0.0]), NoiseModel.isotropic(3, 0.1), wrap_index=2)],
-                            {key: np.array([5.0, -3.0, 0.2])})
+        graph = prior_graph([(key, [1.0, 2.0, 0.0], np.full(3, 0.1))], {key: np.array([5.0, -3.0, 0.2])})
         # every candidate goes uphill, so no step can be accepted
         monkeypatch.setattr(graphcore, "_solve_normal", lambda system, damping: +system.gradient)
         values, report = gauss_newton(graph)
@@ -688,8 +709,7 @@ class TestMarginals:
     def test_single_prior_marginal_is_its_covariance(self):
         key = obj_key(0)
         cov = np.diag([0.04, 0.09, 0.25])
-        graph = FactorGraph([PriorFactor(key, np.zeros(3), NoiseModel([0.2, 0.3, 0.5]), wrap_index=2)],
-                            {key: np.zeros(3)})
+        graph = prior_graph([(key, np.zeros(3), [0.2, 0.3, 0.5])], {key: np.zeros(3)})
         out = marginal_covariances(graph, graph.initial, [key])[key]
         np.testing.assert_allclose(out, cov, atol=1e-12)
 
@@ -697,8 +717,7 @@ class TestMarginals:
         key = pf_key(0)
         c1 = np.diag([0.04, 0.09, 0.01, 0.01])
         c2 = np.diag([0.01, 0.04, 0.09, 0.04])
-        graph = FactorGraph([PriorFactor(key, np.zeros(4), NoiseModel([0.2, 0.3, 0.1, 0.1])),
-                             PriorFactor(key, np.zeros(4), NoiseModel([0.1, 0.2, 0.3, 0.2]))],
+        graph = prior_graph([(key, np.zeros(4), [0.2, 0.3, 0.1, 0.1]), (key, np.zeros(4), [0.1, 0.2, 0.3, 0.2])],
                             {key: np.zeros(4)})
         expected = np.linalg.inv(np.linalg.inv(c1) + np.linalg.inv(c2))
         np.testing.assert_allclose(marginal_covariances(graph, graph.initial, [key])[key], expected,
@@ -737,24 +756,18 @@ class TestMarginals:
 
     @pytest.mark.parametrize("case", ["qs_chain", "qs_wide", "straddling", "one_pose", "one_pf"])
     def test_selected_inverse_matches_dense_inverse(self, case):
-        from pushgraph.factors import ConstantVelocityFactor
-
         rng = np.random.default_rng(4)
         if case.startswith("qs"):
             graph = build_graph("QS", inject_noise(center_push_trajectory(duration=1.0),
                                                    NoiseSpec(seed=2, sigma_x_rot=0.05, sigma_e_rot=0.05)))
             if case == "qs_wide":
-                graph = FactorGraph(graph.factors + [ConstantVelocityFactor(obj_key(0), obj_key(3), obj_key(7), 0.3, 0.4,
-                                                                            NoiseModel.isotropic(3, 0.1))],
-                                    graph.initial)
+                graph = with_wide_v(graph)
             bandwidth = 22 if case == "qs_chain" else 72
         elif case == "straddling":
             # 7 poses, 21 columns in blocks of 8: x_2 and x_5 cross block edges
-            graph = FactorGraph(
-                [PriorFactor(obj_key(t), np.zeros(3), NoiseModel([0.1, 0.2, 0.3]), wrap_index=2) for t in (0, 6)]
-                + [ConstantVelocityFactor(obj_key(t - 1), obj_key(t), obj_key(t + 1), 0.1, 0.2,
-                                          NoiseModel([0.01, 0.02, 0.05])) for t in range(1, 6)],
-                {obj_key(t): rng.normal(size=3) for t in range(7)})
+            graph = FactorGraph(velocity_chain(7, [0.01, 0.02, 0.05], dt2=0.2, priors=(0, 6),
+                                               prior_sigmas=[0.1, 0.2, 0.3]).values(),
+                                {obj_key(t): rng.normal(size=3) for t in range(7)})
             bandwidth = 8
         else:
             # one key under a full square-root prior: a band narrower than the key
@@ -762,7 +775,9 @@ class TestMarginals:
             dim = graphcore.key_dim(key)
             initial = {key: rng.normal(size=dim)}
             sqrt_info = np.triu(rng.normal(size=(dim, dim))) + 3.0 * np.eye(dim)
-            graph = FactorGraph([LinearizedPriorFactor([key], [np.zeros(dim)], np.zeros(dim), sqrt_info)], initial)
+            blocks = {}
+            add_boundary_prior(blocks, [key], [np.zeros(dim)], np.zeros(dim), sqrt_info)
+            graph = FactorGraph(blocks.values(), initial)
             bandwidth = dim - 1
         system = linearize(graph, graph.state_vector(graph.initial))
         n = graph.total_dim
@@ -806,7 +821,7 @@ class TestMarginals:
         values, _ = gauss_newton(graph)
         keys = [obj_key(t) for t in range(len(traj))] + [pf_key(t) for t in range(len(traj))]
         # the same graph built again has no solve to reuse, so it linearizes
-        fresh = marginal_covariances(FactorGraph(graph.factors, graph.initial), values, keys)
+        fresh = marginal_covariances(FactorGraph(graph.blocks, graph.initial), values, keys)
         assert "factor" in vars(graph.solved)  # formed for the undamped step the model rule judged
 
         def refused(*args, **kwargs):
@@ -897,7 +912,9 @@ class TestFixedLag:
             smoother.update(step)
         assert smoother.first_active_t == 5
         new_start = 12 - 5
-        absorbed = FactorGraph(f for f in smoother.active_factors if any(k.t < new_start for k in f.keys))
+        absorbed = FactorGraph(Block(b.kernel, b.kind, b.shared, [row for row in b.rows
+                                                                  if any(k.t < new_start for k in row.keys)])
+                               for b in smoother.blocks.values())
         system = linearize(absorbed, absorbed.state_vector(smoother.estimates))
         n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
         H, g = dense_normal_matrix(system.normal_matrix), system.gradient
@@ -906,13 +923,43 @@ class TestFixedLag:
         schur_g = g[n_old:] - H_bo @ np.linalg.solve(H_oo, g[:n_old])
 
         smoother._marginalize_upto(new_start)
-        prior = smoother.active_factors[-1]
-        assert isinstance(prior, LinearizedPriorFactor)
-        assert list(prior.keys) == [k for k in system.index if k.t >= new_start]
-        r, jacs = prior.residual_and_jacobians(*[smoother.estimates[k] for k in prior.keys])
+        # the window puts the boundary prior's block after the rows it kept
+        prior = FactorGraph(smoother.blocks.values()).blocks[-1]
+        (row,) = prior.rows
+        assert prior.kernel is LinearizedPriorFactor
+        assert list(row.keys) == [k for k in system.index if k.t >= new_start]
+        r, jacs = evaluate_row(prior, *[smoother.estimates[k] for k in row.keys])
         J = np.hstack(jacs)
         for got, want in ((J.T @ J, schur), (J.T @ r, schur_g)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t", [1, 9])
+    @pytest.mark.parametrize("shift", [0.0, -0.05])
+    def test_step_not_after_the_previous_one_is_refused(self, t, shift):
+        # at t = 1 only D takes the step's dt; at t = 9 a window would run
+        traj = self.make_noisy(duration=2.0)
+        smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
+        clean = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
+        for step in traj.steps[:t]:
+            smoother.update(step)
+            clean.update(step)
+        timestamps, estimates = list(smoother.timestamps), dict(smoother.estimates)
+        rows = {signature: list(b.rows) for signature, b in smoother.blocks.items()}
+        windows = len(smoother.reports)
+        with pytest.raises(NonPositiveTimestep):
+            smoother.update(dataclasses.replace(traj.steps[t], t=traj.steps[t - 1].t + shift))
+        assert smoother.timestamps == timestamps
+        assert smoother.estimates.keys() == estimates.keys()
+        assert all(smoother.estimates[k] is v for k, v in estimates.items())
+        assert {signature: b.rows for signature, b in smoother.blocks.items()} == rows
+        assert len(smoother.reports) == windows
+        for step in traj.steps[t:]:
+            smoother.update(step)
+            clean.update(step)
+        got, want = smoother.finalize(), clean.finalize()
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), key
 
     def test_window_size_stays_bounded(self):
         traj = self.make_noisy(duration=4.0)
