@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import DegenerateProjection
 
@@ -130,7 +129,14 @@ class PlanarPose:
 
 @dataclass(frozen=True, eq=False)
 class Pose3:
-    """Rigid 3-D pose: translation plus unit quaternion (w, x, y, z)."""
+    """Rigid 3-D pose: translation plus unit quaternion (w, x, y, z).
+
+    The quaternion is normalized on construction, unless it is of unit norm
+    to rounding already. rotation_matrix and from_matrix convert in closed
+    form: the standard quaternion-to-matrix formula, and Shepperd's method
+    back, which reads the quaternion off the row of 4 q q^T with the
+    largest diagonal entry, so that it never divides by a small component.
+    """
 
     translation: np.ndarray
     quaternion: np.ndarray
@@ -141,17 +147,37 @@ class Pose3:
         n = np.linalg.norm(q)
         if n < 1e-9:
             raise ValueError("quaternion norm is zero")
+        # a quaternion already of unit norm to rounding is kept as given:
+        # dividing by a norm an ulp off 1 would change its bits, so a pose
+        # written to a file would not read back as the same pose
+        if abs(n - 1.0) > 4.0 * np.finfo(float).eps:
+            q = q / n
         object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "quaternion", q / n)
+        object.__setattr__(self, "quaternion", q)
 
     @classmethod
     def from_matrix(cls, t, rot: np.ndarray) -> "Pose3":
-        q = Rotation.from_matrix(rot).as_quat()  # (x, y, z, w)
-        return cls(np.asarray(t, dtype=float), np.array([q[3], q[0], q[1], q[2]]))
+        """The pose of translation t and rotation matrix rot (Shepperd, 1978)."""
+        m = np.asarray(rot, dtype=float)
+        trace = m[0, 0] + m[1, 1] + m[2, 2]
+        # 4 q q^T in (w, x, y, z) order
+        outer = np.array([
+            [1.0 + trace, m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]],
+            [m[2, 1] - m[1, 2], 1.0 + 2.0 * m[0, 0] - trace, m[0, 1] + m[1, 0], m[0, 2] + m[2, 0]],
+            [m[0, 2] - m[2, 0], m[0, 1] + m[1, 0], 1.0 + 2.0 * m[1, 1] - trace, m[1, 2] + m[2, 1]],
+            [m[1, 0] - m[0, 1], m[0, 2] + m[2, 0], m[1, 2] + m[2, 1], 1.0 + 2.0 * m[2, 2] - trace],
+        ])
+        i = int(np.argmax(np.diag(outer)))
+        # row i is 4 q_i q, and q_i^2 >= 1/4 as the largest of four squares summing to 1
+        return cls(np.asarray(t, dtype=float), outer[i] / math.sqrt(outer[i, i]))
 
     def rotation_matrix(self) -> np.ndarray:
         w, x, y, z = self.quaternion
-        return Rotation.from_quat([x, y, z, w]).as_matrix()
+        return np.array([
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ])
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,9 +42,9 @@ only at the entry and the exit of a solve.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -67,7 +67,7 @@ from .factors import (
     SurfaceGapFactor,
     add_row,
 )
-from .geometry import PlanarPose, angle_diff, closest_points_with_jacobians, wrap_angle, wrap_angles
+from .geometry import angle_diff, closest_points_with_jacobians, wrap_angle, wrap_angles
 
 
 class Role(str, enum.Enum):
@@ -78,7 +78,7 @@ class Role(str, enum.Enum):
     CONTACT_FORCE = "pf"
 
 
-_ROLE_ORDER = {Role.OBJECT: 0, Role.EE: 1, Role.CONTACT_FORCE: 2}
+_ROLES = tuple(Role)  # the order of a timestep's variables
 _ROLE_DIM = {Role.OBJECT: 3, Role.EE: 3, Role.CONTACT_FORCE: 4}
 # which components of a variable are angles, wrapped on update
 _ANGLES = {role: np.arange(dim) == 2 if role is not Role.CONTACT_FORCE else np.zeros(dim, dtype=bool)
@@ -106,8 +106,11 @@ def key_dim(key: VariableKey) -> int:
     return _ROLE_DIM[key.role]
 
 
-def _key_sort(key: VariableKey):
-    return (key.t, _ROLE_ORDER[key.role])
+def _step_keys(t: int) -> tuple:
+    """The keys of step t's rows: x_t, e_t, pf_t, x_{t-1}, e_{t-1}, x_{t-2}, e_{t-2}."""
+    return (VariableKey(Role.OBJECT, t), VariableKey(Role.EE, t), VariableKey(Role.CONTACT_FORCE, t),
+            VariableKey(Role.OBJECT, t - 1), VariableKey(Role.EE, t - 1),
+            VariableKey(Role.OBJECT, t - 2), VariableKey(Role.EE, t - 2))
 
 
 def retract(x: np.ndarray, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -159,7 +162,9 @@ class FactorGraph:
     def __init__(self, blocks: Iterable[Block], initial: dict | None = None):
         self.blocks: list[Block] = sorted((Block(b.kernel, b.kind, b.shared, b.rows[:]) for b in blocks if b.rows),
                                           key=lambda b: b.rows[0].seq)
-        keys = sorted({key for b in self.blocks for row in b.rows for key in row.keys}, key=_key_sort)
+        touched = {key for b in self.blocks for row in b.rows for key in row.keys}
+        # timestep-major: a stable sort by t of the keys listed role by role, with no Python call per key
+        keys = sorted([key for role in _ROLES for key in touched if key.role == role], key=operator.itemgetter(1))
         self.dims: dict[VariableKey, int] = {key: key_dim(key) for key in keys}
         self.initial: dict[VariableKey, np.ndarray] = (
             {} if initial is None else {key: np.array(initial[key], dtype=float) for key in keys})
@@ -660,8 +665,13 @@ class GraphModel(enum.Enum):
 class GraphConfig:
     """Per-factor noise levels (SI units) used to build estimation graphs.
 
-    The noise models that do not vary per step are built once per config,
-    on first use, and shared by every factor built from it.
+    What depends on the config alone is built once per config, on first use,
+    and shared by every row built from it: the checked noise model of each
+    factor kind, the four inverse-sigma vectors of the contact/force
+    measurement (contact_force_inv_sigmas) and the checked per-sqrt(s)
+    constant-velocity sigmas (vel_rate_noise), which a V row scales by its
+    dt. So a step's rows take their whitening without building or checking
+    a noise model.
     """
 
     sigma_x_trans: float = 0.005
@@ -717,18 +727,26 @@ class GraphConfig:
     def qs_noise(self) -> NoiseModel:
         return NoiseModel.isotropic(2, self.sigma_qs)
 
-    def vel_noise(self, dt1: float, dt2: float) -> NoiseModel:
-        return NoiseModel(np.asarray(self.sigma_vel) * math.sqrt(0.5 * (dt1 + dt2)))
+    @cached_property
+    def vel_rate_noise(self) -> NoiseModel:
+        """sigma_vel, per sqrt(s); a V row over steps dt1 and dt2 apart has sigmas * sqrt((dt1 + dt2) / 2)."""
+        return NoiseModel(self.sigma_vel)
+
+    @cached_property
+    def contact_force_inv_sigmas(self) -> dict[tuple[bool, bool], np.ndarray]:
+        """The contact/force measurement's inverse sigmas, by (w measured, alpha measured).
+
+        The pf sigmas on a measured half, the weak sigma on an unmeasured one.
+        """
+        weak, measured = self.weak_noise.inv_sigmas, self.pf_noise.inv_sigmas
+        return {(w, alpha): np.where(np.repeat([w, alpha], 2), measured, weak)
+                for w in (False, True) for alpha in (False, True)}
 
 
 def _as_model(model) -> GraphModel:
     if isinstance(model, GraphModel):
         return model
     return GraphModel(str(model).upper())
-
-
-def _planar_or_none(meas: PlanarPose | None):
-    return None if meas is None else meas.as_array()
 
 
 def _extrapolate_pose(prev, prev2):
@@ -772,49 +790,50 @@ def _initial_pose_track(measured: list) -> list[np.ndarray]:
 
 
 def _step_rows(blocks: dict, model: GraphModel, traj: MeasuredTrajectory, config: GraphConfig, t: int,
-               step: TrajectoryStep, times, init: dict):
+               step: TrajectoryStep, times, init: dict, keys: tuple):
     """Append the row of every factor whose newest variable is at t, in the order build_graph and the smoother share.
 
     The gauge priors (at t = 0 only, anchored at init) come first, then the
-    measurement factors, then C, S, D and V; dt is times[t] - times[t-1].
-    A dt that is not positive raises NonPositiveTimestep before any row is
-    appended.
+    measurement factors, then C, S, D and V; dt is times[t] - times[t-1],
+    and keys are _step_keys(t). A dt that is not positive raises
+    NonPositiveTimestep before any row is appended. The work is the same
+    at every step: the rows share the config's inverse sigmas (a V row's
+    are the config's rate sigmas scaled by its dt), and only times[t - 2:t + 1]
+    is read.
     """
     if t >= 1 and not times[t] > times[t - 1]:
         raise NonPositiveTimestep(f"step {t} at t = {times[t]} is not after the previous step at t = {times[t - 1]}")
     obj_shape, ee_shape = traj.object_shape, traj.ee_shape
-    x, e, pf = obj_key(t), ee_key(t), pf_key(t)
-    add = functools.partial(add_row, blocks)
+    x, e, pf, x1, e1, x2, e2 = keys
     if t == 0:
         for key, noise in ((x, config.object_pose_noise), (e, config.ee_pose_noise), (pf, config.pf_noise)):
-            add(PriorFactor, (key,), (init[key], _ANGLES[key.role]), noise.inv_sigmas)
+            add_row(blocks, PriorFactor, (key,), (init[key], _ANGLES[key.role]), noise.inv_sigmas)
     for key, meas, noise in ((x, step.y, config.object_pose_noise), (e, step.z, config.ee_pose_noise)):
         if meas is not None:
-            add(PriorFactor, (key,), (meas.as_array(), _ANGLES[key.role]), noise.inv_sigmas, kind="m_pose")
+            add_row(blocks, PriorFactor, (key,), (meas.as_array(), _ANGLES[key.role]), noise.inv_sigmas, kind="m_pose")
     # unmeasured components: zero anchor, weak sigma
     meas = np.zeros(4)
-    inv_sigmas = config.weak_noise.inv_sigmas.copy()
     if step.w is not None:
         meas[:2] = step.w
-        inv_sigmas[:2] = config.pf_noise.inv_sigmas[:2]
     if step.alpha is not None:
         meas[2:] = np.asarray(step.alpha, dtype=float)[:2]
-        inv_sigmas[2:] = config.pf_noise.inv_sigmas[2:]
-    add(ContactForceMeasurementFactor, (pf,), (meas, _ANGLES[Role.CONTACT_FORCE]), inv_sigmas)
+    add_row(blocks, ContactForceMeasurementFactor, (pf,), (meas, _ANGLES[Role.CONTACT_FORCE]),
+            config.contact_force_inv_sigmas[step.w is not None, step.alpha is not None])
     surface = config.surface_noise.inv_sigmas
-    add(ContactSurfaceFactor, (x, pf), (), surface, (obj_shape,), kind="c_object")
-    add(ContactSurfaceFactor, (e, pf), (), surface, (ee_shape,), kind="c_ee")
-    add(SurfaceGapFactor, (x, e), (), surface, (obj_shape, ee_shape))
+    add_row(blocks, ContactSurfaceFactor, (x, pf), (), surface, (obj_shape,), kind="c_object")
+    add_row(blocks, ContactSurfaceFactor, (e, pf), (), surface, (ee_shape,), kind="c_ee")
+    add_row(blocks, SurfaceGapFactor, (x, e), (), surface, (obj_shape, ee_shape))
     if model in (GraphModel.SDF, GraphModel.QS):
-        add(IntersectionFactor, (x, e), (), config.intersection_noise.inv_sigmas, (obj_shape, ee_shape))
+        add_row(blocks, IntersectionFactor, (x, e), (), config.intersection_noise.inv_sigmas, (obj_shape, ee_shape))
     if model is GraphModel.QS and t >= 1:
-        add(QuasiStaticFactor, (obj_key(t - 1), x, pf), (traj.params.c, times[t] - times[t - 1]),
-            config.qs_noise.inv_sigmas)
+        add_row(blocks, QuasiStaticFactor, (x1, x, pf), (traj.params.c, times[t] - times[t - 1]),
+                config.qs_noise.inv_sigmas)
     if t >= 2:
         dt1, dt2 = times[t - 1] - times[t - 2], times[t] - times[t - 1]
-        inv_sigmas = config.vel_noise(dt1, dt2).inv_sigmas
-        for key in (obj_key, ee_key):
-            add(ConstantVelocityFactor, (key(t - 2), key(t - 1), key(t)), (dt1, dt2), inv_sigmas)
+        # NoiseModel's own float operations on sigmas that it checked once; dt > 0 is checked above
+        inv_sigmas = 1.0 / (config.vel_rate_noise.sigmas * math.sqrt(0.5 * (dt1 + dt2)))
+        add_row(blocks, ConstantVelocityFactor, (x2, x1, x), (dt1, dt2), inv_sigmas)
+        add_row(blocks, ConstantVelocityFactor, (e2, e1, e), (dt1, dt2), inv_sigmas)
 
 
 def _check_metadata(model: GraphModel, traj: MeasuredTrajectory):
@@ -840,8 +859,8 @@ def initial_values(traj: MeasuredTrajectory) -> dict[VariableKey, np.ndarray]:
     A step without w starts its contact at the object's boundary point
     nearest the pusher centre, at that step's initial poses.
     """
-    xs = _initial_pose_track([_planar_or_none(s.y) for s in traj.steps])
-    es = _initial_pose_track([_planar_or_none(s.z) for s in traj.steps])
+    xs = _initial_pose_track([None if s.y is None else s.y.as_array() for s in traj.steps])
+    es = _initial_pose_track([None if s.z is None else s.z.as_array() for s in traj.steps])
     init: dict[VariableKey, np.ndarray] = {}
     pf = np.zeros(4)
     for t, step in enumerate(traj.steps):
@@ -865,11 +884,11 @@ def build_graph(model, traj: MeasuredTrajectory, config: GraphConfig | None = No
         raise EmptyTrajectory("need at least two timesteps")
     _check_metadata(model, traj)
     config = config or GraphConfig.from_trajectory(traj)
-    times = traj.timestamps
+    times = traj.timestamps.tolist()
     init = initial_values(traj)
     blocks: dict = {}
     for t, step in enumerate(traj.steps):
-        _step_rows(blocks, model, traj, config, t, step, times, init)
+        _step_rows(blocks, model, traj, config, t, step, times, init, _step_keys(t))
     return FactorGraph(blocks.values(), init)
 
 
@@ -944,34 +963,47 @@ class FixedLagSmoother:
 
     # -- construction helpers ------------------------------------------------
 
-    def _new_variables(self, t: int, step: TrajectoryStep) -> dict[VariableKey, np.ndarray]:
-        """Initial values of step t's variables, from its measurements or the estimates before it."""
-        y = _planar_or_none(step.y)
-        z = _planar_or_none(step.z)
+    def _new_variables(self, keys: tuple, step: TrajectoryStep) -> dict[VariableKey, np.ndarray]:
+        """Initial values of a step's variables, from its measurements or the estimates before it.
+
+        keys are the step's _step_keys.
+        """
+        x, e, pf, x1, e1, x2, e2 = keys
+        estimates = self.estimates
+        y = None if step.y is None else step.y.as_array()
+        z = None if step.z is None else step.z.as_array()
         if y is None:
-            prev = self.estimates.get(obj_key(t - 1))
-            prev2 = self.estimates.get(obj_key(t - 2))
-            y = np.zeros(3) if prev is None else _extrapolate_pose(prev, prev2)
+            prev = estimates.get(x1)
+            y = np.zeros(3) if prev is None else _extrapolate_pose(prev, estimates.get(x2))
         if z is None:
-            prev = self.estimates.get(ee_key(t - 1))
-            prev2 = self.estimates.get(ee_key(t - 2))
-            z = np.zeros(3) if prev is None else _extrapolate_pose(prev, prev2)
-        pf = _initial_pf(self.estimates.get(pf_key(t - 1), np.zeros(4)), step)
-        if step.w is None and pf_key(t - 1) not in self.estimates:
-            pf[:2] = closest_points_with_jacobians(self.template.object_shape, y[None], z[None, :2])[0][0]
-        return {obj_key(t): y, ee_key(t): z, pf_key(t): pf}
+            prev = estimates.get(e1)
+            z = np.zeros(3) if prev is None else _extrapolate_pose(prev, estimates.get(e2))
+        prev_pf = estimates.get(VariableKey(Role.CONTACT_FORCE, x.t - 1))
+        contact = _initial_pf(np.zeros(4) if prev_pf is None else prev_pf, step)
+        if step.w is None and prev_pf is None:
+            contact[:2] = closest_points_with_jacobians(self.template.object_shape, y[None], z[None, :2])[0][0]
+        return {x: y, e: z, pf: contact}
 
     def update(self, step: TrajectoryStep):
         """Ingest one timestep of measurements; `estimates` holds the result.
 
+        An update that does not close a window does the same small amount of
+        work at every step, however many came before: it builds the step's
+        keys once, appends the step's rows and its timestamp in place, and
+        reads only the estimates of the two steps before it. Every
+        batch_every steps it also optimizes the window.
         A step that is not after the previous one raises NonPositiveTimestep
         and leaves the smoother as it was.
         """
         t = len(self.timestamps)
-        times = [*self.timestamps, float(step.t)]
-        new = self._new_variables(t, step)
-        _step_rows(self.blocks, self.model, self.template, self.config, t, step, times, new)
-        self.timestamps = times
+        keys = _step_keys(t)
+        new = self._new_variables(keys, step)
+        self.timestamps.append(float(step.t))
+        try:
+            _step_rows(self.blocks, self.model, self.template, self.config, t, step, self.timestamps, new, keys)
+        except NonPositiveTimestep:
+            self.timestamps.pop()
+            raise
         self.estimates.update(new)
         if t >= 1 and (t + 1) % self.batch_every == 0:
             self._optimize()

@@ -1,12 +1,18 @@
 """Geometry: pose algebra, projections, closest-point and penetration queries."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+import pushgraph
 from pushgraph.errors import DegenerateProjection
 from pushgraph.geometry import (
     PlanarPose,
@@ -79,6 +85,73 @@ class TestSE2:
             a = random_pose(rng)
             q = rng.normal(size=2)
             np.testing.assert_allclose(a.inverse_transform_point(a.transform_point(q)), q, atol=1e-12)
+
+
+def scipy_quaternion(rot):
+    """scipy's quaternion of a rotation matrix, in Pose3's (w, x, y, z) order."""
+    x, y, z, w = Rotation.from_matrix(rot).as_quat()
+    return np.array([w, x, y, z])
+
+
+def same_rotation(q1, q2, atol):
+    """Whether two unit quaternions agree up to their sign."""
+    return min(np.abs(q1 - q2).max(), np.abs(q1 + q2).max()) <= atol
+
+
+def about_axes_near_pi():
+    """Rotations by and near pi about each axis and about the diagonal of each pair of axes."""
+    axes = [*np.eye(3), *(np.array(d) / math.sqrt(2.0) for d in ([1, 1, 0], [0, 1, 1], [1, 0, 1]))]
+    for axis in axes:
+        for angle in (math.pi, math.pi - 1e-9, math.pi - 1e-4, -math.pi + 1e-3, 0.5 * math.pi):
+            yield Rotation.from_rotvec(angle * axis).as_matrix()
+
+
+class TestPose3:
+    def test_rotation_matrix_matches_scipy(self):
+        rng = np.random.default_rng(23)
+        for q in rng.normal(size=(200, 4)):
+            w, x, y, z = q / np.linalg.norm(q)
+            want = Rotation.from_quat([x, y, z, w]).as_matrix()
+            np.testing.assert_allclose(Pose3(np.zeros(3), q).rotation_matrix(), want, rtol=0, atol=1e-15)
+
+    def test_from_matrix_matches_scipy_on_every_branch(self):
+        rng = np.random.default_rng(24)
+        random = (Rotation.from_quat(q).as_matrix() for q in rng.normal(size=(200, 4)))
+        branches = set()
+        for rot in [*random, *about_axes_near_pi()]:
+            q = Pose3.from_matrix(np.zeros(3), rot).quaternion
+            want = scipy_quaternion(rot)
+            assert same_rotation(q, want, 1e-15), (rot, q, want)
+            # Shepperd's branch: the largest of 4w^2, 4x^2, 4y^2, 4z^2
+            branches.add(int(np.argmax(want**2)))
+        assert branches == {0, 1, 2, 3}
+
+    def test_round_trips(self):
+        rng = np.random.default_rng(25)
+        for q in [*rng.normal(size=(200, 4)), *(scipy_quaternion(rot) for rot in about_axes_near_pi())]:
+            pose = Pose3(np.ones(3), q)
+            rot = pose.rotation_matrix()
+            back = Pose3.from_matrix(pose.translation, rot)
+            assert same_rotation(back.quaternion, pose.quaternion, 1e-15)
+            np.testing.assert_allclose(back.rotation_matrix(), rot, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(back.translation, pose.translation)
+
+    def test_a_unit_quaternion_is_kept_bit_for_bit(self):
+        # so that a pose written to a file and read back is the same pose
+        rng = np.random.default_rng(26)
+        for q in rng.normal(size=(200, 4)):
+            pose = Pose3(np.zeros(3), q)
+            np.testing.assert_array_equal(Pose3(np.zeros(3), pose.quaternion.tolist()).quaternion, pose.quaternion)
+        np.testing.assert_array_equal(Pose3(np.zeros(3), [2.0, 0.0, 0.0, 0.0]).quaternion, [1.0, 0.0, 0.0, 0.0])
+
+    def test_importing_the_cli_loads_no_scipy_spatial_or_sparse(self):
+        code = ("import sys, pushgraph.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'spatial'], "
+                "['scipy', 'sparse'])))")
+        src = str(Path(pushgraph.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
 
 class TestProjection:

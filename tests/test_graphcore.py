@@ -1,6 +1,8 @@
 """Graph construction, optimizer behavior, marginals, fixed-lag smoothing."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +19,19 @@ from pushgraph.dataio import (
 from pushgraph import cli, graphcore
 from pushgraph.errors import EmptyTrajectory, MissingShapeConfig, NonPositiveTimestep, SingularSystem
 from pushgraph import factors
-from pushgraph.factors import Block, ConstantVelocityFactor, NoiseModel, add_row, evaluate_row
+from pushgraph.factors import (
+    Block,
+    ConstantVelocityFactor,
+    ContactForceMeasurementFactor,
+    ContactSurfaceFactor,
+    IntersectionFactor,
+    NoiseModel,
+    PriorFactor,
+    QuasiStaticFactor,
+    SurfaceGapFactor,
+    add_row,
+    evaluate_row,
+)
 from pushgraph.geometry import (
     PlanarPose,
     Plane3,
@@ -127,6 +141,66 @@ def center_push_trajectory(duration=3.0, dt=0.1, speed=0.05, offset=0.0, kind="s
                         lateral_offset=offset)
     assert not gt.contact_lost
     return from_ground_truth(gt)
+
+
+def rows_built_per_step(model, traj, config, init):
+    """Every step's rows as they were built with a noise model made per row pair.
+
+    The reference for _step_rows: each V pair whitened by its own
+    NoiseModel(sigma_vel * sqrt((dt1 + dt2) / 2)), and each contact/force
+    row by the weak sigmas with the pf sigmas written over its measured
+    halves.
+    """
+    blocks = {}
+    times = traj.timestamps
+    obj_shape, ee_shape = traj.object_shape, traj.ee_shape
+    for t, step in enumerate(traj.steps):
+        x, e, pf = obj_key(t), ee_key(t), pf_key(t)
+        if t == 0:
+            for key, noise in ((x, config.object_pose_noise), (e, config.ee_pose_noise), (pf, config.pf_noise)):
+                add_row(blocks, PriorFactor, (key,), (init[key], graphcore._ANGLES[key.role]), noise.inv_sigmas)
+        for key, meas, noise in ((x, step.y, config.object_pose_noise), (e, step.z, config.ee_pose_noise)):
+            if meas is not None:
+                add_row(blocks, PriorFactor, (key,), (meas.as_array(), graphcore._ANGLES[key.role]),
+                        noise.inv_sigmas, kind="m_pose")
+        meas = np.zeros(4)
+        inv_sigmas = config.weak_noise.inv_sigmas.copy()
+        if step.w is not None:
+            meas[:2] = step.w
+            inv_sigmas[:2] = config.pf_noise.inv_sigmas[:2]
+        if step.alpha is not None:
+            meas[2:] = np.asarray(step.alpha, dtype=float)[:2]
+            inv_sigmas[2:] = config.pf_noise.inv_sigmas[2:]
+        add_row(blocks, ContactForceMeasurementFactor, (pf,), (meas, graphcore._ANGLES[pf.role]), inv_sigmas)
+        surface = config.surface_noise.inv_sigmas
+        add_row(blocks, ContactSurfaceFactor, (x, pf), (), surface, (obj_shape,), kind="c_object")
+        add_row(blocks, ContactSurfaceFactor, (e, pf), (), surface, (ee_shape,), kind="c_ee")
+        add_row(blocks, SurfaceGapFactor, (x, e), (), surface, (obj_shape, ee_shape))
+        if model != "CP":
+            add_row(blocks, IntersectionFactor, (x, e), (), config.intersection_noise.inv_sigmas,
+                    (obj_shape, ee_shape))
+        if model == "QS" and t >= 1:
+            add_row(blocks, QuasiStaticFactor, (obj_key(t - 1), x, pf), (traj.params.c, times[t] - times[t - 1]),
+                    config.qs_noise.inv_sigmas)
+        if t >= 2:
+            dt1, dt2 = times[t - 1] - times[t - 2], times[t] - times[t - 1]
+            inv_sigmas = NoiseModel(np.asarray(config.sigma_vel) * math.sqrt(0.5 * (dt1 + dt2))).inv_sigmas
+            for key in (obj_key, ee_key):
+                add_row(blocks, ConstantVelocityFactor, (key(t - 2), key(t - 1), key(t)), (dt1, dt2), inv_sigmas)
+    return blocks.values()
+
+
+def bits(value):
+    """A constant or an inverse-sigma vector as its dtype, shape and bytes."""
+    a = np.asarray(value)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def row_listing(blocks):
+    """Each row in seq order, with its block's signature, its keys and the bits of its constants and whitening."""
+    rows = sorted(((row.seq, b, row) for b in blocks for row in b.rows), key=lambda item: item[0])
+    return [(b.kernel, b.kind, b.shared, len(row.inv_sigmas), row.keys, [bits(c) for c in row.consts],
+             bits(row.inv_sigmas)) for _, b, row in rows]
 
 
 class TestBuildGraph:
@@ -286,6 +360,9 @@ class TestBuildGraph:
         for group, noise in shared.items():
             assert len(noises[group]) > 1
             assert all(n is noise.inv_sigmas for n in noises[group]), group
+        # contact/force rows take one of the config's four whitening vectors
+        table = cfg.contact_force_inv_sigmas
+        assert all(any(n is v for v in table.values()) for n in noises["m_contactforce", graphcore.Role.CONTACT_FORCE])
         assert build_graph("CP", traj, cfg).blocks[0].rows[0].inv_sigmas is cfg.object_pose_noise.inv_sigmas
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.sigma_qs = 1e-3
@@ -294,6 +371,45 @@ class TestBuildGraph:
         traj = center_push_trajectory(duration=1.0)
         graph = build_graph("QS", traj)
         assert graph.layout.shape[0] >= graph.total_dim
+
+
+# every presence pattern of the four measurement channels, in CHANNELS order
+PATTERNS = list(itertools.product((False, True), repeat=4))
+
+
+class TestStepRows:
+    @staticmethod
+    def irregular(pattern):
+        """Seven steps 0.04-0.15 s apart, the channels pattern leaves out dropped after the first step."""
+        traj = center_push_trajectory(duration=0.7)
+        times = np.cumsum([0.0, 0.07, 0.12, 0.04, 0.15, 0.09, 0.11])
+        measured = dict(zip(("y", "z", "w", "alpha"), pattern))
+        steps = [dataclasses.replace(step, t=float(t), **({} if i == 0 else {c: None for c, m in measured.items()
+                                                                              if not m}))
+                 for i, (step, t) in enumerate(zip(traj.steps, times))]
+        return dataclasses.replace(traj, steps=steps)
+
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: "".join("1" if m else "0" for m in p))
+    def test_rows_match_a_noise_model_per_row(self, pattern, monkeypatch):
+        # batch and smoother append the same rows, bit for bit, as a
+        # construction that makes each V pair's and contact/force row's whitening anew
+        traj = self.irregular(pattern)
+        cfg = GraphConfig()
+        for model in ("CP", "SDF", "QS"):
+            graph = build_graph(model, traj, cfg)
+            assert row_listing(graph.blocks) == row_listing(rows_built_per_step(model, traj, cfg, graph.initial))
+        monkeypatch.setattr(FixedLagSmoother, "_optimize", lambda self: None)
+        smoother = FixedLagSmoother("QS", traj, cfg, lag=len(traj), batch_every=len(traj))
+        for step in traj.steps:
+            smoother.update(step)
+        assert (row_listing(smoother.blocks.values())
+                == row_listing(rows_built_per_step("QS", traj, cfg, smoother.estimates)))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
+    def test_velocity_sigmas_are_still_checked(self, bad):
+        cfg = GraphConfig(sigma_vel=(0.01, bad, 0.05))
+        with pytest.raises(ValueError):
+            build_graph("QS", center_push_trajectory(duration=0.5), cfg)
 
 
 def grid(t0, T):
@@ -960,6 +1076,43 @@ class TestFixedLag:
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert np.array_equal(got[key], value), key
+
+    def test_update_does_not_walk_the_history(self):
+        # the timestamps and the estimates fail if iterated, sliced or
+        # copied, so an update that did work in proportion to the steps
+        # before it would raise; windows and marginalizations included
+        class History(list):
+            def __iter__(self):
+                raise AssertionError("the timestamps were iterated")
+
+            def __getitem__(self, i):
+                assert not isinstance(i, slice), "the timestamps were sliced"
+                return super().__getitem__(i)
+
+            def copy(self):
+                raise AssertionError("the timestamps were copied")
+
+        class Estimates(dict):
+            def __iter__(self):
+                raise AssertionError("the estimates were iterated")
+
+            def _walk(self, *args):
+                raise AssertionError("the estimates were walked")
+
+            keys = values = items = copy = _walk
+
+        traj = self.make_noisy(duration=4.0)
+        smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
+        smoother.timestamps, smoother.estimates = History(), Estimates()
+        for step in traj.steps:
+            smoother.update(step)
+        assert len(smoother.reports) == len(traj) // 5
+        assert smoother.first_active_t == len(traj) - 5
+        assert isinstance(smoother.timestamps, History) and isinstance(smoother.estimates, Estimates)
+        assert len(smoother.timestamps) == len(traj)
+        with pytest.raises(NonPositiveTimestep):
+            smoother.update(dataclasses.replace(traj.steps[-1], t=traj.steps[-1].t))
+        assert len(smoother.timestamps) == len(traj)
 
     def test_window_size_stays_bounded(self):
         traj = self.make_noisy(duration=4.0)
