@@ -243,6 +243,9 @@ def run_benchmark_trial(cfg: dict, trial: int) -> list[dict]:
             if metrics is not None and metrics.covariance_traces:
                 row["post_trace_x"] = metrics.covariance_traces["x"]
                 row["post_trace_p"] = metrics.covariance_traces["p"]
+            # each factor kind's share of the final cost (the last window's, incrementally)
+            for kind, chi2 in report.chi2_final.items():
+                row[f"chi2_{kind}"] = chi2
         except PushGraphError as exc:
             row = {"trial": trial, "model": model, "seed": seed, "steps": len(traj),
                    "converged": 0, "iterations": 0, "failed": 1, "error": str(exc)}

@@ -15,7 +15,10 @@ the same band factor by selected inversion, a backward recursion over its
 blocks that forms only the covariance blocks on and next to the diagonal.
 The incremental path is a fixed-lag smoother that marginalizes old timesteps
 into a square-root boundary prior (a QR factorization of the absorbed
-factors' whitened system) and re-optimizes the window.
+factors' whitened system) and re-optimizes the window. The smoother's
+marginalization reuses the last window's final system: the absorbed rows
+that window held are taken from it, and only the rows appended since are
+linearized.
 Both paths assemble a timestep the same way: `_step_rows` appends the row
 of every factor whose newest variable is at t (the gauge priors at t = 0,
 then the measurements, then C, S, D and V) to the block of its kernel,
@@ -29,6 +32,7 @@ Gauss-Newton candidates (their cost is the squared norm of the whitened
 residual it assembles), the marginal covariances and the smoother's
 marginalization. The marginals at a solve's answer reuse the solve's
 final system and its band factor, and linearize only at other values.
+A graph builds its band layout only when it first forms J^T J.
 `linearize` calls each block's kernel once, over all its rows; blocks
 with constant Jacobians are whitened once per graph and after that only
 their residuals are evaluated.
@@ -41,6 +45,7 @@ only at the entry and the exit of a solve.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -215,28 +220,42 @@ class _BlockLayout:
     inv_sigmas: np.ndarray  # (N, d) whitening
     rows: slice  # its N * d residual rows, factor by factor
     columns: np.ndarray  # (N, width) state columns of each factor's Jacobian
-    lower: np.ndarray  # (N, width, width) pairs of columns that fall on or below the diagonal
     jacobian: np.ndarray | None  # whitened (N, d, width) Jacobian when it is constant
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """(N, width, width) pairs of columns that fall on or below the diagonal."""
+        return self.columns[:, :, None] >= self.columns[:, None, :]
 
 
 @dataclass
 class _LinearizeCache:
-    """Blocks and the band layout of a graph, reused across iterations."""
+    """Blocks and the band layout of a graph, reused across iterations.
+
+    The band layout (bandwidth, band_positions, constant_band and the
+    blocks' lower pairs) is built on first use, by the first normal_matrix:
+    a graph the smoother linearizes to marginalize never forms one.
+    """
 
     index: dict
     theta: np.ndarray  # marks the state vector's angle slots, wrapped on update
     shape: tuple[int, int]
     blocks: list[_BlockLayout]  # with a constant Jacobian only the residual is evaluated
-    bandwidth: int  # largest column distance within one factor
-    band_positions: np.ndarray  # _band_positions of the blocks whose Jacobian is relinearized
     columns: np.ndarray  # every block's columns, raveled block by block
 
     @cached_property
-    def constant_band(self) -> np.ndarray:
-        """J^T J of the constant-Jacobian blocks in lower band storage.
+    def bandwidth(self) -> int:
+        """The largest column distance within one factor."""
+        return max((int((b.columns.max(axis=1) - b.columns.min(axis=1)).max()) for b in self.blocks), default=0)
 
-        Formed on first use, since the smoother's absorbed graphs never need it.
-        """
+    @cached_property
+    def band_positions(self) -> np.ndarray:
+        """_band_positions of the blocks whose Jacobian is relinearized."""
+        return _band_positions([b for b in self.blocks if b.jacobian is None], self.shape[1])
+
+    @cached_property
+    def constant_band(self) -> np.ndarray:
+        """J^T J of the constant-Jacobian blocks in lower band storage."""
         constant = [b for b in self.blocks if b.jacobian is not None]
         return _band(self, [(b, b.jacobian) for b in constant], _band_positions(constant, self.shape[1]))
 
@@ -263,9 +282,7 @@ def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
 def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
     index = graph.variable_index()
     offset_of = {key: off for key, (off, _) in index.items()}.__getitem__
-    n = graph.total_dim
     blocks = []
-    bandwidth = 0
     m = 0
     for block in graph.blocks:
         N = len(block.rows)
@@ -273,25 +290,19 @@ def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
         keys = itertools.chain.from_iterable(row.keys for row in block.rows)
         offsets = np.fromiter(map(offset_of, keys), dtype=np.intp, count=N * len(dims)).reshape(N, len(dims))
         gather = [offsets[:, i, None] + np.arange(dim) for i, dim in enumerate(dims)]
-        columns = np.concatenate(gather, axis=1)
-        diff = columns[:, :, None] - columns[:, None, :]  # row minus column of each pair
-        lower = diff >= 0
-        bandwidth = max(bandwidth, int(diff.max()))
         inv_sigmas = np.array([row.inv_sigmas for row in block.rows])
         d = inv_sigmas.shape[1]
         cls, consts = block.kernel, block.constants()
         jacobian = (np.concatenate(cls.constant_jacobians(consts), axis=2) * inv_sigmas[:, :, None]
                     if cls.constant_jacobian else None)
-        blocks.append(_BlockLayout(cls, block.kind, consts, gather, inv_sigmas, slice(m, m + N * d), columns, lower,
-                                   jacobian))
+        blocks.append(_BlockLayout(cls, block.kind, consts, gather, inv_sigmas, slice(m, m + N * d),
+                                   np.concatenate(gather, axis=1), jacobian))
         m += N * d
     return _LinearizeCache(
         index=index,
         theta=_concat([_ANGLES[key.role] for key in index], bool),
-        shape=(m, n),
+        shape=(m, graph.total_dim),
         blocks=blocks,
-        bandwidth=bandwidth,
-        band_positions=_band_positions([b for b in blocks if b.jacobian is None], n),
         columns=_concat([b.columns.ravel() for b in blocks], int),
     )
 
@@ -914,6 +925,38 @@ def solve_batch(model, traj: MeasuredTrajectory, config: GraphConfig | None = No
 # ---------------------------------------------------------------------------
 
 
+def _oldest_step(row) -> int:
+    return min(key.t for key in row.keys)
+
+
+class _Linearization(NamedTuple):
+    """A graph's linearization as a marginalization reads it, block by block."""
+
+    index: dict  # the graph's variable_index
+    # by each block's first row's seq: its (N, width) columns, whitened
+    # (N, d, width) Jacobian and whitened (N, d) residual
+    blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @classmethod
+    def of(cls, graph: FactorGraph, system: LinearSystem) -> "_Linearization":
+        return cls(system.index, {b.rows[0].seq: (layout.columns, J, system.residual[layout.rows].reshape(J.shape[:2]))
+                                  for b, layout, J in zip(graph.blocks, system.layout.blocks, system.jacobians)})
+
+
+_NO_LINEARIZATION = _Linearization({}, {})
+_NO_ROWS = (np.zeros((0, 0), dtype=np.intp), np.zeros((0, 0, 0)), np.zeros((0, 0)))
+
+
+def _renumber(source: dict, target: dict) -> np.ndarray:
+    """target's column of each column of the source variable index; -1 for a variable target lacks."""
+    out = np.full(sum(dim for _, dim in source.values()), -1, dtype=np.intp)
+    for key, (off, dim) in target.items():
+        if key in source:
+            at = source[key][0]
+            out[at : at + dim] = np.arange(off, off + dim)
+    return out
+
+
 class FixedLagSmoother:
     """Incremental estimation over a sliding window of recent timesteps.
 
@@ -925,6 +968,19 @@ class FixedLagSmoother:
     window is re-optimized after every `batch_every` timesteps, measured or
     not; `batch_every <= lag` makes every timestep part of an optimized
     window before it is marginalized.
+
+    After each window solve the smoother keeps that window's final
+    linearization, the whitened Jacobian and residual of each of its
+    blocks (gauss_newton leaves them in graph.solved). Estimates change
+    only in window solves, so at the next marginalization the rows that
+    window held are still at the values of its final system, and their
+    rows of [J r] are read from it; only the absorbed rows appended since
+    are linearized, as one small graph. [J r] is the same, row for row and
+    column for column, as a linearization of all absorbed rows, and so is
+    every prior. The kept linearization is reset before each solve, so a
+    solve that raises leaves none and the next marginalization linearizes
+    every row it absorbs; finalize drops it, since no marginalization
+    follows.
 
     Each update appends the rows of _step_rows to the smoother's blocks, as
     build_graph does, and marginalization takes the rows it absorbs out of
@@ -960,6 +1016,8 @@ class FixedLagSmoother:
         self.blocks: dict = {}  # the active rows, as add_row appends them
         self.first_active_t = 0
         self.reports: list[SolveReport] = []  # one per window optimization
+        # the last window's final linearization; _NO_LINEARIZATION when there is none to reuse
+        self._solved = _NO_LINEARIZATION
 
     # -- construction helpers ------------------------------------------------
 
@@ -1014,6 +1072,7 @@ class FixedLagSmoother:
         # update ran a window at T >= 2 exactly when T is a multiple of batch_every
         if T >= 2 and T % self.batch_every != 0:
             self._optimize()
+        self._solved = _NO_LINEARIZATION  # no marginalization follows
         return {k: v.copy() for k, v in self.estimates.items()}
 
     # -- optimization and marginalization ------------------------------------
@@ -1023,32 +1082,67 @@ class FixedLagSmoother:
         window_start = max(self.first_active_t, T - self.lag)
         if window_start > self.first_active_t:
             self._marginalize_upto(window_start)
-        values, report = gauss_newton(FactorGraph(self.blocks.values(), self.estimates), None, self.opts)
+        self._solved = _NO_LINEARIZATION  # a solve that raises leaves none
+        graph = FactorGraph(self.blocks.values(), self.estimates)
+        values, report = gauss_newton(graph, None, self.opts)
+        self._solved = _Linearization.of(graph, graph.solved)
         self.reports.append(report)
         self.estimates.update(values)
 
     def _marginalize_upto(self, new_start: int):
         # every active row touching a timestep before new_start is absorbed;
-        # the variables it also touches at or after new_start form the boundary
+        # the variables it also touches at or after new_start form the
+        # boundary. A block's rows are in step order, so it absorbs a prefix
         absorbed, kept = [], {}
         for signature, b in self.blocks.items():
-            old = [any(k.t < new_start for k in row.keys) for row in b.rows]
-            absorbed.append(Block(b.kernel, b.kind, b.shared, list(itertools.compress(b.rows, old))))
-            if not all(old):
-                kept[signature] = Block(b.kernel, b.kind, b.shared, [row for row, o in zip(b.rows, old) if not o])
+            n = bisect.bisect_left(b.rows, new_start, key=_oldest_step)
+            absorbed.append(Block(b.kernel, b.kind, b.shared, b.rows[:n]))
+            if n < len(b.rows):
+                kept[signature] = Block(b.kernel, b.kind, b.shared, b.rows[n:])
+        # its variables and block order; its layout is never built
         absorbed = FactorGraph(absorbed)
-        # timestep-major ordering puts the old variables first; the rows of
-        # R below the old block are the boundary's square-root information
-        system = linearize(absorbed, absorbed.state_vector(self.estimates))
-        boundary = [k for k in system.index if k.t >= new_start]
-        n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
+        # a block's rows the last window held come first, at that window's
+        # final linearization; the rest were appended since, and are linearized here
+        window = self._solved
+        held, appended = [], []
+        for b in absorbed.blocks:
+            columns, J, r = window.blocks.get(b.rows[0].seq, _NO_ROWS)
+            h = min(len(J), len(b.rows))
+            held.append((columns[:h], J[:h], r[:h]))
+            appended.append(Block(b.kernel, b.kind, b.shared, b.rows[h:]))
+        appended = FactorGraph(appended)
+        fresh = (_Linearization.of(appended, linearize(appended, appended.state_vector(self.estimates)))
+                 if appended.blocks else _NO_LINEARIZATION)
+        # [J r] row by row in the absorbed graph's order; timestep-major
+        # ordering puts the old variables first, and the rows of R below the
+        # old block are the boundary's square-root information
+        index = absorbed.variable_index()
         n = absorbed.total_dim
-        R = np.linalg.qr(np.column_stack([system.jacobian, system.residual]), mode="r")
+        from_window, from_fresh = _renumber(window.index, index), _renumber(fresh.index, index)
+        parts = []
+        for b, (columns, J, r) in zip(absorbed.blocks, held):
+            if len(J):
+                parts.append((from_window[columns], J, r))
+            if len(J) < len(b.rows):
+                columns, J, r = fresh.blocks[b.rows[len(J)].seq]
+                parts.append((from_fresh[columns], J, r))
+        system = np.zeros((sum(r.size for *_, r in parts), n + 1))
+        m = 0
+        for columns, J, r in parts:
+            rows = np.arange(m, m + r.size).reshape(r.shape)
+            system[rows[:, :, None], columns[:, None, :]] = J
+            system[rows, n] = r
+            m += r.size
+        boundary = [k for k in index if k.t >= new_start]
+        n_old = sum(dim for k, (_, dim) in index.items() if k.t < new_start)
+        R = np.linalg.qr(system, mode="r")
         diag = np.abs(np.diag(R[:n_old, :n_old]))
         if R.shape[0] < n_old or diag.min() <= 1e-12 * diag.max():
             raise SingularSystem("marginalized block is singular")
+        # copies, so that the prior does not keep the whole R alive
         prior = (np.concatenate([self.estimates[k] for k in boundary]),
-                 np.concatenate([_ANGLES[k.role] for k in boundary]), R[n_old:n, n], R[n_old:n, n_old:n])
+                 np.concatenate([_ANGLES[k.role] for k in boundary]), R[n_old:n, n].copy(),
+                 R[n_old:n, n_old:n].copy())
         add_row(kept, LinearizedPriorFactor, tuple(boundary), prior, np.ones(len(prior[2])),
                 (tuple(map(key_dim, boundary)),))
         # marginalized estimates stay in self.estimates as frozen history

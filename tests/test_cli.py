@@ -312,6 +312,37 @@ def test_benchmark_columns_survive_a_failed_first_row(tmp_path, monkeypatch):
     assert "error" not in header
 
 
+@pytest.mark.parametrize("mode", ["batch", "incremental"])
+def test_benchmark_rows_carry_each_kinds_final_chi2(tmp_path, monkeypatch, mode):
+    real = cli.run_estimate
+    reports = []
+
+    def recorded(cfg, traj):
+        out = real(cfg, traj)
+        reports.append(out[2])
+        return out
+
+    monkeypatch.setattr(cli, "run_estimate", recorded)
+    cfg = {**cli.BENCH_DEFAULTS, "trials": 1, "dur": 0.6, "models": "CP,QS", "mode": mode, "lag": 3,
+           "batch_every": 2}
+    rows, aggregates = cli.run_benchmark(cfg)
+    # rows are sorted by model, and CP runs first
+    for row, report in zip(rows, reports):
+        chi2 = {k[len("chi2_"):]: v for k, v in row.items() if k.startswith("chi2_")}
+        assert chi2 == report.chi2_final
+        if mode == "batch":
+            assert sum(chi2.values()) == pytest.approx(report.final_cost, rel=1e-12)
+    cp, qs = rows
+    assert "chi2_d" not in cp and qs["chi2_d"] > 0.0 and qs["chi2_s"] >= 0.0
+    out = tmp_path / "bench.csv"
+    cli.write_benchmark_csv(rows, aggregates, out, cfg)
+    header, *lines = _table_rows(out)[1:]
+    table = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    # a CP row has no D, and its aggregates skip the missing values: rows, then mean and std per model
+    assert [(row["model"], np.isnan(float(row["chi2_d"]))) for row in table] == [
+        ("CP", True), ("QS", False), ("CP", True), ("CP", True), ("QS", False), ("QS", False)]
+
+
 # Each command's flags and the effective config it runs with when none is
 # given, as they stood before the flags came from one table. Two keys are
 # gone on purpose: estimate's "seed" and benchmark's "model", which no flag

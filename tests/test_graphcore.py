@@ -447,22 +447,25 @@ class TestFactorGraph:
             assert list(graph.variable_index()) == grid(t0, T)
             assert graph.initial.keys() == graph.dims.keys()
 
-    def test_absorbed_variables_are_its_factors_keys(self, monkeypatch):
+    def test_marginalization_absorbs_the_rows_before_the_boundary(self, monkeypatch):
         traj = inject_noise(center_push_trajectory(duration=2.0), NoiseSpec(seed=2))
         smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
         for step in traj.steps[:12]:
             smoother.update(step)
         active = [row for b in smoother.blocks.values() for row in b.rows]
-        real_linearize = graphcore.linearize
         graphs = []
 
-        def recorded(graph, x):
-            graphs.append(graph)
-            return real_linearize(graph, x)
+        class Recorded(FactorGraph):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                graphs.append(self)
 
-        monkeypatch.setattr(graphcore, "linearize", recorded)
+        monkeypatch.setattr(graphcore, "FactorGraph", Recorded)
         smoother._marginalize_upto(7)
-        (absorbed,) = graphs
+        # the absorbed graph, then the rows appended since the last window
+        # (steps 10 and 11 reach back to step 8 at most, so none)
+        absorbed, appended = graphs
+        assert appended.blocks == [] and "layout" not in vars(absorbed)
         rows = [row for b in absorbed.blocks for row in b.rows]
         assert {row.seq for row in rows} == {row.seq for row in active if any(k.t < 7 for k in row.keys)}
         # in the order they were appended, block by block
@@ -472,6 +475,10 @@ class TestFactorGraph:
         assert list(absorbed.dims) == [k for k in grid(5, 12) if k in touched]
         # the boundary is what old factors reach: V reaches x_8 and e_8, no factor pf_8
         assert {k for k in touched if k.t >= 7} == {obj_key(7), ee_key(7), pf_key(7), obj_key(8), ee_key(8)}
+        prior = boundary_prior(smoother)
+        assert list(prior.keys) == [k for k in absorbed.dims if k.t >= 7]
+        # r0 and sqrt_info own their data, so the prior does not keep the whole QR factor alive
+        assert all(c.base is None for c in prior.consts[2:])
 
     def test_a_graph_is_built_whole(self):
         assert not hasattr(FactorGraph, "add_variable")
@@ -979,10 +986,163 @@ class TestMarginals:
             marginal_covariances(graph, graph.initial, [obj_key(1)])
 
 
+def relinearized_prior(smoother, new_start):
+    """The boundary prior from linearizing every row that touches a step before new_start.
+
+    The reference for the smoother's marginalization: the absorbed graph,
+    linearized at the estimates, and the QR factor of its dense [J r].
+    Returns the prior row's keys and constants (anchor, wrap, r0, sqrt_info).
+    """
+    absorbed = FactorGraph(Block(b.kernel, b.kind, b.shared, [row for row in b.rows
+                                                              if any(k.t < new_start for k in row.keys)])
+                           for b in smoother.blocks.values())
+    system = linearize(absorbed, absorbed.state_vector(smoother.estimates))
+    boundary = [k for k in system.index if k.t >= new_start]
+    n_old, n = sum(absorbed.dims[k] for k in absorbed.dims if k.t < new_start), absorbed.total_dim
+    R = np.linalg.qr(np.column_stack([system.jacobian, system.residual]), mode="r")
+    anchor = np.concatenate([smoother.estimates[k] for k in boundary])
+    wrap = np.concatenate([graphcore._ANGLES[k.role] for k in boundary])
+    return tuple(boundary), (anchor, wrap, R[n_old:n, n], R[n_old:n, n_old:n])
+
+
+def boundary_prior(smoother):
+    (row,) = [row for b in smoother.blocks.values() if b.kernel is LinearizedPriorFactor for row in b.rows]
+    return row
+
+
 class TestFixedLag:
     def make_noisy(self, duration=3.0, seed=11):
         return inject_noise(center_push_trajectory(duration=duration, offset=0.01),
                             NoiseSpec(seed=seed, sigma_x_rot=0.05, sigma_e_rot=0.05))
+
+    def scene(self, case):
+        """A 3 s push (30 steps): fully measured, y occluded over 12 steps, w never
+        measured, or turned so that the object's heading crosses +-pi."""
+        if case == "turned":
+            steer = steering_profile(30, 0.1, seed=0, amplitude=0.3)
+            gt = servo_push(PP(0.0, 0.0, 3.1), BOX, PROBE, PARAMS, 0.05, 3.0, 0.1, steer, direction=3.1,
+                            lateral_offset=0.01)
+            return inject_noise(from_ground_truth(gt), NoiseSpec(seed=3, sigma_x_rot=0.05, sigma_e_rot=0.05))
+        traj = self.make_noisy(duration=3.0)
+        if case == "y_occluded":
+            return apply_occlusion(traj, (0.2, 0.6), channels=("y",))
+        if case == "w_never":
+            return apply_occlusion(traj, (0.0, 1.0), channels=("w",))
+        return traj
+
+    @pytest.mark.parametrize("case", ["measured", "y_occluded", "w_never", "turned"])
+    @pytest.mark.parametrize("lag", [5, 6, 10])
+    def test_boundary_priors_equal_relinearizing_the_absorbed_rows(self, monkeypatch, lag, case):
+        # the rows the last window held come from its final system, the rest
+        # are linearized anew: every prior is the one a linearization of all
+        # absorbed rows gives, bit for bit
+        traj = self.scene(case)
+        real = FixedLagSmoother._marginalize_upto
+        headings = []
+
+        def checked(self, new_start):
+            keys, consts = relinearized_prior(self, new_start)
+            real(self, new_start)
+            row = boundary_prior(self)
+            assert row.keys == keys
+            assert all(np.array_equal(got, want) for got, want in zip(row.consts, consts))
+            assert np.array_equal(row.inv_sigmas, np.ones(len(consts[2])))
+            headings.append(row.consts[0][2])
+
+        monkeypatch.setattr(FixedLagSmoother, "_marginalize_upto", checked)
+        solve_incremental("QS", traj, lag=lag, batch_every=5)
+        assert len(headings) == (len(traj) - lag - 1) // 5 + 1
+        if case == "turned":
+            # object headings at the boundary on both sides of the seam
+            assert min(headings) < -3.0 and max(headings) > 3.0
+
+    @pytest.mark.parametrize("lag, rows", [(5, {"d": 1, "v": 4}), (10, None)])
+    def test_marginalization_linearizes_only_rows_appended_since_the_window(self, monkeypatch, lag, rows):
+        # at lag 5 a marginalization absorbs the whole last window plus the
+        # D row of new_start and the V rows of new_start and new_start + 1;
+        # at lag 10 it absorbs rows of the last window only
+        traj = self.make_noisy(duration=3.0)
+        real_linearize, real_marginalize = graphcore.linearize, FixedLagSmoother._marginalize_upto
+        calls = []  # per marginalization, the graphs it linearized
+        inside = False
+
+        def recorded(graph, x):
+            if inside:
+                calls[-1].append(graph)
+            return real_linearize(graph, x)
+
+        def marginalize(self, new_start):
+            nonlocal inside
+            calls.append([])
+            inside = True
+            try:
+                real_marginalize(self, new_start)
+            finally:
+                inside = False
+
+        monkeypatch.setattr(graphcore, "linearize", recorded)
+        monkeypatch.setattr(FixedLagSmoother, "_marginalize_upto", marginalize)
+        solve_incremental("QS", traj, lag=lag, batch_every=5)
+        assert len(calls) == (len(traj) - lag - 1) // 5 + 1
+        for graphs in calls:
+            assert [g.counts_by_kind() for g in graphs] == ([] if rows is None else [rows])
+            # it forms no normal matrix, so it builds no band data
+            assert not any({"bandwidth", "band_positions"} & vars(g.layout).keys() for g in graphs)
+
+    def test_a_window_that_raises_leaves_no_linearization_to_reuse(self, monkeypatch):
+        traj = self.make_noisy(duration=3.0)
+        smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
+        real_gauss_newton, real_linearize = graphcore.gauss_newton, graphcore.linearize
+        for step in traj.steps[:5]:
+            smoother.update(step)
+        assert smoother._solved.blocks  # the first window's
+
+        def raises(graph, init=None, opts=None):
+            raise SingularSystem("injected")
+
+        monkeypatch.setattr(graphcore, "gauss_newton", raises)
+        for step in traj.steps[5:9]:
+            smoother.update(step)
+        with pytest.raises(SingularSystem):
+            smoother.update(traj.steps[9])
+        assert not smoother._solved.blocks
+        monkeypatch.setattr(graphcore, "gauss_newton", real_gauss_newton)
+        for step in traj.steps[10:14]:
+            smoother.update(step)
+        # the next marginalization linearizes every row it absorbs, and gives
+        # the prior of that construction
+        keys, consts = relinearized_prior(smoother, 10)
+        absorbed = {row.seq for b in smoother.blocks.values() for row in b.rows if any(k.t < 10 for k in row.keys)}
+        graphs = []
+
+        def recorded(graph, x):
+            graphs.append(graph)
+            return real_linearize(graph, x)
+
+        monkeypatch.setattr(graphcore, "linearize", recorded)
+        smoother._marginalize_upto(10)
+        (graph,) = graphs
+        assert {row.seq for b in graph.blocks for row in b.rows} == absorbed
+        row = boundary_prior(smoother)
+        assert row.keys == keys and all(np.array_equal(got, want) for got, want in zip(row.consts, consts))
+
+    def test_finalize_drops_the_window_linearization(self):
+        traj = self.make_noisy(duration=2.0)
+        smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
+        for step in traj.steps[:12]:
+            smoother.update(step)
+        assert smoother._solved.blocks
+        smoother.finalize()
+        assert not smoother._solved.blocks
+        # an update after finalize marginalizes from a linearization of every absorbed row
+        for step in traj.steps[12:14]:
+            smoother.update(step)
+        keys, consts = relinearized_prior(smoother, 10)
+        smoother.update(traj.steps[14])
+        assert smoother.first_active_t == 10
+        row = boundary_prior(smoother)
+        assert row.keys == keys and all(np.array_equal(got, want) for got, want in zip(row.consts, consts))
+
 
     def test_full_lag_matches_batch(self):
         traj = self.make_noisy(duration=2.0)
