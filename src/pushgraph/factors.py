@@ -7,11 +7,12 @@ velocity smoothness (V), quasi-static pushing dynamics (D), and unary priors.
 Pose variables are (x, y, theta) arrays; contact/force variables are
 (px, py, fx, fy) arrays. Angle residuals always use the shortest arc.
 
-A factor is a row of a Block: its keys, its constants and its inverse
-sigmas. add_row appends it to the block of its kernel, kind, shared
-constants and residual dim, and a block keeps its rows in the order they
-were appended. Each kernel class evaluates all the rows of a block at once,
-with numpy over the rows (see Factor). The contact and intersection
+A factor is a row of a Block: a plain tuple of its step, where its
+variables sit on the state grid relative to that step, its constants and
+its inverse sigmas. add_row appends it to the block of its kernel, kind,
+shared constants and residual dim, and a block keeps its rows in the order
+they were appended. Each kernel class evaluates all the rows of a block at
+once, with numpy over the rows (see Factor). The contact and intersection
 kernels take their shape queries and those queries' Jacobians from
 geometry, for every pair of shapes.
 graphcore.linearize calls each block's kernel once per linearization; that
@@ -23,9 +24,7 @@ reference for the analytic Jacobians, checks the code that linearize runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,46 +87,46 @@ def quasi_static_residual(xp, xc, pf, c: float, dt: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class Row(NamedTuple):
-    keys: tuple  # the variables it touches, in its kernel's order
-    consts: tuple  # its own constants
-    inv_sigmas: np.ndarray  # its whitening
-    seq: int  # its place among all rows ever appended, which every graph keeps
-
-
-_ROW_SEQ = itertools.count()
-
-
 @dataclass
 class Block:
     """Factor rows of one kernel, kind, shared constants and residual dim.
 
-    The rows keep the order they were appended in, and a graph orders its
-    blocks by their first rows' seq.
+    A row is the tuple (t, at, consts, inv_sigmas): t, the step it was
+    appended at (for a step's own rows, the newest step they touch); at,
+    the first grid column of each of its variables, in its kernel's order,
+    as an offset from column 10 t (graphcore lays the state out ten columns
+    a step); its own constants; and its whitening. The rows keep the order
+    they were appended in.
     """
 
     kernel: type
     kind: str
-    shared: tuple  # constants every row shares: its shapes, or a boundary prior's key dims
-    rows: list[Row] = field(default_factory=list)
+    shared: tuple  # constants every row shares: its shapes, or a boundary prior's variable dims
+    rows: list[tuple] = field(default_factory=list)
+
+    @property
+    def signature(self) -> tuple:
+        """What add_row files the block's rows under."""
+        return self.kernel, self.kind, self.shared, len(self.rows[0][3])
 
     def constants(self) -> tuple:
         """The kernel's consts: the shared ones, then each row constant stacked over the rows."""
-        return self.shared + tuple(np.array(column) for column in zip(*(row.consts for row in self.rows)))
+        return self.shared + tuple(np.array(column) for column in zip(*(row[2] for row in self.rows)))
 
 
-def add_row(blocks: dict, kernel: type, keys: tuple, consts: tuple, inv_sigmas: np.ndarray,
+def add_row(blocks: dict, kernel: type, t: int, at: tuple, consts: tuple, inv_sigmas: np.ndarray,
             shared: tuple = (), kind: str | None = None):
     """Append a factor row to the block of blocks with its kernel, kind, shared constants and residual dim.
 
-    kind defaults to the kernel's.
+    t and at place the row's variables on the grid (see Block); kind
+    defaults to the kernel's.
     """
     kind = kind or kernel.kind
     signature = (kernel, kind, shared, len(inv_sigmas))
     block = blocks.get(signature)
     if block is None:
         block = blocks[signature] = Block(kernel, kind, shared)
-    block.rows.append(Row(keys, consts, inv_sigmas, next(_ROW_SEQ)))
+    block.rows.append((t, at, consts, inv_sigmas))
 
 
 # ---------------------------------------------------------------------------

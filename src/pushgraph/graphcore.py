@@ -18,29 +18,26 @@ into a square-root boundary prior (a QR factorization of the absorbed
 factors' whitened system) and re-optimizes the window. The smoother's
 marginalization reuses the last window's final system: the absorbed rows
 that window held are taken from it, and only the rows appended since are
-linearized.
-Both paths assemble a timestep the same way: `_step_rows` appends the row
-of every factor whose newest variable is at t (the gauge priors at t = 0,
-then the measurements, then C, S, D and V) to the block of its kernel,
-kind and shapes (factors.Block). `build_graph` calls it over the whole
-trajectory, the smoother once per update, so only the initial values
-differ between the two. Every graph, the batch, a window or the rows a
-window marginalizes, is FactorGraph(blocks, initial): its variables are
-the keys its rows touch.
-`linearize` is the one place factors are evaluated: it serves the
+evaluated, by the per-block routine of `linearize`.
+The state is a grid of ten columns a step: x_t, e_t and pf_t start at
+columns 10 t, 10 t + 3 and 10 t + 6, and a factor row holds its step and
+its variables' offsets from that step's first column. Both paths assemble
+a timestep the same way: `_step_rows` appends the row of every factor
+whose newest variable is at t (the gauge priors at t = 0, then the
+measurements, then C, S, D and V) to the block of its kernel, kind and
+shapes (factors.Block). `build_graph` calls it over the whole trajectory,
+the smoother once per update, so only the initial values differ between
+the two. A graph's columns are the grid cells its rows touch, in order.
+`linearize` calls each block's kernel once, over all its rows: for the
 Gauss-Newton candidates (their cost is the squared norm of the whitened
-residual it assembles), the marginal covariances and the smoother's
-marginalization. The marginals at a solve's answer reuse the solve's
-final system and its band factor, and linearize only at other values.
-A graph builds its band layout only when it first forms J^T J.
-`linearize` calls each block's kernel once, over all its rows; blocks
-with constant Jacobians are whitened once per graph and after that only
-their residuals are evaluated.
-The state is one flat vector in variable_index order. `linearize` takes
-it, and `gauss_newton` iterates on it: a candidate is x + delta with the
-angle slots wrapped through a mask kept in the graph's layout, and a
-dict of values per key is flattened (FactorGraph.state_vector) or built
-only at the entry and the exit of a solve.
+residual it assembles) and the marginal covariances, which at a solve's
+answer reuse its final system and band factor. Blocks with constant
+Jacobians are whitened once per graph and after that only their
+residuals are evaluated; the band layout is built at the first J^T J.
+`gauss_newton` iterates on one state vector of the graph's columns, a
+candidate being x + delta with the angle slots wrapped through a mask of
+the layout. It is read from a grid of values or a dict by key
+(FactorGraph.state_vector), and a dict is built only at a solve's exit.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -76,18 +73,21 @@ from .geometry import angle_diff, closest_points_with_jacobians, wrap_angle, wra
 
 
 class Role(str, enum.Enum):
-    # the str mixin keeps hashing a VariableKey in C (Enum's own __hash__ is
-    # Python code), which the state-vector dict lookups repeat
+    # the str mixin hashes a VariableKey in C (Enum's __hash__ is Python), for the API's dicts by key
     OBJECT = "x"
     EE = "e"
     CONTACT_FORCE = "pf"
 
 
-_ROLES = tuple(Role)  # the order of a timestep's variables
 _ROLE_DIM = {Role.OBJECT: 3, Role.EE: 3, Role.CONTACT_FORCE: 4}
 # which components of a variable are angles, wrapped on update
 _ANGLES = {role: np.arange(dim) == 2 if role is not Role.CONTACT_FORCE else np.zeros(dim, dtype=bool)
            for role, dim in _ROLE_DIM.items()}
+# the state grid: ten columns a step, x_t, e_t and pf_t from 10 t, 10 t + 3 and 10 t + 6
+_STEP = 10
+_AT = {Role.OBJECT: 0, Role.EE: 3, Role.CONTACT_FORCE: 6}
+_ROLE_AT = {at: role for role, at in _AT.items()}
+_GRID_ANGLES = np.concatenate(list(_ANGLES.values()))  # by column within a step
 
 
 class VariableKey(NamedTuple):
@@ -111,11 +111,10 @@ def key_dim(key: VariableKey) -> int:
     return _ROLE_DIM[key.role]
 
 
-def _step_keys(t: int) -> tuple:
-    """The keys of step t's rows: x_t, e_t, pf_t, x_{t-1}, e_{t-1}, x_{t-2}, e_{t-2}."""
-    return (VariableKey(Role.OBJECT, t), VariableKey(Role.EE, t), VariableKey(Role.CONTACT_FORCE, t),
-            VariableKey(Role.OBJECT, t - 1), VariableKey(Role.EE, t - 1),
-            VariableKey(Role.OBJECT, t - 2), VariableKey(Role.EE, t - 2))
+def _grid_values(grid: np.ndarray) -> dict[VariableKey, np.ndarray]:
+    """A grid's rows of steps 0, 1, ... as a dict of values by key, each a copy."""
+    return {VariableKey(role, t): values[at : at + _ROLE_DIM[role]].copy()
+            for t, values in enumerate(grid) for role, at in _AT.items()}
 
 
 def retract(x: np.ndarray, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -155,46 +154,34 @@ class LinearizedPriorFactor(Factor):
 
 
 class FactorGraph:
-    """Blocks of factor rows; its variables are the keys the rows touch.
+    """Blocks of factor rows; its columns are the grid cells the rows touch, in grid order.
 
     The graph keeps the rows its blocks hold now, and puts the blocks in
-    the order of their first rows. Variables are in timestep-major order,
-    and `initial`, if given, is copied for each of them. The layout
-    linearize uses is built on first use and kept, since a graph does not
-    change after it is built.
+    the order their first rows were appended (_place). `initial`, if given,
+    is read when a solve starts (see state_vector). The layout linearize
+    uses is built on first use and kept, since a graph does not change
+    after it is built.
     """
 
-    def __init__(self, blocks: Iterable[Block], initial: dict | None = None):
+    def __init__(self, blocks: Iterable[Block], initial: dict | np.ndarray | None = None):
         self.blocks: list[Block] = sorted((Block(b.kernel, b.kind, b.shared, b.rows[:]) for b in blocks if b.rows),
-                                          key=lambda b: b.rows[0].seq)
-        touched = {key for b in self.blocks for row in b.rows for key in row.keys}
-        # timestep-major: a stable sort by t of the keys listed role by role, with no Python call per key
-        keys = sorted([key for role in _ROLES for key in touched if key.role == role], key=operator.itemgetter(1))
-        self.dims: dict[VariableKey, int] = {key: key_dim(key) for key in keys}
-        self.initial: dict[VariableKey, np.ndarray] = (
-            {} if initial is None else {key: np.array(initial[key], dtype=float) for key in keys})
+                                          key=_place)
+        self.initial = initial
         # the system the last gauss_newton on this graph ended on, until
         # marginal_covariances takes it
         self.solved: LinearSystem | None = None
 
-    def variable_index(self) -> dict[VariableKey, tuple[int, int]]:
-        """Timestep-major ordering; near-optimal elimination for chain graphs."""
-        offsets = itertools.accumulate(self.dims.values(), initial=0)
-        return {key: (off, dim) for (key, dim), off in zip(self.dims.items(), offsets)}
+    def state_vector(self, values: dict | np.ndarray) -> np.ndarray:
+        """The values of the graph's variables as one new vector, in column order.
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def state_vector(self, values: dict) -> np.ndarray:
-        """The values of the graph's variables as one vector, in variable_index order.
-
-        values may hold keys of other graphs too; they are left out.
+        values is a dict by key (other graphs' keys left out) or a grid, ten values a step from step 0.
         """
-        index = self.layout.index
-        return np.concatenate([values[key] for key in index], dtype=float) if index else np.zeros(0)
+        layout = self.layout
+        if isinstance(values, np.ndarray):
+            return values.take(layout.grid)
+        return _concat([values[key] for key in layout.variables], float)
 
-    def cost(self, values: dict) -> float:
+    def cost(self, values: dict | np.ndarray) -> float:
         return linearize(self, self.state_vector(values)).cost
 
     def counts_by_kind(self) -> dict[str, int]:
@@ -209,6 +196,15 @@ class FactorGraph:
         return _build_linearize_cache(self)
 
 
+# the kinds of a step's rows in the order they are appended, a boundary prior last
+_KINDS = ("prior", "m_pose", "m_contactforce", "c_object", "c_ee", "c_objee", "s", "d", "v", "linearized_prior")
+
+
+def _place(block: Block) -> tuple[int, int]:
+    """Where a block's first row was appended: its step, then its kind's place in the step."""
+    return block.rows[0][0], _KINDS.index(block.kind)
+
+
 @dataclass
 class _BlockLayout:
     """A block's rows as linearize evaluates them, by one kernel call."""
@@ -216,11 +212,25 @@ class _BlockLayout:
     kernel: type
     kind: str
     consts: tuple  # the block's constants()
-    gather: list  # per key, (N, dim) positions of its values in the state vector
     inv_sigmas: np.ndarray  # (N, d) whitening
-    rows: slice  # its N * d residual rows, factor by factor
-    columns: np.ndarray  # (N, width) state columns of each factor's Jacobian
     jacobian: np.ndarray | None  # whitened (N, d, width) Jacobian when it is constant
+    spans: tuple  # each variable's slice of a row's width columns
+    columns: np.ndarray | None = None  # (N, width) positions evaluate gathers from; in a graph, state columns
+    gather: list | None = None  # the columns split by variable
+    rows: slice | None = None  # in a graph: its N * d residual rows, factor by factor
+
+    def placed(self, columns: np.ndarray):
+        """Gather from the positions columns (N, width) from now on."""
+        # copies: a contiguous index array gathers faster than a view of columns
+        self.columns, self.gather = columns, [columns[:, span].copy() for span in self.spans]
+
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The whitened (N, d) residual and (N, d, width) Jacobian at x."""
+        vals = [x[g] for g in self.gather]
+        if self.jacobian is not None:
+            return self.kernel.residuals(self.consts, *vals) * self.inv_sigmas, self.jacobian
+        r, jacs = self.kernel.evaluate(self.consts, *vals)
+        return r * self.inv_sigmas, np.concatenate(jacs, axis=2) * self.inv_sigmas[:, :, None]
 
     @cached_property
     def lower(self) -> np.ndarray:
@@ -228,20 +238,62 @@ class _BlockLayout:
         return self.columns[:, :, None] >= self.columns[:, None, :]
 
 
+@lru_cache(maxsize=256)
+def _row_columns(at: tuple) -> tuple[np.ndarray, tuple]:
+    """The grid columns of a row with offsets at, relative to its step's first, and each variable's slice of them."""
+    dims = [_ROLE_DIM[_ROLE_AT[a % _STEP]] for a in at]
+    columns = np.concatenate([a + np.arange(dim) for a, dim in zip(at, dims)])
+    columns.flags.writeable = False  # every caller shares it
+    return columns, tuple(slice(end - dim, end) for end, dim in zip(itertools.accumulate(dims), dims))
+
+
+def _block_layout(block: Block) -> _BlockLayout:
+    """A block's rows gathering their values from a grid, at positions 10 t + each row's _row_columns."""
+    rows = block.rows
+    inv_sigmas = np.array([row[3] for row in rows])
+    cls, consts = block.kernel, block.constants()
+    jacobian = (np.concatenate(cls.constant_jacobians(consts), axis=2) * inv_sigmas[:, :, None]
+                if cls.constant_jacobian else None)
+    layout = _BlockLayout(cls, block.kind, consts, inv_sigmas, jacobian, _row_columns(rows[0][1])[1])
+    layout.placed(_STEP * np.array([row[0] for row in rows])[:, None]
+                  + np.array([_row_columns(row[1])[0] for row in rows]))
+    return layout
+
+
+def _grid_columns(cells: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The grid columns that cells touch, in grid order, and each cell's place among them.
+
+    A mask over the span the cells reach marks the touched columns, and its
+    running count is each one's place, whether they cover the span or not.
+    """
+    flat = np.concatenate([c.ravel() for c in cells])
+    lo = flat.min()
+    touched = np.zeros(flat.max() + 1 - lo, dtype=bool)
+    touched[flat - lo] = True
+    place = (np.cumsum(touched) - 1)[flat - lo]
+    ends = itertools.accumulate(c.size for c in cells)
+    return np.flatnonzero(touched) + lo, [place[end - c.size : end].reshape(c.shape) for c, end in zip(cells, ends)]
+
+
 @dataclass
 class _LinearizeCache:
     """Blocks and the band layout of a graph, reused across iterations.
 
     The band layout (bandwidth, band_positions, constant_band and the
-    blocks' lower pairs) is built on first use, by the first normal_matrix:
-    a graph the smoother linearizes to marginalize never forms one.
+    blocks' lower pairs) is built on first use, by the first normal_matrix.
     """
 
-    index: dict
+    grid: np.ndarray  # the grid column of each state column
     theta: np.ndarray  # marks the state vector's angle slots, wrapped on update
     shape: tuple[int, int]
     blocks: list[_BlockLayout]  # with a constant Jacobian only the residual is evaluated
     columns: np.ndarray  # every block's columns, raveled block by block
+
+    @cached_property
+    def variables(self) -> dict[VariableKey, int]:
+        """Each variable's first state column by key, in column order: the columns as the API's dicts see them."""
+        return {VariableKey(_ROLE_AT[g % _STEP], g // _STEP): c
+                for c, g in enumerate(self.grid.tolist()) if g % _STEP in _ROLE_AT}
 
     @cached_property
     def bandwidth(self) -> int:
@@ -276,32 +328,21 @@ def _band(layout: _LinearizeCache, blocks: list[tuple[_BlockLayout, np.ndarray]]
 
 
 def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=dtype)
+    return np.concatenate(arrays, dtype=dtype) if arrays else np.zeros(0, dtype=dtype)
 
 
 def _build_linearize_cache(graph: FactorGraph) -> _LinearizeCache:
-    index = graph.variable_index()
-    offset_of = {key: off for key, (off, _) in index.items()}.__getitem__
-    blocks = []
+    blocks = [_block_layout(b) for b in graph.blocks]
+    grid, places = _grid_columns([b.columns for b in blocks]) if blocks else (np.zeros(0, int), [])
     m = 0
-    for block in graph.blocks:
-        N = len(block.rows)
-        dims = [key_dim(k) for k in block.rows[0].keys]  # the same for every row of a block
-        keys = itertools.chain.from_iterable(row.keys for row in block.rows)
-        offsets = np.fromiter(map(offset_of, keys), dtype=np.intp, count=N * len(dims)).reshape(N, len(dims))
-        gather = [offsets[:, i, None] + np.arange(dim) for i, dim in enumerate(dims)]
-        inv_sigmas = np.array([row.inv_sigmas for row in block.rows])
-        d = inv_sigmas.shape[1]
-        cls, consts = block.kernel, block.constants()
-        jacobian = (np.concatenate(cls.constant_jacobians(consts), axis=2) * inv_sigmas[:, :, None]
-                    if cls.constant_jacobian else None)
-        blocks.append(_BlockLayout(cls, block.kind, consts, gather, inv_sigmas, slice(m, m + N * d),
-                                   np.concatenate(gather, axis=1), jacobian))
-        m += N * d
+    for b, columns in zip(blocks, places):
+        b.placed(columns)
+        b.rows = slice(m, m + b.inv_sigmas.size)
+        m += b.inv_sigmas.size
     return _LinearizeCache(
-        index=index,
-        theta=_concat([_ANGLES[key.role] for key in index], bool),
-        shape=(m, graph.total_dim),
+        grid=grid,
+        theta=_GRID_ANGLES[grid % _STEP],
+        shape=(m, len(grid)),
         blocks=blocks,
         columns=_concat([b.columns.ravel() for b in blocks], int),
     )
@@ -317,7 +358,6 @@ class LinearSystem:
 
     x: np.ndarray  # the state vector it linearizes at
     residual: np.ndarray
-    index: dict[VariableKey, tuple[int, int]]
     jacobians: list[np.ndarray]  # per block of the layout, its whitened (N, d, width) Jacobian
     layout: _LinearizeCache
 
@@ -388,24 +428,18 @@ def _band_cholesky(band: np.ndarray) -> np.ndarray:
 def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
     """Whiten the residual and the blocks' Jacobians at the state vector x.
 
-    x holds every variable in variable_index order (graph.state_vector
-    flattens a dict of values); each block gathers its factors' values from
-    it by index arrays of the layout. Residual rows come block by block, each
-    block's factor by factor.
+    x holds every variable in column order (graph.state_vector builds it);
+    each block gathers its factors' values from it by index arrays of the
+    layout. Residual rows come block by block, each block's factor by factor.
     """
     cache = graph.layout
     res = np.empty(cache.shape[0])
     jacobians = []
     for b in cache.blocks:
-        vals = [x[g] for g in b.gather]
-        if b.jacobian is not None:
-            r = b.kernel.residuals(b.consts, *vals)
-            jacobians.append(b.jacobian)
-        else:
-            r, jacs = b.kernel.evaluate(b.consts, *vals)
-            jacobians.append(np.concatenate(jacs, axis=2) * b.inv_sigmas[:, :, None])
-        res[b.rows] = (r * b.inv_sigmas).ravel()
-    return LinearSystem(x=x, residual=res, index=cache.index, jacobians=jacobians, layout=cache)
+        r, J = b.evaluate(x)
+        res[b.rows] = r.ravel()
+        jacobians.append(J)
+    return LinearSystem(x=x, residual=res, jacobians=jacobians, layout=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +546,17 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
       - "no_improving_step", stalled: no rung of the ladder lowers the cost.
       - "max_iter", capped: max_iter steps were accepted.
 
-    The solve iterates on one flat state vector: the initial values are
-    flattened once, a candidate is x + delta with the angle slots wrapped
-    (retract, through the layout's theta mask), and the values dict is built
-    once on return. The report's per-kind chi^2 come from the first and the
-    final system. The final system is kept as graph.solved, so that
-    marginal_covariances at the returned values does not linearize again,
-    and takes the band factor too when the model rule stopped the solve.
+    The solve iterates on one flat state vector: init (graph.initial when
+    None), a dict of values by key or a grid, is flattened once, a candidate
+    is x + delta with the angle slots wrapped (retract, through the layout's
+    theta mask), and the values dict is built once on return. The report's
+    per-kind chi^2 come from the first and the final system. The final
+    system is kept as graph.solved, so that marginal_covariances at the
+    returned values does not linearize again, and takes the band factor too
+    when the model rule stopped the solve.
     """
     opts = opts or GaussNewtonOptions()
-    init = init or graph.initial
-    for key in graph.dims:
-        if key not in init:
-            raise KeyError(f"no initial value for {key}")
-    x = graph.state_vector(init)
+    x = graph.state_vector(graph.initial if init is None else init)
     theta = graph.layout.theta
     system = linearize(graph, x)
     cost = system.cost
@@ -581,7 +612,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
     graph.solved = system
     # views into a copy, so that changing the values leaves the kept system's point alone
     out = x.copy()
-    return {key: out[off : off + dim] for key, (off, dim) in system.index.items()}, report
+    return {key: out[c : c + key_dim(key)] for key, c in system.layout.variables.items()}, report
 
 
 def _selected_inverse(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -651,7 +682,7 @@ def marginal_covariances(graph: FactorGraph, values: dict, keys) -> dict:
     s = diag.shape[1]
     out = {}
     for key in keys:
-        off, dim = system.index[key]
+        off, dim = system.layout.variables[key], key_dim(key)
         k, first = divmod(off, s)
         if first + dim <= s:
             out[key] = diag[k, first : first + dim, first : first + dim].copy()
@@ -801,50 +832,52 @@ def _initial_pose_track(measured: list) -> list[np.ndarray]:
 
 
 def _step_rows(blocks: dict, model: GraphModel, traj: MeasuredTrajectory, config: GraphConfig, t: int,
-               step: TrajectoryStep, times, init: dict, keys: tuple):
+               step: TrajectoryStep, times, start: tuple):
     """Append the row of every factor whose newest variable is at t, in the order build_graph and the smoother share.
 
-    The gauge priors (at t = 0 only, anchored at init) come first, then the
-    measurement factors, then C, S, D and V; dt is times[t] - times[t-1],
-    and keys are _step_keys(t). A dt that is not positive raises
+    The gauge priors (at t = 0 only, anchored at start, the step's initial
+    x, e and pf) come first, then the measurement factors, then C, S, D and
+    V; dt is times[t] - times[t-1]. A dt that is not positive raises
     NonPositiveTimestep before any row is appended. The work is the same
     at every step: the rows share the config's inverse sigmas (a V row's
-    are the config's rate sigmas scaled by its dt), and only times[t - 2:t + 1]
-    is read.
+    are the config's rate sigmas scaled by its dt), their grid offsets are
+    constants (x_t at 0, e_t at 3, pf_t at 6, a step earlier 10 back), and
+    only times[t - 2:t + 1] is read.
     """
     if t >= 1 and not times[t] > times[t - 1]:
         raise NonPositiveTimestep(f"step {t} at t = {times[t]} is not after the previous step at t = {times[t - 1]}")
     obj_shape, ee_shape = traj.object_shape, traj.ee_shape
-    x, e, pf, x1, e1, x2, e2 = keys
     if t == 0:
-        for key, noise in ((x, config.object_pose_noise), (e, config.ee_pose_noise), (pf, config.pf_noise)):
-            add_row(blocks, PriorFactor, (key,), (init[key], _ANGLES[key.role]), noise.inv_sigmas)
-    for key, meas, noise in ((x, step.y, config.object_pose_noise), (e, step.z, config.ee_pose_noise)):
+        for role, value, noise in zip(_AT, start, (config.object_pose_noise, config.ee_pose_noise, config.pf_noise)):
+            add_row(blocks, PriorFactor, t, (_AT[role],), (value, _ANGLES[role]), noise.inv_sigmas)
+    for at, role, meas, noise in (((0,), Role.OBJECT, step.y, config.object_pose_noise),
+                                  ((3,), Role.EE, step.z, config.ee_pose_noise)):
         if meas is not None:
-            add_row(blocks, PriorFactor, (key,), (meas.as_array(), _ANGLES[key.role]), noise.inv_sigmas, kind="m_pose")
+            add_row(blocks, PriorFactor, t, at, (meas.as_array(), _ANGLES[role]), noise.inv_sigmas, kind="m_pose")
     # unmeasured components: zero anchor, weak sigma
     meas = np.zeros(4)
     if step.w is not None:
         meas[:2] = step.w
     if step.alpha is not None:
         meas[2:] = np.asarray(step.alpha, dtype=float)[:2]
-    add_row(blocks, ContactForceMeasurementFactor, (pf,), (meas, _ANGLES[Role.CONTACT_FORCE]),
+    add_row(blocks, ContactForceMeasurementFactor, t, (6,), (meas, _ANGLES[Role.CONTACT_FORCE]),
             config.contact_force_inv_sigmas[step.w is not None, step.alpha is not None])
     surface = config.surface_noise.inv_sigmas
-    add_row(blocks, ContactSurfaceFactor, (x, pf), (), surface, (obj_shape,), kind="c_object")
-    add_row(blocks, ContactSurfaceFactor, (e, pf), (), surface, (ee_shape,), kind="c_ee")
-    add_row(blocks, SurfaceGapFactor, (x, e), (), surface, (obj_shape, ee_shape))
+    add_row(blocks, ContactSurfaceFactor, t, (0, 6), (), surface, (obj_shape,), kind="c_object")
+    add_row(blocks, ContactSurfaceFactor, t, (3, 6), (), surface, (ee_shape,), kind="c_ee")
+    add_row(blocks, SurfaceGapFactor, t, (0, 3), (), surface, (obj_shape, ee_shape))
     if model in (GraphModel.SDF, GraphModel.QS):
-        add_row(blocks, IntersectionFactor, (x, e), (), config.intersection_noise.inv_sigmas, (obj_shape, ee_shape))
+        add_row(blocks, IntersectionFactor, t, (0, 3), (), config.intersection_noise.inv_sigmas,
+                (obj_shape, ee_shape))
     if model is GraphModel.QS and t >= 1:
-        add_row(blocks, QuasiStaticFactor, (x1, x, pf), (traj.params.c, times[t] - times[t - 1]),
+        add_row(blocks, QuasiStaticFactor, t, (-10, 0, 6), (traj.params.c, times[t] - times[t - 1]),
                 config.qs_noise.inv_sigmas)
     if t >= 2:
         dt1, dt2 = times[t - 1] - times[t - 2], times[t] - times[t - 1]
         # NoiseModel's own float operations on sigmas that it checked once; dt > 0 is checked above
         inv_sigmas = 1.0 / (config.vel_rate_noise.sigmas * math.sqrt(0.5 * (dt1 + dt2)))
-        add_row(blocks, ConstantVelocityFactor, (x2, x1, x), (dt1, dt2), inv_sigmas)
-        add_row(blocks, ConstantVelocityFactor, (e2, e1, e), (dt1, dt2), inv_sigmas)
+        add_row(blocks, ConstantVelocityFactor, t, (-20, -10, 0), (dt1, dt2), inv_sigmas)
+        add_row(blocks, ConstantVelocityFactor, t, (-17, -7, 3), (dt1, dt2), inv_sigmas)
 
 
 def _check_metadata(model: GraphModel, traj: MeasuredTrajectory):
@@ -897,9 +930,10 @@ def build_graph(model, traj: MeasuredTrajectory, config: GraphConfig | None = No
     config = config or GraphConfig.from_trajectory(traj)
     times = traj.timestamps.tolist()
     init = initial_values(traj)
+    start = (init[obj_key(0)], init[ee_key(0)], init[pf_key(0)])
     blocks: dict = {}
     for t, step in enumerate(traj.steps):
-        _step_rows(blocks, model, traj, config, t, step, times, init, _step_keys(t))
+        _step_rows(blocks, model, traj, config, t, step, times, start)
     return FactorGraph(blocks.values(), init)
 
 
@@ -926,35 +960,7 @@ def solve_batch(model, traj: MeasuredTrajectory, config: GraphConfig | None = No
 
 
 def _oldest_step(row) -> int:
-    return min(key.t for key in row.keys)
-
-
-class _Linearization(NamedTuple):
-    """A graph's linearization as a marginalization reads it, block by block."""
-
-    index: dict  # the graph's variable_index
-    # by each block's first row's seq: its (N, width) columns, whitened
-    # (N, d, width) Jacobian and whitened (N, d) residual
-    blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-    @classmethod
-    def of(cls, graph: FactorGraph, system: LinearSystem) -> "_Linearization":
-        return cls(system.index, {b.rows[0].seq: (layout.columns, J, system.residual[layout.rows].reshape(J.shape[:2]))
-                                  for b, layout, J in zip(graph.blocks, system.layout.blocks, system.jacobians)})
-
-
-_NO_LINEARIZATION = _Linearization({}, {})
-_NO_ROWS = (np.zeros((0, 0), dtype=np.intp), np.zeros((0, 0, 0)), np.zeros((0, 0)))
-
-
-def _renumber(source: dict, target: dict) -> np.ndarray:
-    """target's column of each column of the source variable index; -1 for a variable target lacks."""
-    out = np.full(sum(dim for _, dim in source.values()), -1, dtype=np.intp)
-    for key, (off, dim) in target.items():
-        if key in source:
-            at = source[key][0]
-            out[at : at + dim] = np.arange(off, off + dim)
-    return out
+    return row[0] + min(row[1]) // _STEP
 
 
 class FixedLagSmoother:
@@ -967,26 +973,29 @@ class FixedLagSmoother:
     on the boundary variables (square-root information, as in iSAM2). The
     window is re-optimized after every `batch_every` timesteps, measured or
     not; `batch_every <= lag` makes every timestep part of an optimized
-    window before it is marginalized.
+    window before it is marginalized. A lag or batch_every that is not an
+    integer is refused, not truncated.
 
     After each window solve the smoother keeps that window's final
-    linearization, the whitened Jacobian and residual of each of its
-    blocks (gauss_newton leaves them in graph.solved). Estimates change
-    only in window solves, so at the next marginalization the rows that
-    window held are still at the values of its final system, and their
-    rows of [J r] are read from it; only the absorbed rows appended since
-    are linearized, as one small graph. [J r] is the same, row for row and
-    column for column, as a linearization of all absorbed rows, and so is
-    every prior. The kept linearization is reset before each solve, so a
-    solve that raises leaves none and the next marginalization linearizes
-    every row it absorbs; finalize drops it, since no marginalization
-    follows.
+    linearization: the grid columns, whitened Jacobian and residual of each
+    of its blocks (gauss_newton leaves them in graph.solved). Estimates
+    change only in window solves, so at the next marginalization the rows
+    that window held are still at the values of its final system, and
+    their rows of [J r] are read from it; only the absorbed rows appended
+    since are evaluated. [J r] is the same, row for row and column for
+    column, as a linearization of all absorbed rows, and so is every prior.
+    The kept linearization is reset before each solve, so a solve that
+    raises leaves none and the next marginalization evaluates every row it
+    absorbs; finalize drops it, since no marginalization follows.
 
     Each update appends the rows of _step_rows to the smoother's blocks, as
-    build_graph does, and marginalization takes the rows it absorbs out of
-    them. A window is the graph of the active rows; every step has factors
-    on its three variables, so its variables are the whole (role, t) grid
-    from first_active_t on. With lag >= T and batch_every = T the one window
+    build_graph does, and the step's initial values to the grid of
+    estimates, a row of x, e and pf a step; marginalization takes the rows
+    it absorbs out of the blocks and leaves the grid as frozen history. A
+    window is the graph of the active rows; every step has factors on its
+    three variables, so its columns are the grid's from first_active_t on,
+    its initial state vector is their values, and its solve writes them
+    back. With lag >= T and batch_every = T the one window
     is the batch graph, row for row in the same order. On a fully
     measured trajectory its initial values are the batch's too, and the
     answer equals the batch answer bit for bit. Under occlusion the initial
@@ -1003,8 +1012,10 @@ class FixedLagSmoother:
         _check_metadata(self.model, traj_template)
         self.template = traj_template
         self.config = config or GraphConfig.from_trajectory(traj_template)
-        self.lag = int(lag)
-        self.batch_every = int(batch_every)
+        for name, value in (("lag", lag), ("batch_every", batch_every)):
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        self.lag, self.batch_every = operator.index(lag), operator.index(batch_every)
         self.opts = opts or GaussNewtonOptions()
         if self.lag < 3:
             raise ValueError("lag must cover at least 3 timesteps")
@@ -1012,57 +1023,55 @@ class FixedLagSmoother:
             raise ValueError(f"batch_every must be between 1 and the lag ({self.lag}), got {self.batch_every}")
 
         self.timestamps: list[float] = []
-        self.estimates: dict[VariableKey, np.ndarray] = {}
+        self._grid = np.zeros((16, _STEP))  # the estimates, then room for the next steps
         self.blocks: dict = {}  # the active rows, as add_row appends them
         self.first_active_t = 0
         self.reports: list[SolveReport] = []  # one per window optimization
-        # the last window's final linearization; _NO_LINEARIZATION when there is none to reuse
-        self._solved = _NO_LINEARIZATION
+        self._solved: dict = {}  # the last window's final linearization by block signature, if any
+
+    @property
+    def estimates(self) -> np.ndarray:
+        """The (T, 10) grid of estimates, x, e and pf a step: a view, current until the next update."""
+        return self._grid[: len(self.timestamps)]
 
     # -- construction helpers ------------------------------------------------
 
-    def _new_variables(self, keys: tuple, step: TrajectoryStep) -> dict[VariableKey, np.ndarray]:
-        """Initial values of a step's variables, from its measurements or the estimates before it.
-
-        keys are the step's _step_keys.
-        """
-        x, e, pf, x1, e1, x2, e2 = keys
-        estimates = self.estimates
+    def _new_variables(self, t: int, step: TrajectoryStep) -> tuple:
+        """Initial x, e and pf of step t, from its measurements or the estimates of the two steps before it."""
+        grid = self._grid
         y = None if step.y is None else step.y.as_array()
         z = None if step.z is None else step.z.as_array()
         if y is None:
-            prev = estimates.get(x1)
-            y = np.zeros(3) if prev is None else _extrapolate_pose(prev, estimates.get(x2))
+            y = np.zeros(3) if t == 0 else _extrapolate_pose(grid[t - 1, 0:3], grid[t - 2, 0:3] if t >= 2 else None)
         if z is None:
-            prev = estimates.get(e1)
-            z = np.zeros(3) if prev is None else _extrapolate_pose(prev, estimates.get(e2))
-        prev_pf = estimates.get(VariableKey(Role.CONTACT_FORCE, x.t - 1))
-        contact = _initial_pf(np.zeros(4) if prev_pf is None else prev_pf, step)
-        if step.w is None and prev_pf is None:
+            z = np.zeros(3) if t == 0 else _extrapolate_pose(grid[t - 1, 3:6], grid[t - 2, 3:6] if t >= 2 else None)
+        contact = _initial_pf(np.zeros(4) if t == 0 else grid[t - 1, 6:], step)
+        if step.w is None and t == 0:
             contact[:2] = closest_points_with_jacobians(self.template.object_shape, y[None], z[None, :2])[0][0]
-        return {x: y, e: z, pf: contact}
+        return y, z, contact
 
     def update(self, step: TrajectoryStep):
         """Ingest one timestep of measurements; `estimates` holds the result.
 
         An update that does not close a window does the same small amount of
-        work at every step, however many came before: it builds the step's
-        keys once, appends the step's rows and its timestamp in place, and
-        reads only the estimates of the two steps before it. Every
-        batch_every steps it also optimizes the window.
+        work at every step, however many came before: it appends the step's
+        rows, its timestamp and its row of the grid in place (the grid
+        doubles when it is full), and reads only the estimates of the two
+        steps before it. Every batch_every steps it also optimizes the window.
         A step that is not after the previous one raises NonPositiveTimestep
         and leaves the smoother as it was.
         """
         t = len(self.timestamps)
-        keys = _step_keys(t)
-        new = self._new_variables(keys, step)
+        start = self._new_variables(t, step)
         self.timestamps.append(float(step.t))
         try:
-            _step_rows(self.blocks, self.model, self.template, self.config, t, step, self.timestamps, new, keys)
+            _step_rows(self.blocks, self.model, self.template, self.config, t, step, self.timestamps, start)
         except NonPositiveTimestep:
             self.timestamps.pop()
             raise
-        self.estimates.update(new)
+        if t == len(self._grid):
+            self._grid = np.concatenate([self._grid, np.zeros_like(self._grid)])
+        self._grid[t] = np.concatenate(start)
         if t >= 1 and (t + 1) % self.batch_every == 0:
             self._optimize()
 
@@ -1072,8 +1081,8 @@ class FixedLagSmoother:
         # update ran a window at T >= 2 exactly when T is a multiple of batch_every
         if T >= 2 and T % self.batch_every != 0:
             self._optimize()
-        self._solved = _NO_LINEARIZATION  # no marginalization follows
-        return {k: v.copy() for k, v in self.estimates.items()}
+        self._solved = {}  # no marginalization follows
+        return _grid_values(self.estimates)
 
     # -- optimization and marginalization ------------------------------------
 
@@ -1082,77 +1091,67 @@ class FixedLagSmoother:
         window_start = max(self.first_active_t, T - self.lag)
         if window_start > self.first_active_t:
             self._marginalize_upto(window_start)
-        self._solved = _NO_LINEARIZATION  # a solve that raises leaves none
+        self._solved = {}  # a solve that raises leaves none
         graph = FactorGraph(self.blocks.values(), self.estimates)
-        values, report = gauss_newton(graph, None, self.opts)
-        self._solved = _Linearization.of(graph, graph.solved)
+        _, report = gauss_newton(graph, None, self.opts)
+        system, layout = graph.solved, graph.layout
+        self._solved = {b.signature: (layout.grid[bl.columns], J, system.residual[bl.rows].reshape(J.shape[:2]))
+                        for b, bl, J in zip(graph.blocks, layout.blocks, system.jacobians)}
         self.reports.append(report)
-        self.estimates.update(values)
+        self._grid.put(layout.grid, system.x)
 
     def _marginalize_upto(self, new_start: int):
         # every active row touching a timestep before new_start is absorbed;
-        # the variables it also touches at or after new_start form the
-        # boundary. A block's rows are in step order, so it absorbs a prefix
-        absorbed, kept = [], {}
-        for signature, b in self.blocks.items():
+        # the cells it also touches at or after new_start form the boundary.
+        # A block's rows are in step order, so it absorbs a prefix: first the
+        # rows the last window held, at that window's final linearization,
+        # then the rows appended since, evaluated here at the estimates
+        x = self._grid.ravel()
+        parts, kept = [], {}
+        for b in sorted(self.blocks.values(), key=_place):
             n = bisect.bisect_left(b.rows, new_start, key=_oldest_step)
-            absorbed.append(Block(b.kernel, b.kind, b.shared, b.rows[:n]))
             if n < len(b.rows):
-                kept[signature] = Block(b.kernel, b.kind, b.shared, b.rows[n:])
-        # its variables and block order; its layout is never built
-        absorbed = FactorGraph(absorbed)
-        # a block's rows the last window held come first, at that window's
-        # final linearization; the rest were appended since, and are linearized here
-        window = self._solved
-        held, appended = [], []
-        for b in absorbed.blocks:
-            columns, J, r = window.blocks.get(b.rows[0].seq, _NO_ROWS)
-            h = min(len(J), len(b.rows))
-            held.append((columns[:h], J[:h], r[:h]))
-            appended.append(Block(b.kernel, b.kind, b.shared, b.rows[h:]))
-        appended = FactorGraph(appended)
-        fresh = (_Linearization.of(appended, linearize(appended, appended.state_vector(self.estimates)))
-                 if appended.blocks else _NO_LINEARIZATION)
-        # [J r] row by row in the absorbed graph's order; timestep-major
-        # ordering puts the old variables first, and the rows of R below the
-        # old block are the boundary's square-root information
-        index = absorbed.variable_index()
-        n = absorbed.total_dim
-        from_window, from_fresh = _renumber(window.index, index), _renumber(fresh.index, index)
-        parts = []
-        for b, (columns, J, r) in zip(absorbed.blocks, held):
-            if len(J):
-                parts.append((from_window[columns], J, r))
-            if len(J) < len(b.rows):
-                columns, J, r = fresh.blocks[b.rows[len(J)].seq]
-                parts.append((from_fresh[columns], J, r))
+                kept[b.signature] = Block(b.kernel, b.kind, b.shared, b.rows[n:])
+            held = self._solved.get(b.signature)  # its (N, width) grid columns, J and r
+            h = 0 if held is None else min(len(held[1]), n)
+            if h:
+                parts.append(tuple(a[:h] for a in held))
+            if h < n:
+                appended = _block_layout(Block(b.kernel, b.kind, b.shared, b.rows[h:n]))
+                r, J = appended.evaluate(x)
+                parts.append((appended.columns, J, r))
+        # [J r] row by row in block order; the absorbed cells' grid order puts
+        # the old variables first, and the rows of R below the old block are
+        # the boundary's square-root information
+        grid, places = _grid_columns([cells for cells, _, _ in parts])
+        n = len(grid)
         system = np.zeros((sum(r.size for *_, r in parts), n + 1))
         m = 0
-        for columns, J, r in parts:
+        for columns, (_, J, r) in zip(places, parts):
             rows = np.arange(m, m + r.size).reshape(r.shape)
             system[rows[:, :, None], columns[:, None, :]] = J
             system[rows, n] = r
             m += r.size
-        boundary = [k for k in index if k.t >= new_start]
-        n_old = sum(dim for k, (_, dim) in index.items() if k.t < new_start)
+        n_old = int(np.searchsorted(grid, _STEP * new_start))
         R = np.linalg.qr(system, mode="r")
         diag = np.abs(np.diag(R[:n_old, :n_old]))
         if R.shape[0] < n_old or diag.min() <= 1e-12 * diag.max():
             raise SingularSystem("marginalized block is singular")
-        # copies, so that the prior does not keep the whole R alive
-        prior = (np.concatenate([self.estimates[k] for k in boundary]),
-                 np.concatenate([_ANGLES[k.role] for k in boundary]), R[n_old:n, n].copy(),
-                 R[n_old:n, n_old:n].copy())
-        add_row(kept, LinearizedPriorFactor, tuple(boundary), prior, np.ones(len(prior[2])),
-                (tuple(map(key_dim, boundary)),))
-        # marginalized estimates stay in self.estimates as frozen history
+        boundary = grid[n_old:]
+        starts = [g for g in boundary.tolist() if g % _STEP in _ROLE_AT]  # each boundary variable's first column
+        # copies, so that the prior does not keep the whole R alive; it is
+        # appended at the newest step, after that step's rows
+        t = len(self.timestamps) - 1
+        prior = (x[boundary], _GRID_ANGLES[boundary % _STEP], R[n_old:n, n].copy(), R[n_old:n, n_old:n].copy())
+        add_row(kept, LinearizedPriorFactor, t, tuple(g - _STEP * t for g in starts), prior, np.ones(len(prior[2])),
+                (tuple(_ROLE_DIM[_ROLE_AT[g % _STEP]] for g in starts),))
         self.blocks = kept
         self.first_active_t = new_start
 
     # -- reporting ------------------------------------------------------------
 
     def estimate_arrays(self) -> TrajectoryArrays:
-        return values_to_arrays(self.estimates, len(self.timestamps), np.asarray(self.timestamps))
+        return values_to_arrays(_grid_values(self.estimates), len(self.timestamps), np.asarray(self.timestamps))
 
 
 def solve_incremental(model, traj: MeasuredTrajectory, config: GraphConfig | None = None,

@@ -24,7 +24,18 @@ from pushgraph.geometry import (
     signed_distance,
     wrap_angle,
 )
-from pushgraph.graphcore import _ANGLES, LinearizedPriorFactor, ee_key, key_dim, obj_key, pf_key
+from pushgraph.graphcore import (
+    _ANGLES,
+    _AT,
+    _ROLE_AT,
+    _STEP,
+    LinearizedPriorFactor,
+    VariableKey,
+    ee_key,
+    key_dim,
+    obj_key,
+    pf_key,
+)
 
 BOX = Shape2D.box(0.1, 0.1)
 PROBE = Shape2D.disc(0.01)
@@ -40,26 +51,46 @@ ALL_KINDS = ["prior", "m_pose", "m_contactforce", "c_object", "c_ee", "c_objee",
              "c_objee_poly_ee", "s", "s_poly_ee", "v", "d", "linearized_prior"]
 
 
+def row_at(keys):
+    """A row's step and grid offsets (factors.Block) for variables given by key.
+
+    The step is the newest one, and each offset the key's first grid column relative to that step's.
+    """
+    t = max(k.t for k in keys)
+    return t, tuple(_STEP * (k.t - t) + _AT[k.role] for k in keys)
+
+
+def row_keys(row):
+    """The keys of the variables a row touches, in its kernel's order."""
+    t, at = row[:2]
+    return tuple(VariableKey(_ROLE_AT[a % _STEP], t + a // _STEP) for a in at)
+
+
+def add_keyed_row(blocks, kernel, keys, consts, inv_sigmas, shared=(), kind=None):
+    """add_row with the row's variables given by key."""
+    add_row(blocks, kernel, *row_at(keys), consts, inv_sigmas, shared, kind)
+
+
 def one_row(kernel, keys, consts, d, shared=(), kind=None):
     """A block holding one row of the kernel, with unit sigmas."""
     blocks = {}
-    add_row(blocks, kernel, keys, consts, np.ones(d), shared, kind)
+    add_keyed_row(blocks, kernel, keys, consts, np.ones(d), shared, kind)
     (block,) = blocks.values()
     return block
 
 
 def add_prior(blocks, key, anchor, sigmas):
     """Append a prior row on key, its angle wrapped, as build_graph does."""
-    add_row(blocks, PriorFactor, (key,), (np.asarray(anchor, dtype=float), _ANGLES[key.role]),
-            1.0 / np.asarray(sigmas, dtype=float))
+    add_keyed_row(blocks, PriorFactor, (key,), (np.asarray(anchor, dtype=float), _ANGLES[key.role]),
+                  1.0 / np.asarray(sigmas, dtype=float))
 
 
 def add_boundary_prior(blocks, keys, anchors, r0, sqrt_info):
     """Append a linearized prior row on keys, as marginalization does."""
-    add_row(blocks, LinearizedPriorFactor, tuple(keys),
-            (np.concatenate(anchors), np.concatenate([_ANGLES[k.role] for k in keys]), np.asarray(r0, dtype=float),
-             np.asarray(sqrt_info, dtype=float)),
-            np.ones(len(r0)), (tuple(map(key_dim, keys)),))
+    add_keyed_row(blocks, LinearizedPriorFactor, tuple(keys),
+                  (np.concatenate(anchors), np.concatenate([_ANGLES[k.role] for k in keys]),
+                   np.asarray(r0, dtype=float), np.asarray(sqrt_info, dtype=float)),
+                  np.ones(len(r0)), (tuple(map(key_dim, keys)),))
 
 
 def prior_row(key, anchor, kind=None, kernel=PriorFactor):

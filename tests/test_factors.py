@@ -27,7 +27,7 @@ from pushgraph.geometry import (
     shapes_intersect,
     signed_distance,
 )
-from pushgraph.graphcore import FactorGraph, VariableKey, linearize, obj_key, pf_key
+from pushgraph.graphcore import FactorGraph, key_dim, linearize, obj_key, pf_key
 
 from factor_samples import (
     ALL_KINDS,
@@ -44,6 +44,7 @@ from factor_samples import (
     near_seam,
     one_row,
     prior_row,
+    row_keys,
     velocity_row,
 )
 
@@ -249,7 +250,7 @@ def test_analytic_jacobian_matches_numeric(kind):
     for _ in range(100):
         block, values = make_factor_sample(kind, rng)
         jacs = evaluate_row(block, *values)[1]
-        assert [j.shape for j in jacs] == [(len(block.rows[0].inv_sigmas), len(v)) for v in values]
+        assert [j.shape for j in jacs] == [(len(block.rows[0][3]), len(v)) for v in values]
         num = numeric_jacobian(block, values)
         ana = analytic_jacobian(block, values)
         worst = max(worst, rel_err(ana, num))
@@ -276,13 +277,14 @@ def test_fused_residual_matches_residual(kind):
         for _ in range(5):
             block, values = make_factor_sample(kind, rng, theta)
             (row,) = block.rows
+            inv_sigmas = row[3]
             r, jacs = evaluate_row(block, *values)
             graph = FactorGraph([block])
-            system = linearize(graph, graph.state_vector(dict(zip(row.keys, values))))
-            w = r * row.inv_sigmas
+            system = linearize(graph, graph.state_vector(dict(zip(row_keys(row), values))))
+            w = r * inv_sigmas
             np.testing.assert_array_equal(system.residual, w)
             assert system.cost == w @ w
-            np.testing.assert_array_equal(system.jacobian, np.hstack([j * row.inv_sigmas[:, None] for j in jacs]))
+            np.testing.assert_array_equal(system.jacobian, np.hstack([j * inv_sigmas[:, None] for j in jacs]))
 
 
 def _block_edge_samples(kind, rng):
@@ -342,21 +344,21 @@ def test_block_rows_match_one_row_calls(kind):
     # the block of its kernel, kind and shapes
     blocks, values, expected = {}, {}, []
     for i, (block, vals) in enumerate(samples):
-        (row,) = block.rows
+        ((t, at, consts, inv_sigmas),) = block.rows
         r, jacs = evaluate_row(block, *vals)
-        keys = tuple(VariableKey(k.role, k.t + 4 * i) for k in row.keys)
-        add_row(blocks, block.kernel, keys, row.consts, row.inv_sigmas, block.shared, block.kind)
+        add_row(blocks, block.kernel, t + 4 * i, at, consts, inv_sigmas, block.shared, block.kind)
+        keys = row_keys((t + 4 * i, at))
         values.update(zip(keys, vals))
-        expected.append((keys, r * row.inv_sigmas, [j * row.inv_sigmas[:, None] for j in jacs]))
+        expected.append((keys, r * inv_sigmas, [j * inv_sigmas[:, None] for j in jacs]))
     graph = FactorGraph(blocks.values())
     system = linearize(graph, graph.state_vector(values))
-    n = graph.total_dim
+    n = graph.layout.shape[1]
     owner = np.empty(n, dtype=int)
     want_r, want_J = [], []
     for i, (keys, w, wjacs) in enumerate(expected):
         J = np.zeros((len(w), n))
         for key, wj in zip(keys, wjacs):
-            off, dim = system.index[key]
+            off, dim = graph.layout.variables[key], key_dim(key)
             owner[off : off + dim] = i
             J[:, off : off + dim] = wj
         want_r.append(w)
@@ -455,8 +457,8 @@ def test_partial_contactforce_measurement():
     np.testing.assert_allclose(analytic_jacobian(block, [np.zeros(4)]), np.eye(4))
     # linearize whitens the row by its own sigmas
     blocks = {}
-    (row,) = block.rows
-    add_row(blocks, ContactForceMeasurementFactor, row.keys, row.consts, NoiseModel([1.0, 1.0, 1e3, 1e3]).inv_sigmas)
+    ((t, at, consts, _),) = block.rows
+    add_row(blocks, ContactForceMeasurementFactor, t, at, consts, NoiseModel([1.0, 1.0, 1e3, 1e3]).inv_sigmas)
     graph = FactorGraph(blocks.values())
     system = linearize(graph, np.array([1.0, 1.0, 9.0, 9.0]))
     np.testing.assert_allclose(system.residual, [0.5, 0.4, 9e-3, 9e-3])

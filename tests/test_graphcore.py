@@ -29,7 +29,6 @@ from pushgraph.factors import (
     PriorFactor,
     QuasiStaticFactor,
     SurfaceGapFactor,
-    add_row,
     evaluate_row,
 )
 from pushgraph.geometry import (
@@ -48,7 +47,6 @@ from pushgraph.graphcore import (
     GraphConfig,
     GraphModel,
     LinearizedPriorFactor,
-    VariableKey,
     build_graph,
     ee_key,
     gauss_newton,
@@ -72,7 +70,7 @@ from pushgraph.pushsim import (
     straight_path,
 )
 
-from factor_samples import add_boundary_prior, add_prior
+from factor_samples import add_boundary_prior, add_keyed_row, add_prior, row_keys
 
 BOX = Shape2D.box(0.1, 0.1)
 PROBE = Shape2D.disc(0.008)
@@ -100,7 +98,7 @@ def prior_graph(priors, initial=None):
 
 def add_velocity(blocks, ts, dt1, dt2, sigmas):
     """Append a V row over the object poses at the timesteps ts."""
-    add_row(blocks, ConstantVelocityFactor, tuple(map(obj_key, ts)), (dt1, dt2), NoiseModel(sigmas).inv_sigmas)
+    add_keyed_row(blocks, ConstantVelocityFactor, tuple(map(obj_key, ts)), (dt1, dt2), NoiseModel(sigmas).inv_sigmas)
 
 
 def velocity_chain(T, sigmas, dt2=0.1, priors=(0,), prior_sigmas=np.ones(3)):
@@ -158,11 +156,11 @@ def rows_built_per_step(model, traj, config, init):
         x, e, pf = obj_key(t), ee_key(t), pf_key(t)
         if t == 0:
             for key, noise in ((x, config.object_pose_noise), (e, config.ee_pose_noise), (pf, config.pf_noise)):
-                add_row(blocks, PriorFactor, (key,), (init[key], graphcore._ANGLES[key.role]), noise.inv_sigmas)
+                add_keyed_row(blocks, PriorFactor, (key,), (init[key], graphcore._ANGLES[key.role]), noise.inv_sigmas)
         for key, meas, noise in ((x, step.y, config.object_pose_noise), (e, step.z, config.ee_pose_noise)):
             if meas is not None:
-                add_row(blocks, PriorFactor, (key,), (meas.as_array(), graphcore._ANGLES[key.role]),
-                        noise.inv_sigmas, kind="m_pose")
+                add_keyed_row(blocks, PriorFactor, (key,), (meas.as_array(), graphcore._ANGLES[key.role]),
+                              noise.inv_sigmas, kind="m_pose")
         meas = np.zeros(4)
         inv_sigmas = config.weak_noise.inv_sigmas.copy()
         if step.w is not None:
@@ -171,22 +169,23 @@ def rows_built_per_step(model, traj, config, init):
         if step.alpha is not None:
             meas[2:] = np.asarray(step.alpha, dtype=float)[:2]
             inv_sigmas[2:] = config.pf_noise.inv_sigmas[2:]
-        add_row(blocks, ContactForceMeasurementFactor, (pf,), (meas, graphcore._ANGLES[pf.role]), inv_sigmas)
+        add_keyed_row(blocks, ContactForceMeasurementFactor, (pf,), (meas, graphcore._ANGLES[pf.role]), inv_sigmas)
         surface = config.surface_noise.inv_sigmas
-        add_row(blocks, ContactSurfaceFactor, (x, pf), (), surface, (obj_shape,), kind="c_object")
-        add_row(blocks, ContactSurfaceFactor, (e, pf), (), surface, (ee_shape,), kind="c_ee")
-        add_row(blocks, SurfaceGapFactor, (x, e), (), surface, (obj_shape, ee_shape))
+        add_keyed_row(blocks, ContactSurfaceFactor, (x, pf), (), surface, (obj_shape,), kind="c_object")
+        add_keyed_row(blocks, ContactSurfaceFactor, (e, pf), (), surface, (ee_shape,), kind="c_ee")
+        add_keyed_row(blocks, SurfaceGapFactor, (x, e), (), surface, (obj_shape, ee_shape))
         if model != "CP":
-            add_row(blocks, IntersectionFactor, (x, e), (), config.intersection_noise.inv_sigmas,
-                    (obj_shape, ee_shape))
+            add_keyed_row(blocks, IntersectionFactor, (x, e), (), config.intersection_noise.inv_sigmas,
+                          (obj_shape, ee_shape))
         if model == "QS" and t >= 1:
-            add_row(blocks, QuasiStaticFactor, (obj_key(t - 1), x, pf), (traj.params.c, times[t] - times[t - 1]),
-                    config.qs_noise.inv_sigmas)
+            add_keyed_row(blocks, QuasiStaticFactor, (obj_key(t - 1), x, pf),
+                          (traj.params.c, times[t] - times[t - 1]), config.qs_noise.inv_sigmas)
         if t >= 2:
             dt1, dt2 = times[t - 1] - times[t - 2], times[t] - times[t - 1]
             inv_sigmas = NoiseModel(np.asarray(config.sigma_vel) * math.sqrt(0.5 * (dt1 + dt2))).inv_sigmas
             for key in (obj_key, ee_key):
-                add_row(blocks, ConstantVelocityFactor, (key(t - 2), key(t - 1), key(t)), (dt1, dt2), inv_sigmas)
+                add_keyed_row(blocks, ConstantVelocityFactor, (key(t - 2), key(t - 1), key(t)), (dt1, dt2),
+                              inv_sigmas)
     return blocks.values()
 
 
@@ -197,10 +196,10 @@ def bits(value):
 
 
 def row_listing(blocks):
-    """Each row in seq order, with its block's signature, its keys and the bits of its constants and whitening."""
-    rows = sorted(((row.seq, b, row) for b in blocks for row in b.rows), key=lambda item: item[0])
-    return [(b.kernel, b.kind, b.shared, len(row.inv_sigmas), row.keys, [bits(c) for c in row.consts],
-             bits(row.inv_sigmas)) for _, b, row in rows]
+    """Each row in a graph's block order, with its block's signature, its step and grid offsets and the bits of
+    its constants and whitening."""
+    return [(b.signature, t, at, [bits(c) for c in consts], bits(inv_sigmas))
+            for b in FactorGraph(blocks).blocks for t, at, consts, inv_sigmas in b.rows]
 
 
 class TestBuildGraph:
@@ -281,9 +280,9 @@ class TestBuildGraph:
         # smoother: the first step starts there, later ones carry its estimate
         smoother = FixedLagSmoother("QS", traj)
         smoother.update(traj.steps[0])
-        on_boundary_facing_the_pusher(smoother.estimates, 0)
+        on_boundary_facing_the_pusher(graphcore._grid_values(smoother.estimates), 0)
         smoother.update(traj.steps[1])
-        np.testing.assert_array_equal(smoother.estimates[pf_key(1)][:2], smoother.estimates[pf_key(0)][:2])
+        np.testing.assert_array_equal(smoother.estimates[1, 6:8], smoother.estimates[0, 6:8])
 
     def test_no_contact_qs_batch_on_benchmark_scenes(self):
         # the first five scenes of the default benchmark, default noise, w dropped at every step
@@ -349,7 +348,7 @@ class TestBuildGraph:
         noises: dict = {}
         for b in graph.blocks:
             for row in b.rows:
-                noises.setdefault((b.kind, row.keys[0].role), []).append(row.inv_sigmas)
+                noises.setdefault((b.kind, row_keys(row)[0].role), []).append(row[3])
         shared = {("c_object", graphcore.Role.OBJECT): cfg.surface_noise,
                   ("c_ee", graphcore.Role.EE): cfg.surface_noise,
                   ("c_objee", graphcore.Role.OBJECT): cfg.surface_noise,
@@ -363,14 +362,14 @@ class TestBuildGraph:
         # contact/force rows take one of the config's four whitening vectors
         table = cfg.contact_force_inv_sigmas
         assert all(any(n is v for v in table.values()) for n in noises["m_contactforce", graphcore.Role.CONTACT_FORCE])
-        assert build_graph("CP", traj, cfg).blocks[0].rows[0].inv_sigmas is cfg.object_pose_noise.inv_sigmas
+        assert build_graph("CP", traj, cfg).blocks[0].rows[0][3] is cfg.object_pose_noise.inv_sigmas
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.sigma_qs = 1e-3
 
     def test_well_posedness_residual_dim(self):
         traj = center_push_trajectory(duration=1.0)
         graph = build_graph("QS", traj)
-        assert graph.layout.shape[0] >= graph.total_dim
+        assert graph.layout.shape[0] >= graph.layout.shape[1]
 
 
 # every presence pattern of the four measurement channels, in CHANNELS order
@@ -403,7 +402,7 @@ class TestStepRows:
         for step in traj.steps:
             smoother.update(step)
         assert (row_listing(smoother.blocks.values())
-                == row_listing(rows_built_per_step("QS", traj, cfg, smoother.estimates)))
+                == row_listing(rows_built_per_step("QS", traj, cfg, graphcore._grid_values(smoother.estimates))))
 
     @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
     def test_velocity_sigmas_are_still_checked(self, bad):
@@ -416,16 +415,50 @@ def grid(t0, T):
     return [key for t in range(t0, T) for key in (obj_key(t), ee_key(t), pf_key(t))]
 
 
+def variables(graph):
+    return list(graph.layout.variables)
+
+
+def record_kernel_calls(monkeypatch):
+    """Patch every kernel to append its kind and the number of rows it evaluates to the list returned, per call."""
+    calls = []
+
+    def recording(cls, kernel):
+        return staticmethod(lambda consts, *vals: calls.append((cls.kind, len(vals[0]))) or kernel(consts, *vals))
+
+    for cls in (factors.PriorFactor, factors.ContactSurfaceFactor, factors.SurfaceGapFactor,
+                factors.IntersectionFactor, factors.ConstantVelocityFactor, factors.QuasiStaticFactor,
+                LinearizedPriorFactor):
+        name = "residuals" if cls.constant_jacobian else "evaluate"
+        monkeypatch.setattr(cls, name, recording(cls, cls.__dict__[name].__func__))
+    return calls
+
+
 class TestFactorGraph:
     def test_batch_variables_are_the_grid(self):
         traj = center_push_trajectory(duration=1.0)
         graph = build_graph("QS", traj)
         assert "layout" not in vars(graph)  # built on first use
-        assert list(graph.variable_index()) == grid(0, len(traj))
-        assert graph.initial.keys() == graph.dims.keys()
+        # every cell of the grid, ten columns a step: x, e, pf
+        np.testing.assert_array_equal(graph.layout.grid, np.arange(10 * len(traj)))
+        assert variables(graph) == grid(0, len(traj)) == list(graph.initial)
+        assert [graph.layout.variables[key] for key in grid(0, 2)] == [0, 3, 6, 10, 13, 16]
         # timestep-major whatever order the rows come in
         reversed_rows = [Block(b.kernel, b.kind, b.shared, b.rows[::-1]) for b in reversed(graph.blocks)]
-        assert list(FactorGraph(reversed_rows).variable_index()) == grid(0, len(traj))
+        assert variables(FactorGraph(reversed_rows)) == grid(0, len(traj))
+
+    def test_cells_a_graph_leaves_out_are_not_columns(self):
+        # V rows and priors on object poses only: the columns are those poses', in grid order
+        graph = FactorGraph(velocity_chain(6, np.ones(3), priors=(2, 5)).values())
+        assert variables(graph) == [obj_key(t) for t in range(6)]
+        np.testing.assert_array_equal(graph.layout.grid, [10 * t + i for t in range(6) for i in range(3)])
+        assert graph.layout.variables[obj_key(4)] == 12
+        with pytest.raises(KeyError):
+            marginal_covariances(graph, {obj_key(t): np.zeros(3) for t in range(6)}, [ee_key(4)])
+        values = {obj_key(t): np.full(3, float(t)) for t in range(7)}  # a key of no column is left out
+        np.testing.assert_array_equal(graph.state_vector(values), np.repeat(np.arange(6.0), 3))
+        on_grid = np.arange(70.0).reshape(7, 10)
+        np.testing.assert_array_equal(graph.state_vector(on_grid), graph.layout.grid)
 
     def test_window_variables_are_the_grid(self, monkeypatch):
         traj = inject_noise(center_push_trajectory(duration=2.0), NoiseSpec(seed=2))
@@ -435,8 +468,9 @@ class TestFactorGraph:
 
         def recorded(graph, init=None, opts=None):
             windows.append((graph, smoother.first_active_t, len(smoother.timestamps)))
-            # a window holds copies of the estimates it starts from
-            assert not any(np.shares_memory(v, smoother.estimates[k]) for k, v in graph.initial.items())
+            # a window starts from the estimates, and solves on a copy of them
+            assert np.shares_memory(graph.initial, smoother.estimates) and len(graph.initial) == windows[-1][2]
+            assert not np.shares_memory(graph.state_vector(graph.initial), smoother.estimates)
             return real_gauss_newton(graph, init, opts)
 
         monkeypatch.setattr(graphcore, "gauss_newton", recorded)
@@ -444,41 +478,37 @@ class TestFactorGraph:
             smoother.update(step)
         assert [(t0, T) for _, t0, T in windows] == [(0, 5), (5, 10), (10, 15)]
         for graph, t0, T in windows:
-            assert list(graph.variable_index()) == grid(t0, T)
-            assert graph.initial.keys() == graph.dims.keys()
+            np.testing.assert_array_equal(graph.layout.grid, np.arange(10 * t0, 10 * T))
+            assert variables(graph) == grid(t0, T)
 
     def test_marginalization_absorbs_the_rows_before_the_boundary(self, monkeypatch):
         traj = inject_noise(center_push_trajectory(duration=2.0), NoiseSpec(seed=2))
         smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
         for step in traj.steps[:12]:
             smoother.update(step)
-        active = [row for b in smoother.blocks.values() for row in b.rows]
-        graphs = []
+        before = {b.signature: b.rows for b in smoother.blocks.values()}
 
-        class Recorded(FactorGraph):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                graphs.append(self)
+        def no_graph(*args, **kwargs):
+            raise AssertionError("marginalization built a graph")
 
-        monkeypatch.setattr(graphcore, "FactorGraph", Recorded)
+        monkeypatch.setattr(graphcore, "FactorGraph", no_graph)
         smoother._marginalize_upto(7)
-        # the absorbed graph, then the rows appended since the last window
-        # (steps 10 and 11 reach back to step 8 at most, so none)
-        absorbed, appended = graphs
-        assert appended.blocks == [] and "layout" not in vars(absorbed)
-        rows = [row for b in absorbed.blocks for row in b.rows]
-        assert {row.seq for row in rows} == {row.seq for row in active if any(k.t < 7 for k in row.keys)}
-        # in the order they were appended, block by block
-        assert all(b.rows == sorted(b.rows, key=lambda row: row.seq) for b in absorbed.blocks)
-        assert [b.rows[0].seq for b in absorbed.blocks] == sorted(b.rows[0].seq for b in absorbed.blocks)
-        touched = {k for row in rows for k in row.keys}
-        assert list(absorbed.dims) == [k for k in grid(5, 12) if k in touched]
+        monkeypatch.undo()
+        # each block keeps the suffix of its rows that touches no step before 7, in order
+        prior = boundary_prior(smoother)
+        after = {signature: [row for row in b.rows if row is not prior] for signature, b in smoother.blocks.items()}
+        for signature, rows in before.items():
+            kept = [row for row in rows if min(k.t for k in row_keys(row)) >= 7]
+            assert rows[len(rows) - len(kept):] == kept == after.get(signature, [])
+        absorbed = [row for rows in before.values() for row in rows if min(k.t for k in row_keys(row)) < 7]
+        touched = {k for row in absorbed for k in row_keys(row)}
         # the boundary is what old factors reach: V reaches x_8 and e_8, no factor pf_8
         assert {k for k in touched if k.t >= 7} == {obj_key(7), ee_key(7), pf_key(7), obj_key(8), ee_key(8)}
-        prior = boundary_prior(smoother)
-        assert list(prior.keys) == [k for k in absorbed.dims if k.t >= 7]
+        assert row_keys(prior) == (obj_key(7), ee_key(7), pf_key(7), obj_key(8), ee_key(8))
+        # appended at the newest step, after that step's rows: the window puts it last
+        assert prior[0] == 11 and FactorGraph(smoother.blocks.values()).blocks[-1].rows == [prior]
         # r0 and sqrt_info own their data, so the prior does not keep the whole QR factor alive
-        assert all(c.base is None for c in prior.consts[2:])
+        assert all(c.base is None for c in prior[2][2:])
 
     def test_a_graph_is_built_whole(self):
         assert not hasattr(FactorGraph, "add_variable")
@@ -513,8 +543,8 @@ class TestLinearize:
         assert len(traj) == 100
         graph = build_graph("QS", traj)
         system = linearize(graph, graph.state_vector(graph.initial))
-        n = graph.total_dim
-        dense_entries = graph.layout.shape[0] * n
+        m, n = graph.layout.shape
+        dense_entries = m * n
         assert sum(J.size for J in system.jacobians) * 100 <= dense_entries
         assert system.normal_matrix.size * 20 <= n * n
 
@@ -562,21 +592,19 @@ class TestLinearize:
 class TestRetract:
     def test_matches_per_key_update_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        keys = [k for t in range(6) for k in (obj_key(t), ee_key(t), pf_key(t))]
-        dims = [graphcore.key_dim(k) for k in keys]
-        graph = prior_graph((k, np.zeros(dim), np.ones(dim)) for k, dim in zip(keys, dims))
-        index = graph.variable_index()
-        values = {k: rng.uniform(-3.2, 3.2, dim) for k, (_, dim) in index.items()}
-        delta = rng.normal(scale=2.0, size=graph.total_dim)
+        keys = grid(0, 6)
+        graph = prior_graph((k, np.zeros(graphcore.key_dim(k)), np.ones(graphcore.key_dim(k))) for k in keys)
+        values = {k: rng.uniform(-3.2, 3.2, graphcore.key_dim(k)) for k in keys}
+        delta = rng.normal(scale=2.0, size=graph.layout.shape[1])
         delta[2] = np.pi - values[obj_key(0)][2]  # lands on the seam at +pi
         x = graph.state_vector(values)
         out = retract(x, delta, graph.layout.theta)
         np.testing.assert_array_equal(x, graph.state_vector(values))  # x is not updated in place
-        for key, (off, dim) in index.items():
-            want = values[key] + delta[off : off + dim]
+        for key, off in graph.layout.variables.items():
+            want = values[key] + delta[off : off + graphcore.key_dim(key)]
             if key.role is not graphcore.Role.CONTACT_FORCE:
                 want[2] = wrap_angle(want[2])
-            np.testing.assert_array_equal(out[off : off + dim], want)
+            np.testing.assert_array_equal(out[off : off + len(want)], want)
 
 
 class TestGaussNewton:
@@ -636,20 +664,19 @@ class TestGaussNewton:
         assert "normal_matrix" in vars(systems[0])
 
     def test_linearize_calls_each_kernel_once_per_block(self, monkeypatch):
-        # every kernel call evaluates all the rows of one block, block by block
-        calls = []
-
-        def recording(kernel):
-            return staticmethod(lambda consts, *vals: calls.append(len(vals[0])) or kernel(consts, *vals))
-
-        for cls in (factors.PriorFactor, factors.ContactSurfaceFactor, factors.SurfaceGapFactor,
-                    factors.IntersectionFactor, factors.ConstantVelocityFactor, factors.QuasiStaticFactor,
-                    LinearizedPriorFactor):
-            name = "residuals" if cls.constant_jacobian else "evaluate"
-            monkeypatch.setattr(cls, name, recording(cls.__dict__[name].__func__))
+        # every kernel call of a linearization evaluates all the rows of one block, block by block
+        calls = record_kernel_calls(monkeypatch)
         real_linearize = graphcore.linearize
         graphs = []
-        monkeypatch.setattr(graphcore, "linearize", lambda graph, x: graphs.append(graph) or real_linearize(graph, x))
+
+        def linearized(graph, x):
+            first = len(calls)
+            system = real_linearize(graph, x)
+            assert [n for _, n in calls[first:]] == [len(b.rows) for b in graph.blocks]
+            graphs.append(graph)
+            return system
+
+        monkeypatch.setattr(graphcore, "linearize", linearized)
         traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
                             NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
         _, report = gauss_newton(build_graph("QS", traj))
@@ -657,7 +684,6 @@ class TestGaussNewton:
         _, smoother = solve_incremental("QS", traj, lag=5, batch_every=5)
         assert smoother.first_active_t > 0
         assert any(b.kernel is LinearizedPriorFactor for g in graphs for b in g.blocks)
-        assert calls == [len(b.rows) for g in graphs for b in g.blocks]
 
     def test_singular_step_is_rejected_and_damping_recovers(self):
         graph = unconstrained_x1_graph(np.array([5.0, -3.0, 0.2]))
@@ -873,7 +899,7 @@ class TestMarginals:
         for key in keys:
             alone = marginal_covariances(graph, values, [key])[key]
             np.testing.assert_allclose(together[key], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
-            off, dim = system.index[key]
+            off, dim = graph.layout.variables[key], graphcore.key_dim(key)
             want = dense[off : off + dim, off : off + dim]
             assert np.max(np.abs(together[key] - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -903,15 +929,16 @@ class TestMarginals:
             graph = FactorGraph(blocks.values(), initial)
             bandwidth = dim - 1
         system = linearize(graph, graph.state_vector(graph.initial))
-        n = graph.total_dim
+        n = graph.layout.shape[1]
+        index = {key: (off, graphcore.key_dim(key)) for key, off in graph.layout.variables.items()}
         assert system.normal_matrix.shape == (bandwidth + 1, n)
         if case != "qs_wide":
             assert n % bandwidth != 0
-            assert any(off // bandwidth != (off + dim - 1) // bandwidth for off, dim in system.index.values())
+            assert any(off // bandwidth != (off + dim - 1) // bandwidth for off, dim in index.values())
         dense = np.linalg.inv(dense_normal_matrix(system.normal_matrix))
-        got = marginal_covariances(graph, graph.initial, reversed(list(system.index)))
-        assert list(got) == list(reversed(list(system.index)))
-        for key, (off, dim) in system.index.items():
+        got = marginal_covariances(graph, graph.initial, reversed(list(index)))
+        assert list(got) == list(reversed(list(index)))
+        for key, (off, dim) in index.items():
             want = dense[off : off + dim, off : off + dim]
             assert np.max(np.abs(got[key] - want)) <= 1e-9 * np.max(np.abs(want))
             np.testing.assert_array_equal(got[key], got[key].T)
@@ -986,6 +1013,13 @@ class TestMarginals:
             marginal_covariances(graph, graph.initial, [obj_key(1)])
 
 
+def absorbed_graph(smoother, new_start):
+    """The graph of the smoother's rows that touch a step before new_start."""
+    return FactorGraph(Block(b.kernel, b.kind, b.shared, [row for row in b.rows
+                                                          if min(k.t for k in row_keys(row)) < new_start])
+                       for b in smoother.blocks.values())
+
+
 def relinearized_prior(smoother, new_start):
     """The boundary prior from linearizing every row that touches a step before new_start.
 
@@ -993,14 +1027,13 @@ def relinearized_prior(smoother, new_start):
     linearized at the estimates, and the QR factor of its dense [J r].
     Returns the prior row's keys and constants (anchor, wrap, r0, sqrt_info).
     """
-    absorbed = FactorGraph(Block(b.kernel, b.kind, b.shared, [row for row in b.rows
-                                                              if any(k.t < new_start for k in row.keys)])
-                           for b in smoother.blocks.values())
+    absorbed = absorbed_graph(smoother, new_start)
     system = linearize(absorbed, absorbed.state_vector(smoother.estimates))
-    boundary = [k for k in system.index if k.t >= new_start]
-    n_old, n = sum(absorbed.dims[k] for k in absorbed.dims if k.t < new_start), absorbed.total_dim
+    boundary = [k for k in variables(absorbed) if k.t >= new_start]
+    n_old, n = absorbed.layout.variables[boundary[0]], absorbed.layout.shape[1]
     R = np.linalg.qr(np.column_stack([system.jacobian, system.residual]), mode="r")
-    anchor = np.concatenate([smoother.estimates[k] for k in boundary])
+    values = graphcore._grid_values(smoother.estimates)
+    anchor = np.concatenate([values[k] for k in boundary])
     wrap = np.concatenate([graphcore._ANGLES[k.role] for k in boundary])
     return tuple(boundary), (anchor, wrap, R[n_old:n, n], R[n_old:n, n_old:n])
 
@@ -1044,10 +1077,10 @@ class TestFixedLag:
             keys, consts = relinearized_prior(self, new_start)
             real(self, new_start)
             row = boundary_prior(self)
-            assert row.keys == keys
-            assert all(np.array_equal(got, want) for got, want in zip(row.consts, consts))
-            assert np.array_equal(row.inv_sigmas, np.ones(len(consts[2])))
-            headings.append(row.consts[0][2])
+            assert row_keys(row) == keys
+            assert all(np.array_equal(got, want) for got, want in zip(row[2], consts))
+            assert np.array_equal(row[3], np.ones(len(consts[2])))
+            headings.append(row[2][0][2])
 
         monkeypatch.setattr(FixedLagSmoother, "_marginalize_upto", checked)
         solve_incremental("QS", traj, lag=lag, batch_every=5)
@@ -1056,46 +1089,40 @@ class TestFixedLag:
             # object headings at the boundary on both sides of the seam
             assert min(headings) < -3.0 and max(headings) > 3.0
 
-    @pytest.mark.parametrize("lag, rows", [(5, {"d": 1, "v": 4}), (10, None)])
+    @pytest.mark.parametrize("lag, rows", [(5, {"d": 1, "v": 4}), (10, {})])
     def test_marginalization_linearizes_only_rows_appended_since_the_window(self, monkeypatch, lag, rows):
         # at lag 5 a marginalization absorbs the whole last window plus the
         # D row of new_start and the V rows of new_start and new_start + 1;
         # at lag 10 it absorbs rows of the last window only
         traj = self.make_noisy(duration=3.0)
-        real_linearize, real_marginalize = graphcore.linearize, FixedLagSmoother._marginalize_upto
-        calls = []  # per marginalization, the graphs it linearized
-        inside = False
-
-        def recorded(graph, x):
-            if inside:
-                calls[-1].append(graph)
-            return real_linearize(graph, x)
+        real_marginalize = FixedLagSmoother._marginalize_upto
+        calls = record_kernel_calls(monkeypatch)
+        evaluated = []  # per marginalization, the rows of each kind its kernel calls evaluated
 
         def marginalize(self, new_start):
-            nonlocal inside
-            calls.append([])
-            inside = True
-            try:
+            first = len(calls)
+            with pytest.MonkeyPatch.context() as inside:
+                inside.setattr(graphcore, "linearize", refused)
                 real_marginalize(self, new_start)
-            finally:
-                inside = False
+            by_kind = {}
+            for kind, n in calls[first:]:
+                by_kind[kind] = by_kind.get(kind, 0) + n
+            evaluated.append(by_kind)
 
-        monkeypatch.setattr(graphcore, "linearize", recorded)
+        def refused(graph, x):
+            raise AssertionError("marginalization linearized a graph")
+
         monkeypatch.setattr(FixedLagSmoother, "_marginalize_upto", marginalize)
         solve_incremental("QS", traj, lag=lag, batch_every=5)
-        assert len(calls) == (len(traj) - lag - 1) // 5 + 1
-        for graphs in calls:
-            assert [g.counts_by_kind() for g in graphs] == ([] if rows is None else [rows])
-            # it forms no normal matrix, so it builds no band data
-            assert not any({"bandwidth", "band_positions"} & vars(g.layout).keys() for g in graphs)
+        assert evaluated == [rows] * ((len(traj) - lag - 1) // 5 + 1)
 
     def test_a_window_that_raises_leaves_no_linearization_to_reuse(self, monkeypatch):
         traj = self.make_noisy(duration=3.0)
         smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
-        real_gauss_newton, real_linearize = graphcore.gauss_newton, graphcore.linearize
+        real_gauss_newton = graphcore.gauss_newton
         for step in traj.steps[:5]:
             smoother.update(step)
-        assert smoother._solved.blocks  # the first window's
+        assert smoother._solved  # the first window's
 
         def raises(graph, init=None, opts=None):
             raise SingularSystem("injected")
@@ -1105,35 +1132,28 @@ class TestFixedLag:
             smoother.update(step)
         with pytest.raises(SingularSystem):
             smoother.update(traj.steps[9])
-        assert not smoother._solved.blocks
+        assert not smoother._solved
         monkeypatch.setattr(graphcore, "gauss_newton", real_gauss_newton)
         for step in traj.steps[10:14]:
             smoother.update(step)
-        # the next marginalization linearizes every row it absorbs, and gives
+        # the next marginalization evaluates every row it absorbs, and gives
         # the prior of that construction
         keys, consts = relinearized_prior(smoother, 10)
-        absorbed = {row.seq for b in smoother.blocks.values() for row in b.rows if any(k.t < 10 for k in row.keys)}
-        graphs = []
-
-        def recorded(graph, x):
-            graphs.append(graph)
-            return real_linearize(graph, x)
-
-        monkeypatch.setattr(graphcore, "linearize", recorded)
+        absorbed = absorbed_graph(smoother, 10).counts_by_kind()
+        calls = record_kernel_calls(monkeypatch)
         smoother._marginalize_upto(10)
-        (graph,) = graphs
-        assert {row.seq for b in graph.blocks for row in b.rows} == absorbed
+        assert sum(n for _, n in calls) == sum(absorbed.values())
         row = boundary_prior(smoother)
-        assert row.keys == keys and all(np.array_equal(got, want) for got, want in zip(row.consts, consts))
+        assert row_keys(row) == keys and all(np.array_equal(got, want) for got, want in zip(row[2], consts))
 
     def test_finalize_drops_the_window_linearization(self):
         traj = self.make_noisy(duration=2.0)
         smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
         for step in traj.steps[:12]:
             smoother.update(step)
-        assert smoother._solved.blocks
+        assert smoother._solved
         smoother.finalize()
-        assert not smoother._solved.blocks
+        assert not smoother._solved
         # an update after finalize marginalizes from a linearization of every absorbed row
         for step in traj.steps[12:14]:
             smoother.update(step)
@@ -1141,8 +1161,7 @@ class TestFixedLag:
         smoother.update(traj.steps[14])
         assert smoother.first_active_t == 10
         row = boundary_prior(smoother)
-        assert row.keys == keys and all(np.array_equal(got, want) for got, want in zip(row.consts, consts))
-
+        assert row_keys(row) == keys and all(np.array_equal(got, want) for got, want in zip(row[2], consts))
 
     def test_full_lag_matches_batch(self):
         traj = self.make_noisy(duration=2.0)
@@ -1188,11 +1207,10 @@ class TestFixedLag:
             smoother.update(step)
         assert smoother.first_active_t == 5
         new_start = 12 - 5
-        absorbed = FactorGraph(Block(b.kernel, b.kind, b.shared, [row for row in b.rows
-                                                                  if any(k.t < new_start for k in row.keys)])
-                               for b in smoother.blocks.values())
+        absorbed = absorbed_graph(smoother, new_start)
         system = linearize(absorbed, absorbed.state_vector(smoother.estimates))
-        n_old = sum(dim for k, (_, dim) in system.index.items() if k.t < new_start)
+        boundary = [k for k in variables(absorbed) if k.t >= new_start]
+        n_old = absorbed.layout.variables[boundary[0]]
         H, g = dense_normal_matrix(system.normal_matrix), system.gradient
         H_oo, H_bo = H[:n_old, :n_old], H[n_old:, :n_old]
         schur = H[n_old:, n_old:] - H_bo @ np.linalg.solve(H_oo, H_bo.T)
@@ -1203,8 +1221,9 @@ class TestFixedLag:
         prior = FactorGraph(smoother.blocks.values()).blocks[-1]
         (row,) = prior.rows
         assert prior.kernel is LinearizedPriorFactor
-        assert list(row.keys) == [k for k in system.index if k.t >= new_start]
-        r, jacs = evaluate_row(prior, *[smoother.estimates[k] for k in row.keys])
+        assert list(row_keys(row)) == boundary
+        values = graphcore._grid_values(smoother.estimates)
+        r, jacs = evaluate_row(prior, *[values[k] for k in boundary])
         J = np.hstack(jacs)
         for got, want in ((J.T @ J, schur), (J.T @ r, schur_g)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
@@ -1219,14 +1238,13 @@ class TestFixedLag:
         for step in traj.steps[:t]:
             smoother.update(step)
             clean.update(step)
-        timestamps, estimates = list(smoother.timestamps), dict(smoother.estimates)
+        timestamps, estimates = list(smoother.timestamps), smoother.estimates.copy()
         rows = {signature: list(b.rows) for signature, b in smoother.blocks.items()}
         windows = len(smoother.reports)
         with pytest.raises(NonPositiveTimestep):
             smoother.update(dataclasses.replace(traj.steps[t], t=traj.steps[t - 1].t + shift))
         assert smoother.timestamps == timestamps
-        assert smoother.estimates.keys() == estimates.keys()
-        assert all(smoother.estimates[k] is v for k, v in estimates.items())
+        np.testing.assert_array_equal(smoother.estimates, estimates)
         assert {signature: b.rows for signature, b in smoother.blocks.items()} == rows
         assert len(smoother.reports) == windows
         for step in traj.steps[t:]:
@@ -1238,9 +1256,10 @@ class TestFixedLag:
             assert np.array_equal(got[key], value), key
 
     def test_update_does_not_walk_the_history(self):
-        # the timestamps and the estimates fail if iterated, sliced or
-        # copied, so an update that did work in proportion to the steps
-        # before it would raise; windows and marginalizations included
+        # the timestamps fail if iterated, sliced or copied, so an update
+        # that did work in proportion to the steps before it would raise;
+        # windows and marginalizations included. The estimates' grid only
+        # doubles when it is full, a copy that costs O(1) an update over time
         class History(list):
             def __iter__(self):
                 raise AssertionError("the timestamps were iterated")
@@ -1252,23 +1271,18 @@ class TestFixedLag:
             def copy(self):
                 raise AssertionError("the timestamps were copied")
 
-        class Estimates(dict):
-            def __iter__(self):
-                raise AssertionError("the estimates were iterated")
-
-            def _walk(self, *args):
-                raise AssertionError("the estimates were walked")
-
-            keys = values = items = copy = _walk
-
         traj = self.make_noisy(duration=4.0)
         smoother = FixedLagSmoother("QS", traj, lag=5, batch_every=5)
-        smoother.timestamps, smoother.estimates = History(), Estimates()
+        smoother.timestamps = History()
+        grids = []
         for step in traj.steps:
             smoother.update(step)
+            if not grids or grids[-1] is not smoother._grid:
+                grids.append(smoother._grid)
+        assert [len(g) for g in grids] == [16, 32, 64]
         assert len(smoother.reports) == len(traj) // 5
         assert smoother.first_active_t == len(traj) - 5
-        assert isinstance(smoother.timestamps, History) and isinstance(smoother.estimates, Estimates)
+        assert isinstance(smoother.timestamps, History)
         assert len(smoother.timestamps) == len(traj)
         with pytest.raises(NonPositiveTimestep):
             smoother.update(dataclasses.replace(traj.steps[-1], t=traj.steps[-1].t))
@@ -1304,6 +1318,16 @@ class TestFixedLag:
         for batch_every in (0, 6):
             with pytest.raises(ValueError):
                 FixedLagSmoother("QS", traj, lag=5, batch_every=batch_every)
+
+    @pytest.mark.parametrize("name", ["lag", "batch_every"])
+    @pytest.mark.parametrize("value", [7.9, True, "7"])
+    def test_a_window_length_that_is_not_an_integer_is_refused(self, name, value):
+        # not truncated: lag=7.9 once ran at lag 7
+        traj = self.make_noisy(duration=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            FixedLagSmoother("QS", traj, **{"lag": 8, "batch_every": 5, name: value})
+        smoother = FixedLagSmoother("QS", traj, **{"lag": 8, "batch_every": 5, name: np.int64(7)})
+        assert getattr(smoother, name) == 7 and type(getattr(smoother, name)) is int
 
     def test_finalize_skips_a_window_just_optimized(self):
         traj = self.make_noisy(duration=2.0)
