@@ -150,9 +150,12 @@ def combined_report(reports: list[SolveReport]) -> SolveReport:
     Iterations add up; the costs, and their per-kind chi^2, are the first
     window's initial and the last window's final ones. The run converged
     only if every window did, and the reason is the first unconverged
-    window's, else the last one's.
+    window's, else the last one's. Its final_step_sigma is the largest
+    finite one over the windows: the farthest a window stopped from its
+    minimum.
     """
     unconverged = [r for r in reports if not r.converged]
+    step_sigmas = [r.final_step_sigma for r in reports if math.isfinite(r.final_step_sigma)]
     return SolveReport(
         iterations=sum(r.iterations for r in reports),
         initial_cost=reports[0].initial_cost,
@@ -160,6 +163,7 @@ def combined_report(reports: list[SolveReport]) -> SolveReport:
         reason=(unconverged[0] if unconverged else reports[-1]).reason,
         chi2_initial=reports[0].chi2_initial,
         chi2_final=reports[-1].chi2_final,
+        final_step_sigma=max(step_sigmas, default=math.nan),
     )
 
 
@@ -232,6 +236,7 @@ def run_benchmark_trial(cfg: dict, trial: int) -> list[dict]:
                 "steps": len(traj),
                 "converged": int(report.converged),
                 "iterations": report.iterations,
+                "step_sigma": report.final_step_sigma,
                 "failed": 0,
             }
             for ch in BENCH_CHANNELS:
@@ -511,7 +516,7 @@ def main(argv=None) -> int:
             arrays, covs, report, metrics = run_estimate(cfg, traj)
             say(f"model={cfg['model']} mode={cfg['mode']} iterations={report.iterations} "
                 f"cost {report.initial_cost:.4e} -> {report.final_cost:.4e} "
-                f"converged={report.converged} ({report.reason})")
+                f"converged={report.converged} ({report.reason}) step_sigma={report.final_step_sigma:.3g}")
             for kind in dict.fromkeys([*report.chi2_initial, *report.chi2_final]):
                 say(f"  chi2 {kind}: {report.chi2_initial.get(kind, 0.0):.4e} -> "
                     f"{report.chi2_final.get(kind, 0.0):.4e}")

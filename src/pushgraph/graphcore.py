@@ -452,9 +452,10 @@ def linearize(graph: FactorGraph, x: np.ndarray) -> LinearSystem:
 # only a step damped far beyond 1e2 may still lower the cost, and a ladder
 # ending at 1e2 would report such converged solves as stalls
 _DAMPINGS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)
-# the model rule's chi^2 threshold is this many times rel_cost_tol: 1e-3 at
-# the default, a remaining step of at most sqrt(1e-3), about 3.2%, of a
-# posterior standard deviation in any direction (see gauss_newton)
+# the model rule's chi^2 threshold tau is this many times rel_cost_tol:
+# 1e-2 at the default, so that the step a solve stops short of is at most
+# sqrt(1e-2), a tenth, of a posterior standard deviation long in any
+# direction (see gauss_newton)
 _MODEL_TOL_RATIO = 1e6
 
 
@@ -466,8 +467,9 @@ class GaussNewtonOptions:
     # stop ("cost") once an accepted step lowered the cost by at most this
     # fraction of it, or before linearizing the undamped step when that step
     # is at most sqrt(_MODEL_TOL_RATIO * this) posterior standard deviations
-    # long: sqrt(1e-3), about 3.2% of a sigma, at the default
-    rel_cost_tol: float = 1e-9
+    # long (sqrt(1e-2), a tenth of a sigma, at the default) and the steps
+    # left add up to at most twice that (see gauss_newton)
+    rel_cost_tol: float = 1e-8
 
 
 @dataclass
@@ -480,6 +482,11 @@ class SolveReport:
     # {factor kind: chi^2} at the first and the last point; each sums to its cost
     chi2_initial: dict[str, float] = field(default_factory=dict)
     chi2_final: dict[str, float] = field(default_factory=dict)
+    # sqrt(-g^T delta) of the undamped step the model rule judged at the
+    # final point: the length, in posterior sigmas, of the step the solve
+    # stopped short of. NaN where none was judged there (the last step was
+    # accepted, or H is singular) or its forecast was negative
+    final_step_sigma: float = math.nan
 
     @property
     def converged(self) -> bool:
@@ -531,14 +538,30 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
             function a^T x moves by more than sqrt(delta^T H delta) of its
             own sigma sqrt(a^T H^-1 a). The solve stops at the current
             point, evaluated already, when that is between 0 and tau =
-            _MODEL_TOL_RATIO * rel_cost_tol, a fixed chi^2 amount: 1e-3 at
-            the default, a step of at most 3.2% of a sigma. Only the
-            undamped step is trusted for this, since a damped step forecasts
-            a small decrease because it is short, not because the cost is
-            near its minimum; and a negative forecast means the step is no
-            descent direction, a broken solve rather than a converged one.
-            The forecast is at most the cost, so a cost below tau stops
-            here too.
+            _MODEL_TOL_RATIO * rel_cost_tol, a fixed chi^2 amount: 1e-2 at
+            the default, a step of at most a tenth of a sigma, and when this
+            step and the steps left add up to at most 2 sqrt(tau) sigmas.
+            The steps left are taken to shrink at the rate r this one shrank
+            by from the last: r is the square root of this forecast over the
+            one at the point before (0 at the first point, and 1 where that
+            was not positive), and the sum is sqrt(forecast) / (1 - r). At a
+            rate of at most 1/2 the first test implies the second. Where the
+            steps alternate about the minimum, shrinking slowly, the sum
+            overstates the distance, and the solve goes on: to max_iter
+            where they shrink by only a few percent a step. On a plateau,
+            where steps of small and nearly constant forecast go on for
+            dozens of iterations before the cost falls away, r is near 1 and
+            the second test keeps the solve going. Stopped, the solve is
+            within 2 sqrt(tau) sigmas of its minimum, a bias b with b^T H b
+            <= 4 tau, which raises the RMSE of any a^T x by at most a factor
+            sqrt(1 + 4 tau), 2% at the default (Cauchy-Schwarz against
+            H^-1). The rate is that of one step, so a saddle which the steps
+            reach fast and only then leave slowly still stops the solve on
+            it. Only the undamped step is trusted for this, since a damped
+            step forecasts a small decrease because it is short, not because
+            the cost is near its minimum; and a negative forecast means the
+            step is no descent direction, a broken solve rather than a
+            converged one.
           - the actual rule, after an accepted step: the cost fell by at
             most rel_cost_tol times its previous value. Where H is singular
             there is no undamped step, and damped steps go on until this
@@ -567,12 +590,20 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
 
     model_tol = _MODEL_TOL_RATIO * opts.rel_cost_tol  # tau, in chi^2
     warm = None  # index of the last rung that produced an accepted step
+    forecast = math.nan  # -g^T delta of the undamped step at x, once it is judged
+    previous = math.inf  # the forecast at the point before x; none at the start
     for it in range(opts.max_iter):
         undamped = _solve_normal(system, None)
-        # the model rule: stop here, without linearizing x + undamped
-        if undamped is not None and 0.0 <= -float(system.gradient @ undamped) <= model_tol:
-            report.reason = "cost"
-            break
+        forecast = math.nan if undamped is None else -float(system.gradient @ undamped)
+        # the model rule: stop here, without linearizing x + undamped, once
+        # this step and the steps left, shrinking at the rate this one did
+        # from the last, add up to at most 2 sqrt(tau) sigmas
+        if 0.0 <= forecast <= model_tol:
+            rate = math.sqrt(forecast / previous) if previous > 0.0 else 1.0
+            if math.sqrt(forecast) <= 2.0 * math.sqrt(model_tol) * (1.0 - rate):
+                report.reason = "cost"
+                break
+        previous = forecast
         # plain Gauss-Newton first; on cost increase walk the Levenberg
         # ladder, starting one rung below the last one that worked
         ladder = _DAMPINGS if warm is None else _DAMPINGS[max(warm - 1, 0):]
@@ -598,6 +629,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
             report.reason = "no_improving_step"
             break
         x, system, new_cost = accepted
+        forecast = math.nan
         trace.append(new_cost)
         report.iterations = it + 1
         if abs(cost - new_cost) <= opts.rel_cost_tol * max(cost, 1e-300):
@@ -607,6 +639,7 @@ def gauss_newton(graph: FactorGraph, init: dict | None = None,
         cost = new_cost
 
     report.final_cost = cost
+    report.final_step_sigma = math.sqrt(forecast) if forecast >= 0.0 else math.nan
     report.cost_trace = trace
     report.chi2_final = system.chi2_by_kind()
     graph.solved = system

@@ -2,15 +2,17 @@
 
 import argparse
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from pushgraph import cli, dataio, pushsim
+from pushgraph import cli, dataio, graphcore, pushsim
 from pushgraph.errors import NonFiniteCost
 from pushgraph.geometry import PlanarPose, embed_in_plane
 from pushgraph.graphcore import (
+    GaussNewtonOptions,
     GraphConfig,
     SolveReport,
     marginal_covariances,
@@ -105,6 +107,14 @@ def test_combined_report_is_converged_by_its_reason():
     # the first unconverged window names the run's reason
     combined = cli.combined_report([report("cost"), report("max_iter"), report("no_improving_step")])
     assert (combined.converged, combined.reason) == (False, "max_iter")
+
+
+def test_combined_report_takes_the_farthest_window_stop():
+    def report(step_sigma):
+        return SolveReport(1, 2.0, 1.0, "cost", final_step_sigma=step_sigma)
+
+    assert cli.combined_report([report(0.05), report(math.nan), report(0.08), report(0.01)]).final_step_sigma == 0.08
+    assert math.isnan(cli.combined_report([report(math.nan), report(math.nan)]).final_step_sigma)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -272,6 +282,23 @@ def test_non_finite_measurement_exits_2(noisy_file, tmp_path, model):
     assert run("estimate", "--in", bad, "--model", model) == 2
 
 
+def test_estimate_prints_the_final_step_in_sigmas(noisy_file, capsys):
+    assert cli.main(["estimate", "--in", str(noisy_file)]) == 0
+    printed = re.search(r" step_sigma=(\S+)$", capsys.readouterr().out.splitlines()[0]).group(1)
+    traj = dataio.load_trajectory(noisy_file)
+    _, report, _ = solve_batch("QS", traj, GraphConfig.from_trajectory(traj))
+    assert printed == f"{report.final_step_sigma:.3g}"
+
+
+def test_box_pusher_against_a_disc_converges(tmp_path):
+    # CP crept here at forecasts between 1e-3 and 1e-2 chi^2 a step, to max_iter
+    sim, noisy = tmp_path / "sim.json", tmp_path / "noisy.json"
+    assert run("simulate", "--shape", "disc:0.06", "--ee-shape", "box:0.01x0.03", "--path", "random",
+               "--dur", 2.0, "--dt", 0.1, "--out", sim) == 0
+    assert run("corrupt", "--in", sim, "--seed", 4, "--out", noisy) == 0
+    assert run("estimate", "--model", "CP", "--in", noisy) == 0
+
+
 BENCH_ARGS = ("benchmark", "--trials", 2, "--dur", 0.6, "--models", "CP,QS")
 
 
@@ -330,6 +357,10 @@ def test_benchmark_rows_carry_each_kinds_final_chi2(tmp_path, monkeypatch, mode)
     for row, report in zip(rows, reports):
         chi2 = {k[len("chi2_"):]: v for k, v in row.items() if k.startswith("chi2_")}
         assert chi2 == report.chi2_final
+        # incrementally, the combined report's: the largest finite value over the windows;
+        # NaN where no solve ended on the model rule, else at most sqrt(tau)
+        assert np.array_equal(row["step_sigma"], report.final_step_sigma, equal_nan=True)
+        assert not row["step_sigma"] > math.sqrt(graphcore._MODEL_TOL_RATIO * GaussNewtonOptions().rel_cost_tol)
         if mode == "batch":
             assert sum(chi2.values()) == pytest.approx(report.final_cost, rel=1e-12)
     cp, qs = rows
@@ -503,3 +534,29 @@ def test_benchmark_aggregates_skip_a_channel_never_measured(tmp_path):
         for stat in ("rmse", "mae"):
             assert np.isnan(float(row[f"raw_{stat}_contact"]))
             assert np.isfinite(float(row[f"est_{stat}_contact"]))
+
+
+# the paper's four benchmark conditions: what each corrupts, on top of the benchmark's defaults
+PAPER_CONDITIONS = {
+    "gaussian": {},
+    "y occluded 0.2:0.9": {"occlude": "0.2:0.9", "occlude_channels": "y"},
+    "bimodal w and alpha": {"kind": "bimodal", "channels": "w,alpha"},
+    "no contact sensing": {"occlude": "0:1", "occlude_channels": "w"},
+}
+
+
+def test_benchmark_keeps_the_papers_orderings():
+    means = {}
+    for condition, corruption in PAPER_CONDITIONS.items():
+        rows, aggregates = cli.run_benchmark({**cli.BENCH_DEFAULTS, "trials": 3, "dur": 4.0, "seed": 0, **corruption})
+        assert not any(row["failed"] for row in rows), condition
+        means[condition] = {agg["model"]: agg for agg in aggregates if agg["trial"] == -1}
+    for condition, models in means.items():
+        for model, agg in models.items():
+            # every estimate beats the raw measurement where it is corrupted
+            if condition != "bimodal w and alpha":
+                assert agg["est_rmse_x_trans"] < agg["raw_rmse_x_trans"], (condition, model)
+            if condition != "no contact sensing":
+                assert agg["est_rmse_contact"] < agg["raw_rmse_contact"], (condition, model)
+    occluded = means["y occluded 0.2:0.9"]
+    assert occluded["QS"]["est_rmse_x_trans"] <= occluded["CP"]["est_rmse_x_trans"]

